@@ -1,13 +1,18 @@
 (* Per-instruction-class allocation probe: tight IR loops of one
-   instruction class, run through the lowered engine and the compiled
-   tier, bytes allocated per executed instruction printed for each.
+   instruction class, run through the lowered engine, the compiled tier
+   and a watched baseline, bytes allocated per loop iteration printed
+   for each.
 
-   The compiled column is asserted ~0: once a function's closures are
-   built (cached on the shared lowered program), the steady-state loop
-   must be allocation-free — operand shapes are pre-bound, block and
+   Every column is asserted ~0.  The lowered loop keeps registers
+   unboxed in the frame's byte buffer.  Once a function's closures are
+   built (cached on the shared lowered program), the compiled loop is
+   allocation-free too: operand shapes are pre-bound, block and
    terminator closures return immediate ints, and the frame is the same
-   unboxed lframe the lowered engine uses.  The simulated cost must also
-   agree across tiers exactly. *)
+   unboxed lframe the lowered engine uses.  The watched column runs
+   {!Vm.run_watched} with a frontier that is never reached, so it is the
+   lowered loop plus its frontier hook, and its [Wshared] outcome is the
+   member's whole run.  The simulated cost must agree across all three
+   exactly. *)
 open Dpmr_ir
 open Types
 open Inst
@@ -30,29 +35,47 @@ let with_tier mode f =
   Vm.set_tier_mode mode;
   Fun.protect ~finally:(fun () -> Vm.set_tier_mode old) f
 
-(* steady-state bytes/iteration: one warmup run (which also compiles,
-   under the compiled tier — the closures cache on [lowered]), then one
-   measured run *)
-let steady_state lowered p =
-  let r0 = Dpmr.run_plain ~lowered p in
+(* steady-state bytes/iteration of [run]: one warmup run (which also
+   compiles, under the compiled tier — the closures cache on [lowered]),
+   then one measured run *)
+let steady_state run =
+  let r0 = run () in
   assert (r0.Dpmr_vm.Outcome.outcome = Dpmr_vm.Outcome.Normal);
   let a0 = Gc.allocated_bytes () in
-  let _ = Dpmr.run_plain ~lowered p in
+  let _ = run () in
   let a1 = Gc.allocated_bytes () in
   ((a1 -. a0) /. float_of_int n, r0.Dpmr_vm.Outcome.cost)
+
+(* a watched baseline whose only frontier row (main's, one limit per
+   block) is never reached: the hook compares every position and never
+   fires, and under the default tier promotion is refused *)
+let run_watched lowered p () =
+  let limits = Hashtbl.create 1 in
+  let main = Hashtbl.find lowered.Dpmr_vm.Lower.funcs "main" in
+  Hashtbl.replace limits "main"
+    (Array.make (Array.length main.Dpmr_vm.Lower.lblocks) max_int);
+  match Dpmr.watched_plain ~lowered p [| limits |] with
+  | [| Vm.Wshared r |] -> r
+  | _ -> failwith "watched probe: expected the baseline's whole run"
 
 let probe label fill =
   let p = mk_prog fill in
   let lowered = Dpmr_vm.Lower.lower_prog p in
-  let low, cost = with_tier Vm.Tier_lowered (fun () -> steady_state lowered p) in
-  let comp, cost' =
-    with_tier Vm.Tier_compiled (fun () -> steady_state lowered p)
+  let run () = Dpmr.run_plain ~lowered p in
+  let low, cost = with_tier Vm.Tier_lowered (fun () -> steady_state run) in
+  let comp, cost' = with_tier Vm.Tier_compiled (fun () -> steady_state run) in
+  let watched, cost'' =
+    with_tier Vm.Tier_auto (fun () -> steady_state (run_watched lowered p))
   in
-  Printf.printf "%-20s lowered %8.1f B/loop-iter   compiled %8.1f B/loop-iter  (cost %Ld)\n%!"
-    label low comp cost;
+  Printf.printf
+    "%-12s lowered %6.1f   compiled %6.1f   watched %6.1f B/loop-iter  (cost %Ld)\n%!"
+    label low comp watched cost;
   assert (Int64.equal cost cost');
+  assert (Int64.equal cost cost'');
   (* allocation-free modulo per-run VM setup amortized over [n] iters *)
-  assert (comp < 0.5)
+  assert (low < 0.5);
+  assert (comp < 0.5);
+  assert (watched < 0.5)
 
 let () =
   probe "alu add" (fun b ->

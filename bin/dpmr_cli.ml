@@ -551,7 +551,6 @@ let report_cmd =
             (Telemetry.to_json (Engine.telemetry engine) ~workers:(Engine.jobs engine)
                ~cache:(Engine.cache_stats engine)
                ~tier:(Dpmr_vm.Vm.tier_stats ())
-               ~plan_memo:(Dpmr_fi.Experiment.diff_memo_stats ())
                ?dispatch:(Engine.dispatcher engine));
           close_out oc
     in

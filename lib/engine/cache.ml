@@ -76,19 +76,19 @@ type t = {
 
 (* ---------------- CRC32 (IEEE 802.3) record framing ---------------- *)
 
+(* built eagerly: records are framed on several domains at once, and a
+   [lazy] forced concurrently raises [CamlinternalLazy.Undefined] *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
   let c = ref 0xffffffff in
-  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8)) s;
+  String.iter (fun ch -> c := crc_table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8)) s;
   !c lxor 0xffffffff
 
 (* A framed line is the payload object with a leading fixed-width crc

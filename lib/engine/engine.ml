@@ -373,7 +373,6 @@ let run_tasks t thunks =
 let summary_lines t =
   Telemetry.summary_lines t.telemetry ~workers:t.jobs ~cache:(cache_stats t)
     ~tier:(Dpmr_vm.Vm.tier_stats ())
-    ~plan_memo:(Experiment.diff_memo_stats ())
     ?dispatch:t.dispatcher
 
 (** Printed to stderr so report output stays byte-identical across

@@ -35,24 +35,20 @@ val speedup_estimate : t -> float option
 
 val summary_lines :
   ?tier:int * int ->
-  ?plan_memo:int * int ->
   ?dispatch:Dispatch.t ->
   t ->
   workers:int ->
   cache:Cache.stats option ->
   string list
-(** [tier] = (functions promoted, deopts) from [Vm.tier_stats];
-    [plan_memo] = (hits, misses) of the snapshot planner's
-    divergence-diff cache ([Experiment.diff_memo_stats]).  Passed in by
-    the engine at summary time to keep this module free of VM and
-    experiment dependencies; a tier line appears only when either
-    counter pair is non-zero, preserving historical summary shapes.
+(** [tier] = (functions promoted, deopts) from [Vm.tier_stats].  Passed
+    in by the engine at summary time to keep this module free of VM
+    dependencies; a tier line appears only when the pair is non-zero,
+    preserving historical summary shapes.
     [dispatch] adds per-host scatter/gather lines for campaigns run
     with [--workers]. *)
 
 val to_json :
   ?tier:int * int ->
-  ?plan_memo:int * int ->
   ?dispatch:Dispatch.t ->
   t ->
   workers:int ->

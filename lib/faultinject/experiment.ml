@@ -68,26 +68,7 @@ type t = {
   golden : Outcome.run;  (** reference run for correct-output and budget *)
   budget : int64;  (** ~20x the golden running time (§3.6's timeout) *)
   seed : int64;
-  diff_memo :
-    ( variant * variant,
-      (string, Dpmr_vm.Lower.func_diff) Hashtbl.t option )
-    Hashtbl.t;
-      (** {!Dpmr_vm.Lower.diff_limits} results by (baseline, member)
-          variant — both programs are pure functions of their variant, so
-          the structural diff is too.  Campaign cells differing only in
-          run seed or budget re-plan the same diffs; unlike memoizing
-          {!prepare} (deliberately avoided, see below), a diff table
-          holds only the {e differing} functions' remaps, so retention
-          across a sweep stays small.  The engine keeps experiments
-          per-domain, so this table is never shared across domains. *)
 }
-
-let diff_memo_hits = Atomic.make 0
-let diff_memo_misses = Atomic.make 0
-
-(** Cumulative (process-wide) planner memo telemetry: (hits, misses) of
-    the {!plan_group} divergence-diff cache. *)
-let diff_memo_stats () = (Atomic.get diff_memo_hits, Atomic.get diff_memo_misses)
 
 let make ?(seed = 42L) wk =
   let base = wk.build () in
@@ -99,7 +80,7 @@ let make ?(seed = 42L) wk =
          wk.name
          (Outcome.to_string golden.Outcome.outcome));
   let budget = Int64.mul 20L (Int64.max golden.Outcome.cost 10_000L) in
-  { wk; base; golden; budget; seed; diff_memo = Hashtbl.create 64 }
+  { wk; base; golden; budget; seed }
 
 let classify t (r : Outcome.run) =
   let co = r.Outcome.outcome = Outcome.Normal && r.Outcome.output = t.golden.Outcome.output in
@@ -261,21 +242,9 @@ let plan_group ?seed t variants =
     | Nofi_dpmr cfg | Fi_dpmr (cfg, _, _) -> Nofi_dpmr cfg
   in
   let bp = prepare t bv in
-  (let diff v p =
-     (* both sides of the diff are pure functions of their variant, so
-        the memo key is the variant pair; the tables are read-only after
-        construction (remap lookups), safe to share across cells *)
-     match Hashtbl.find_opt t.diff_memo (bv, v) with
-     | Some d ->
-         Atomic.incr diff_memo_hits;
-         d
-     | None ->
-         Atomic.incr diff_memo_misses;
-         let d = Dpmr_vm.Lower.diff_limits bp.plowered p.plowered in
-         Hashtbl.replace t.diff_memo (bv, v) d;
-         d
+  (let diffs =
+     Array.map (fun p -> Dpmr_vm.Lower.diff_limits bp.plowered p.plowered) prepared
    in
-   let diffs = Array.map2 diff variants prepared in
    let feas =
      List.filter
        (fun i -> diffs.(i) <> None)

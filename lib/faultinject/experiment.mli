@@ -62,15 +62,6 @@ type t = {
   golden : Outcome.run;
   budget : int64;  (** ~20x the golden cost (§3.6's timeout) *)
   seed : int64;
-  diff_memo :
-    ( variant * variant,
-      (string, Dpmr_vm.Lower.func_diff) Hashtbl.t option )
-    Hashtbl.t;
-      (** {!plan_group}'s divergence-diff cache, keyed by (baseline,
-          member) variant — diffs are pure functions of the variant
-          pair, so cells differing only in run seed or budget share
-          them.  Domain-local by construction (the engine keeps one
-          experiment per domain). *)
 }
 
 (** Build the experiment context: verifies the program and takes the
@@ -131,8 +122,3 @@ val member_snapshot_hash : group -> int -> int64 option
 
 val plan_group : ?seed:int64 -> t -> variant array -> group
 val run_member : ?seed:int64 -> t -> group -> int -> classification
-
-val diff_memo_stats : unit -> int * int
-(** Cumulative (process-wide) planner memo telemetry: (hits, misses) of
-    the {!plan_group} divergence-diff cache, summed over every
-    experiment and domain since process start. *)

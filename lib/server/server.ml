@@ -260,8 +260,7 @@ let stats_json t =
   add "  \"telemetry\": %s" (String.trim
     (Telemetry.to_json (Engine.telemetry t.engine) ~workers:(Engine.jobs t.engine)
        ~cache:(Engine.cache_stats t.engine)
-       ~tier:(Dpmr_vm.Vm.tier_stats ())
-       ~plan_memo:(Dpmr_fi.Experiment.diff_memo_stats ())));
+       ~tier:(Dpmr_vm.Vm.tier_stats ())));
   add "\n}\n";
   Buffer.contents b
 

@@ -80,6 +80,82 @@ let () =
       | Some m -> set_tier_mode m
       | None -> invalid_arg (Printf.sprintf "DPMR_TIER: unknown tier %S" s))
 
+(* the frame type is {!Machine}'s, so the compiled tier executes the
+   very same record the lowered engine allocated — promotion shares the
+   register file, deoptimization needs no state copy at all *)
+type lframe = Machine.lframe = {
+  bits : Bytes.t;
+  tags : Bytes.t;
+  lentry_sp : int64;
+}
+
+(* ------------------------------------------------------------------ *)
+(* Copy-on-write snapshots: types and watched-execution state          *)
+(* ------------------------------------------------------------------ *)
+
+(* One captured activation record: where the frame stood (function,
+   block, instruction) and a private copy of its register file.  For the
+   innermost frame [sf_inst] is the next instruction to execute; for
+   every outer frame it indexes the in-flight [Lcall]. *)
+type snap_frame = {
+  sf_fname : string;
+  sf_bidx : int;
+  sf_inst : int;
+  sf_bits : Bytes.t;
+  sf_tags : Bytes.t;
+  sf_entry_sp : int64;
+}
+
+type snapshot = {
+  sn_mem : Mem.frozen;
+  sn_alloc : Allocator.frozen;
+  sn_rng : int64;
+  sn_sp : int64;
+  sn_cost : int;
+  sn_out : string;
+  sn_funaddr : (string * int64) list;  (* first-use address assignments, by name *)
+  sn_next_fun_addr : int64;
+  sn_frames : snap_frame list;  (* outermost first *)
+  sn_hash : int64;
+}
+
+(* Live shadow of one activation during a watched run, updated as
+   execution moves so a fire can capture the whole stack. *)
+type wframe = {
+  wf_fname : string;
+  mutable wf_bidx : int;
+  mutable wf_inst : int;
+  wf_frame : lframe;
+  mutable wf_lim : int array;
+      (** this function's row of the merged frontier ([[||]] when it has
+          none): fetched at activation entry and refreshed by every fire *)
+}
+
+(* One watched group member: its divergence frontier
+   ({!Lower.diff_limits} against the baseline) and how it resolved.
+   Exactly one of the three outcomes holds when the watch ends:
+   captured ([wm_snap]), unsharable ([wm_unsharable] — the frontier was
+   reached where a fork cannot resume), or still active (the baseline
+   never reached the frontier, so the member inherits the baseline's
+   whole run). *)
+type wmember = {
+  wm_limits : (string, int array) Hashtbl.t;
+  mutable wm_snap : snapshot option;
+  mutable wm_unsharable : bool;
+}
+
+type watch = {
+  w_members : wmember array;
+  mutable w_merged : (string, int array) Hashtbl.t;
+      (** elementwise-min frontier over the still-active members: fire
+          before executing instruction [merged.(blk)] of a listed
+          function's block; rebuilt after every fire *)
+  mutable w_active : int;
+  mutable w_stack : wframe list;  (** innermost first *)
+  mutable w_extern : int;
+      (** extern re-entries ({!call_function}) currently on the stack *)
+}
+
 type t = {
   prog : Prog.t;
   lprog : Lower.prog;
@@ -106,6 +182,9 @@ type t = {
       (** the domain's trace sink, captured once at {!create} — a [t]
           field rather than a per-event DLS read so the disabled case
           costs one immediate pointer test on each would-be event *)
+  mutable watched : watch option;
+      (** the watched-baseline state while {!run_watched} runs; [None]
+          otherwise — one pointer test per call and per block entry *)
 }
 
 and extern = t -> value list -> value option
@@ -232,6 +311,7 @@ let create ?(seed = 42L) ?(budget = 2_000_000_000L) ?lowered prog =
       call_depth = 0;
       use_lowered = true;
       trace = Trace.current ();
+      watched = None;
     }
   in
   (* the allocator and phase markers timestamp events through the sink's
@@ -344,15 +424,6 @@ let store_scalar t ty addr v =
 external reg_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external reg_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* the frame type is {!Machine}'s, so the compiled tier executes the
-   very same record the lowered engine allocated — promotion shares the
-   register file, deoptimization needs no state copy at all *)
-type lframe = Machine.lframe = {
-  bits : Bytes.t;
-  tags : Bytes.t;
-  lentry_sp : int64;
-}
-
 (* same poison as the boxed register file had: an uninitialized register
    reads back as the int 0xDEADBEEF *)
 let make_lframe nregs sp =
@@ -370,69 +441,6 @@ let make_lframe nregs sp =
 let tier_enter : (t -> L.lfunc -> lframe -> int -> Compile.result) ref =
   ref (fun _ _ _ _ -> assert false)
 
-(* ------------------------------------------------------------------ *)
-(* Copy-on-write snapshots: types and watched-execution context        *)
-(* ------------------------------------------------------------------ *)
-
-(* One captured activation record: where the frame stood (function,
-   block, instruction) and a private copy of its register file.  For the
-   innermost frame [sf_inst] is the next instruction to execute; for
-   every outer frame it indexes the in-flight [Lcall]. *)
-type snap_frame = {
-  sf_fname : string;
-  sf_bidx : int;
-  sf_inst : int;
-  sf_bits : Bytes.t;
-  sf_tags : Bytes.t;
-  sf_entry_sp : int64;
-}
-
-type snapshot = {
-  sn_mem : Mem.frozen;
-  sn_alloc : Allocator.frozen;
-  sn_rng : int64;
-  sn_sp : int64;
-  sn_cost : int;
-  sn_out : string;
-  sn_funaddr : (string * int64) list;  (* first-use address assignments, by name *)
-  sn_next_fun_addr : int64;
-  sn_frames : snap_frame list;  (* outermost first *)
-  sn_hash : int64;
-}
-
-(* Live shadow of one activation during a watched run, updated as
-   execution moves so a fire can capture the whole stack. *)
-type wframe = {
-  wf_fname : string;
-  mutable wf_bidx : int;
-  mutable wf_inst : int;
-  wf_frame : lframe;
-}
-
-(* One watched group member: its divergence frontier
-   ({!Lower.diff_limits} against the baseline) and how it resolved.
-   Exactly one of the three outcomes holds when the watch ends:
-   captured ([wm_snap]), unsharable ([wm_unsharable] — the frontier was
-   reached where a fork cannot resume), or still active (the baseline
-   never reached the frontier, so the member inherits the baseline's
-   whole run). *)
-type wmember = {
-  wm_limits : (string, int array) Hashtbl.t;
-  mutable wm_snap : snapshot option;
-  mutable wm_unsharable : bool;
-}
-
-type wctx = {
-  w_members : wmember array;
-  mutable w_merged : (string, int array) Hashtbl.t;
-      (** elementwise-min frontier over the still-active members: fire
-          before executing instruction [merged.(blk)] of a listed
-          function's block; rebuilt after every fire *)
-  mutable w_active : int;
-  mutable w_stack : wframe list;  (** innermost first *)
-  mutable w_extern : int;  (** depth of extern calls currently on the stack *)
-}
-
 exception Watch_done
 (** Internal: every member is resolved — the rest of the baseline run
     serves nobody, so unwind it. *)
@@ -441,11 +449,13 @@ exception Watch_infeasible
 (** The whole watch is impossible on this VM (tracing active).  Callers
     fall back to from-zero execution. *)
 
-(* Watched context of the domain's current baseline run.  A DLS slot
-   rather than a [t] field keeps the snapshot machinery entirely off the
-   record (and off the mli): only [call_function] — the extern re-entry
-   path — consults it. *)
-let wctx_key : wctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let merged_row merged fname =
+  match Hashtbl.find_opt merged fname with Some a -> a | None -> [||]
+
+(* the watch limit of block [idx] in the activation [wf] *)
+let[@inline] block_limit wf idx =
+  let a = wf.wf_lim in
+  if idx < Array.length a then Array.unsafe_get a idx else max_int
 
 let[@inline] reg_int fr r =
   if Bytes.unsafe_get fr.tags r <> '\000' then
@@ -519,6 +529,107 @@ let resolve_target = function L.Bidx i -> i | L.Braise e -> raise e
 let unknown_function name =
   raise (Vm_error (Printf.sprintf "call to unknown function %S" name))
 
+let indirect_name t addr =
+  match Hashtbl.find_opt t.addr_fun addr with
+  | Some name -> name
+  | None -> raise (Mem.Fault (Mem.Unmapped addr))
+
+(* Capture everything a fork needs.  All copies are O(tables + frames):
+   page contents stay shared copy-on-write. *)
+let capture t w =
+  let frames =
+    List.rev_map
+      (fun wf ->
+        {
+          sf_fname = wf.wf_fname;
+          sf_bidx = wf.wf_bidx;
+          sf_inst = wf.wf_inst;
+          sf_bits = Bytes.copy wf.wf_frame.bits;
+          sf_tags = Bytes.copy wf.wf_frame.tags;
+          sf_entry_sp = wf.wf_frame.lentry_sp;
+        })
+      w.w_stack
+  in
+  let funaddr =
+    Hashtbl.fold (fun name a acc -> (name, a) :: acc) t.fun_addr []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let mem_f = Mem.freeze t.mem in
+  let alloc_f = Allocator.freeze t.alloc in
+  let out = Buffer.contents t.out in
+  (* combined content hash: equal hashes imply forks resume from equal
+     states; deterministic across processes for cache federation *)
+  let h = ref (Mem.frozen_hash mem_f) in
+  let word x = h := Int64.mul (Int64.logxor !h x) 0x100000001B3L in
+  let str s = String.iter (fun c -> word (Int64.of_int (Char.code c))) s in
+  word (Allocator.frozen_hash alloc_f);
+  word (Rng.state t.rng);
+  word t.sp;
+  word (Int64.of_int !(t.cost));
+  word t.next_fun_addr;
+  str out;
+  List.iter
+    (fun (n, a) ->
+      str n;
+      word a)
+    funaddr;
+  List.iter
+    (fun sf ->
+      str sf.sf_fname;
+      word (Int64.of_int sf.sf_bidx);
+      word (Int64.of_int sf.sf_inst);
+      str (Bytes.to_string sf.sf_bits);
+      str (Bytes.to_string sf.sf_tags);
+      word sf.sf_entry_sp)
+    frames;
+  {
+    sn_mem = mem_f;
+    sn_alloc = alloc_f;
+    sn_rng = Rng.state t.rng;
+    sn_sp = t.sp;
+    sn_cost = !(t.cost);
+    sn_out = out;
+    sn_funaddr = funaddr;
+    sn_next_fun_addr = t.next_fun_addr;
+    sn_frames = frames;
+    sn_hash = !h;
+  }
+
+(* Execution is about to reach position [pos] of [wf]'s block — the
+   divergence frontier of at least one active member.  Resolve exactly
+   the members whose frontier is here: capture one shared snapshot for
+   them (or mark them unsharable when the position is unreachable for a
+   fork — inside an extern callback such as the qsort comparator), then
+   rebuild the merged frontier so the baseline keeps running for the
+   members that still need it.  Raises {!Watch_done} once nobody does. *)
+let fire t w wf pos =
+  let fname = wf.wf_fname and bidx = wf.wf_bidx in
+  let active m = m.wm_snap = None && not m.wm_unsharable in
+  let here m =
+    active m
+    && (match Hashtbl.find_opt m.wm_limits fname with
+       | Some a when bidx < Array.length a -> a.(bidx) = pos
+       | _ -> false)
+  in
+  let snap =
+    if w.w_extern > 0 || t.fi_first_cost <> None then None
+    else Some (capture t w)
+  in
+  Array.iter
+    (fun m ->
+      if here m then begin
+        (match snap with
+        | Some sn -> m.wm_snap <- Some sn
+        | None -> m.wm_unsharable <- true);
+        w.w_active <- w.w_active - 1
+      end)
+    w.w_members;
+  if w.w_active <= 0 then raise Watch_done;
+  let merged = Hashtbl.create 16 in
+  Array.iter (fun m -> if active m then L.merge_limits merged m.wm_limits) w.w_members;
+  w.w_merged <- merged;
+  List.iter (fun wf -> wf.wf_lim <- merged_row merged wf.wf_fname) w.w_stack
+
 (* ------------------------------------------------------------------ *)
 (* Execution: both engines in one recursive knot (externs re-enter via  *)
 (* [call_function], which routes on [use_lowered])                      *)
@@ -526,18 +637,18 @@ let unknown_function name =
 
 let rec call_function t name args =
   if t.use_lowered then
-    match Hashtbl.find_opt t.lprog.L.funcs name with
-    | Some lf -> (
-        (* extern re-entry (e.g. a qsort comparator) must stay watched
-           during a watched baseline, or a divergence inside the callback
-           would be executed unnoticed and poison the snapshot *)
-        match Domain.DLS.get wctx_key with
-        | None -> exec_lfunc t lf (Array.of_list args)
-        | Some w -> wexec_lfunc t w lf (Array.of_list args))
-    | None -> (
-        match Hashtbl.find_opt t.externs name with
-        | Some fn -> fn t args
-        | None -> unknown_function name)
+    match t.watched with
+    | None -> call_named t name (Array.of_list args)
+    | Some w ->
+        (* the only way back in from an extern (e.g. a qsort
+           comparator): the callback stays watched, but a frontier
+           reached inside it cannot be resumed by a fork, so [fire]
+           refuses while the count is non-zero.  No unwinding guard: an
+           exception out of the callback ends the whole run. *)
+        w.w_extern <- w.w_extern + 1;
+        let r = call_named t name (Array.of_list args) in
+        w.w_extern <- w.w_extern - 1;
+        r
   else
     match Hashtbl.find_opt t.prog.funcs name with
     | Some f -> exec_func t f args
@@ -566,15 +677,30 @@ and exec_lfunc t (lf : L.lfunc) (args : value array) =
   (match t.trace with
   | Some s -> Trace.emit_call_enter s ~cost:(!(t.cost)) ~fname:lf.L.lname
   | None -> ());
-  let result = exec_lblocks t lf frame in
+  let result =
+    match t.watched with
+    | None -> exec_lblocks_at t lf frame 0 0
+    | Some w ->
+        (* watched: shadow the activation so a fire can capture it *)
+        w.w_stack <-
+          {
+            wf_fname = lf.L.lname;
+            wf_bidx = 0;
+            wf_inst = 0;
+            wf_frame = frame;
+            wf_lim = merged_row w.w_merged lf.L.lname;
+          }
+          :: w.w_stack;
+        let r = exec_lblocks_at t lf frame 0 0 in
+        w.w_stack <- List.tl w.w_stack;
+        r
+  in
   (match t.trace with
   | Some s -> Trace.emit_call_exit s ~cost:(!(t.cost)) ~fname:lf.L.lname
   | None -> ());
   t.sp <- frame.lentry_sp;
   t.call_depth <- t.call_depth - 1;
   result
-
-and exec_lblocks t (lf : L.lfunc) frame = exec_lblocks_at t lf frame 0 0
 
 (* [exec_lblocks_at _ _ _ idx0 i0] enters block [idx0] at instruction
    [i0] — 0, 0 for a normal call; a mid-block position when [resume]
@@ -587,9 +713,15 @@ and exec_lblocks t (lf : L.lfunc) frame = exec_lblocks_at t lf frame 0 0
    long-running loop that never returns.  Promotion is refused while
    full fidelity is required: a trace sink needs per-block samples and
    per-check compare events, and an activated fault injection must keep
-   the block-by-block shape the forensics suite reasons about.  The
+   the block-by-block shape the forensics suite reasons about; a watched
+   baseline's frontier limits are lowered-instruction positions.  The
    compiled tier deoptimizes back here (a [Rdeopt] with the next block
-   index) when fidelity demands appear mid-run. *)
+   index) when fidelity demands appear mid-run.
+
+   A watched run (see {!run_watched}) executes each block through
+   [exec_watched], which fires at the activation's frontier limit; the
+   terminators, the instruction semantics and the call protocol are the
+   ones below. *)
 and exec_lblocks_at t (lf : L.lfunc) frame idx0 i0 =
   let blocks = lf.L.lblocks in
   let rec go idx i0 =
@@ -597,7 +729,7 @@ and exec_lblocks_at t (lf : L.lfunc) frame idx0 i0 =
       let h = lf.L.lhot + 1 in
       lf.L.lhot <- h;
       if h >= !tier_threshold then
-        if t.trace == None && t.fi_first_cost == None then
+        if t.trace == None && t.fi_first_cost == None && t.watched == None then
           match !tier_enter t lf frame idx with
           | Compile.Rret v -> v
           | Compile.Rdeopt b -> exec_block b 0
@@ -622,9 +754,15 @@ and exec_lblocks_at t (lf : L.lfunc) frame idx0 i0 =
     | Some s -> Trace.sample_block s ~cost:(!(t.cost)) ~fname:lf.L.lname ~blk:idx
     | None -> ());
     let insts = b.L.linsts in
-    for i = i0 to Array.length insts - 1 do
-      exec_linst t frame (Array.unsafe_get insts i)
-    done;
+    (match t.watched with
+    | None ->
+        for i = i0 to Array.length insts - 1 do
+          exec_linst t frame (Array.unsafe_get insts i)
+        done
+    | Some w ->
+        let wf = List.hd w.w_stack in
+        wf.wf_bidx <- idx;
+        exec_watched t w wf frame insts i0);
     match b.L.lterm with
     | L.Lbr tgt ->
         add_cost t Cost.branch;
@@ -812,28 +950,11 @@ and exec_linst t frame (inst : L.linst) =
          names only fault after it — both as in the reference engine *)
       match callee with
       | L.Lfun lf -> finish_call t frame r lf.L.lname (exec_lfunc t lf (eval_args ()))
-      | L.Lextern (slot, name) -> (
-          let argv = eval_args () in
-          match t.extern_slots.(slot) with
-          | Some fn -> finish_call t frame r name (fn t (Array.to_list argv))
-          | None -> (
-              match Hashtbl.find_opt t.externs name with
-              | Some fn ->
-                  t.extern_slots.(slot) <- Some fn;
-                  finish_call t frame r name (fn t (Array.to_list argv))
-              | None -> unknown_function name))
-      | L.Lindirect o -> (
-          let addr = leval_int t frame o in
-          match Hashtbl.find_opt t.addr_fun addr with
-          | None -> raise (Mem.Fault (Mem.Unmapped addr))
-          | Some name -> (
-              let argv = eval_args () in
-              match Hashtbl.find_opt t.lprog.L.funcs name with
-              | Some lf -> finish_call t frame r name (exec_lfunc t lf argv)
-              | None -> (
-                  match Hashtbl.find_opt t.externs name with
-                  | Some fn -> finish_call t frame r name (fn t (Array.to_list argv))
-                  | None -> unknown_function name))))
+      | L.Lextern (slot, name) ->
+          finish_call t frame r name (call_extern_slot t slot name (eval_args ()))
+      | L.Lindirect o ->
+          let name = indirect_name t (leval_int t frame o) in
+          finish_call t frame r name (call_named t name (eval_args ())))
   | L.Lpoison e -> raise e
   (* Fused superinstructions: replay the exact effect sequence of their
      two-instruction originals (gep cost, address-register write, access
@@ -916,245 +1037,48 @@ and finish_call _t frame r name result =
       raise (Vm_error (Printf.sprintf "%s returned void, result expected" name))
   | None, _ -> ()
 
-(* ---- watched execution: the lowered engine plus divergence limits ----
+(* The call protocol shared with the compiled tier ({!Tier_rt}): an
+   [Lextern] slot resolves through the per-VM slot cache, then the extern
+   table (filling the cache), then fails; an indirect or named callee is
+   a lowered function, else an extern, else an unknown-function error. *)
+and call_extern_slot t slot name argv =
+  match t.extern_slots.(slot) with
+  | Some fn -> fn t (Array.to_list argv)
+  | None -> (
+      match Hashtbl.find_opt t.externs name with
+      | Some fn ->
+          t.extern_slots.(slot) <- Some fn;
+          fn t (Array.to_list argv)
+      | None -> unknown_function name)
 
-   Runs the baseline program of a snapshot/fork group.  Identical effect
-   sequence to [exec_lfunc]/[exec_lblocks]/[exec_linst] — costs, traps,
-   evaluation order — with two additions: a shadow stack of activation
-   positions, and a per-block watch limit.  On first arrival at a limit
-   position it captures the whole VM state as a {!snapshot} and unwinds
-   with {!Watch_fired}.  Watched runs require [t.trace = None] (enforced
-   by [run_watched]), so the trace arms are omitted. *)
+and call_named t name argv =
+  match Hashtbl.find_opt t.lprog.L.funcs name with
+  | Some lf -> exec_lfunc t lf argv
+  | None -> (
+      match Hashtbl.find_opt t.externs name with
+      | Some fn -> fn t (Array.to_list argv)
+      | None -> unknown_function name)
 
-and wexec_lfunc t w (lf : L.lfunc) (args : value array) =
-  if t.call_depth >= max_call_depth then raise (Vm_error "stack overflow");
-  t.call_depth <- t.call_depth + 1;
-  let nparams = Array.length lf.L.lparams in
-  if Array.length args < nparams then
-    raise
-      (Vm_error
-         (Printf.sprintf "%s: missing argument %d" lf.L.lname
-            (Array.length args)));
-  let frame = make_lframe lf.L.lnregs t.sp in
-  for i = 0 to nparams - 1 do
-    set_value frame lf.L.lparams.(i) args.(i)
-  done;
-  if Array.length lf.L.lblocks = 0 then
-    invalid_arg (Printf.sprintf "Func.entry: %s has no blocks" lf.L.lname);
-  let wf = { wf_fname = lf.L.lname; wf_bidx = 0; wf_inst = 0; wf_frame = frame } in
-  w.w_stack <- wf :: w.w_stack;
-  let result = wexec_lblocks t w lf frame wf in
-  w.w_stack <- List.tl w.w_stack;
-  t.sp <- frame.lentry_sp;
-  t.call_depth <- t.call_depth - 1;
-  result
+(* ---- watched execution: the frontier hook ----
 
-and wexec_lblocks t w (lf : L.lfunc) frame wf =
-  let blocks = lf.L.lblocks in
-  let limit idx =
-    match Hashtbl.find_opt w.w_merged lf.L.lname with
-    | Some a when idx < Array.length a -> Array.unsafe_get a idx
-    | _ -> max_int
-  in
-  let rec go idx =
-    let (b : L.lblock) = blocks.(idx) in
-    wf.wf_bidx <- idx;
-    check_budget t;
-    let insts = b.L.linsts in
-    let n = Array.length insts in
-    (* [lim] is cached across instructions and re-fetched only after a
-       fire (the merged frontier shrinks as members resolve); [fire]
-       guarantees the new limit at this block exceeds the fire position,
-       so the loop always progresses *)
-    let rec insts_from i lim =
-      if i = lim then begin
-        wf.wf_inst <- i;
-        fire t w idx i;
-        insts_from i (limit idx)
-      end
-      else if i < n then begin
-        wf.wf_inst <- i;
-        wexec_linst t w frame (Array.unsafe_get insts i);
-        insts_from (i + 1) lim
-      end
-      else begin match b.L.lterm with
-      | L.Lbr tgt ->
-          add_cost t Cost.branch;
-          go (resolve_target tgt)
-      | L.Lcbr (c, t1, t2) ->
-          add_cost t Cost.cond_branch;
-          let v = leval_int t frame c in
-          go (resolve_target (if not (Int64.equal v 0L) then t1 else t2))
-      | L.Lcheck (c, t1, t2, _, _) ->
-          add_cost t Cost.cond_branch;
-          let v = leval_int t frame c in
-          go (resolve_target (if not (Int64.equal v 0L) then t1 else t2))
-      | L.Lcmpbr (r, c, w', a, bb, t1, t2) ->
-          add_cost t Cost.cmp;
-          let vb = leval_int t frame bb in
-          let va = leval_int t frame a in
-          let v = exec_icmp c w' va vb in
-          set_int frame r v;
-          add_cost t Cost.cond_branch;
-          go (resolve_target (if not (Int64.equal v 0L) then t1 else t2))
-      | L.Lcmpcheck (r, c, w', a, bb, t1, t2, _, _) ->
-          add_cost t Cost.cmp;
-          let vb = leval_int t frame bb in
-          let va = leval_int t frame a in
-          let v = exec_icmp c w' va vb in
-          set_int frame r v;
-          add_cost t Cost.cond_branch;
-          go (resolve_target (if not (Int64.equal v 0L) then t1 else t2))
-      | L.Lret o ->
-          add_cost t Cost.ret;
-          Option.map (leval t frame) o
-      | L.Lunreachable msg -> raise (Vm_error msg)
-      end
-    in
-    insts_from 0 (limit idx)
-  in
-  go 0
-
-and wexec_linst t w frame (inst : L.linst) =
-  match inst with
-  | L.Lcall (r, callee, args, cost) -> (
-      add_cost t cost;
-      let eval_args () =
-        let n = Array.length args in
-        let argv = Array.make n (I 0L) in
-        for i = 0 to n - 1 do
-          argv.(i) <- leval t frame args.(i)
-        done;
-        argv
-      in
-      (* a fire inside an extern (via [call_function] re-entry) cannot be
-         resumed — count the nesting so [fire] can refuse *)
-      let extern_call fn argv =
-        w.w_extern <- w.w_extern + 1;
-        Fun.protect
-          ~finally:(fun () -> w.w_extern <- w.w_extern - 1)
-          (fun () -> fn t (Array.to_list argv))
-      in
-      match callee with
-      | L.Lfun lf -> finish_call t frame r lf.L.lname (wexec_lfunc t w lf (eval_args ()))
-      | L.Lextern (slot, name) -> (
-          let argv = eval_args () in
-          match t.extern_slots.(slot) with
-          | Some fn -> finish_call t frame r name (extern_call fn argv)
-          | None -> (
-              match Hashtbl.find_opt t.externs name with
-              | Some fn ->
-                  t.extern_slots.(slot) <- Some fn;
-                  finish_call t frame r name (extern_call fn argv)
-              | None -> unknown_function name))
-      | L.Lindirect o -> (
-          let addr = leval_int t frame o in
-          match Hashtbl.find_opt t.addr_fun addr with
-          | None -> raise (Mem.Fault (Mem.Unmapped addr))
-          | Some name -> (
-              let argv = eval_args () in
-              match Hashtbl.find_opt t.lprog.L.funcs name with
-              | Some lf -> finish_call t frame r name (wexec_lfunc t w lf argv)
-              | None -> (
-                  match Hashtbl.find_opt t.externs name with
-                  | Some fn -> finish_call t frame r name (extern_call fn argv)
-                  | None -> unknown_function name))))
-  | inst -> exec_linst t frame inst
-
-(* Capture everything a fork needs.  All copies are O(tables + frames):
-   page contents stay shared copy-on-write. *)
-and capture t w =
-  let frames =
-    List.rev_map
-      (fun wf ->
-        {
-          sf_fname = wf.wf_fname;
-          sf_bidx = wf.wf_bidx;
-          sf_inst = wf.wf_inst;
-          sf_bits = Bytes.copy wf.wf_frame.bits;
-          sf_tags = Bytes.copy wf.wf_frame.tags;
-          sf_entry_sp = wf.wf_frame.lentry_sp;
-        })
-      w.w_stack
-  in
-  let funaddr =
-    Hashtbl.fold (fun name a acc -> (name, a) :: acc) t.fun_addr []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let mem_f = Mem.freeze t.mem in
-  let alloc_f = Allocator.freeze t.alloc in
-  let out = Buffer.contents t.out in
-  (* combined content hash: equal hashes imply forks resume from equal
-     states; deterministic across processes for cache federation *)
-  let h = ref (Mem.frozen_hash mem_f) in
-  let word x = h := Int64.mul (Int64.logxor !h x) 0x100000001B3L in
-  let str s = String.iter (fun c -> word (Int64.of_int (Char.code c))) s in
-  word (Allocator.frozen_hash alloc_f);
-  word (Rng.state t.rng);
-  word t.sp;
-  word (Int64.of_int !(t.cost));
-  word t.next_fun_addr;
-  str out;
-  List.iter
-    (fun (n, a) ->
-      str n;
-      word a)
-    funaddr;
-  List.iter
-    (fun sf ->
-      str sf.sf_fname;
-      word (Int64.of_int sf.sf_bidx);
-      word (Int64.of_int sf.sf_inst);
-      str (Bytes.to_string sf.sf_bits);
-      str (Bytes.to_string sf.sf_tags);
-      word sf.sf_entry_sp)
-    frames;
-  {
-    sn_mem = mem_f;
-    sn_alloc = alloc_f;
-    sn_rng = Rng.state t.rng;
-    sn_sp = t.sp;
-    sn_cost = !(t.cost);
-    sn_out = out;
-    sn_funaddr = funaddr;
-    sn_next_fun_addr = t.next_fun_addr;
-    sn_frames = frames;
-    sn_hash = !h;
-  }
-
-(* Execution is about to reach position [pos] of block [bidx] — the
-   divergence frontier of at least one active member.  Resolve exactly
-   the members whose frontier is here: capture one shared snapshot for
-   them (or mark them unsharable when the position is unreachable for a
-   fork — inside an extern callback such as the qsort comparator), then
-   rebuild the merged frontier so the baseline keeps running for the
-   members that still need it.  Raises {!Watch_done} once nobody does. *)
-and fire t w bidx pos =
-  let fname = (List.hd w.w_stack).wf_fname in
-  let active m = m.wm_snap = None && not m.wm_unsharable in
-  let here m =
-    active m
-    && (match Hashtbl.find_opt m.wm_limits fname with
-       | Some a when bidx < Array.length a -> a.(bidx) = pos
-       | _ -> false)
-  in
-  let snap =
-    if w.w_extern > 0 || t.fi_first_cost <> None then None
-    else Some (capture t w)
-  in
-  Array.iter
-    (fun m ->
-      if here m then begin
-        (match snap with
-        | Some sn -> m.wm_snap <- Some sn
-        | None -> m.wm_unsharable <- true);
-        w.w_active <- w.w_active - 1
-      end)
-    w.w_members;
-  if w.w_active <= 0 then raise Watch_done;
-  let merged = Hashtbl.create 16 in
-  Array.iter (fun m -> if active m then L.merge_limits merged m.wm_limits) w.w_members;
-  w.w_merged <- merged
+   A watched baseline runs the lowered engine above, instruction for
+   instruction, with [wf] shadowing the activation.  Before each
+   instruction — and before the terminator — the position is compared
+   with the activation's frontier limit; on arrival [fire] captures the
+   whole VM state for the members whose frontier this is.  [fire]
+   guarantees the refreshed limit at this block exceeds the fire
+   position, so execution always progresses. *)
+and exec_watched t w wf frame insts i =
+  if i = block_limit wf wf.wf_bidx then begin
+    wf.wf_inst <- i;
+    fire t w wf i;
+    exec_watched t w wf frame insts i
+  end
+  else if i < Array.length insts then begin
+    wf.wf_inst <- i;
+    exec_linst t frame (Array.unsafe_get insts i);
+    exec_watched t w wf frame insts (i + 1)
+  end
 
 (* ---- reference engine: the original tree-walking interpreter ---- *)
 
@@ -1363,30 +1287,9 @@ module Tier_rt = struct
 
   let call_lfun t lf args = exec_lfunc t lf args
 
-  (* the [Lextern] slot protocol of [exec_linst]: slot cache, extern
-     table with cache fill, unknown-function error — in that order *)
-  let call_extern_slot t slot name argv =
-    match t.extern_slots.(slot) with
-    | Some fn -> fn t (Array.to_list argv)
-    | None -> (
-        match Hashtbl.find_opt t.externs name with
-        | Some fn ->
-            t.extern_slots.(slot) <- Some fn;
-            fn t (Array.to_list argv)
-        | None -> unknown_function name)
-
-  let indirect_name t addr =
-    match Hashtbl.find_opt t.addr_fun addr with
-    | Some name -> name
-    | None -> raise (Mem.Fault (Mem.Unmapped addr))
-
-  let call_named t name argv =
-    match Hashtbl.find_opt t.lprog.L.funcs name with
-    | Some lf -> exec_lfunc t lf argv
-    | None -> (
-        match Hashtbl.find_opt t.externs name with
-        | Some fn -> fn t (Array.to_list argv)
-        | None -> unknown_function name)
+  let call_extern_slot = call_extern_slot
+  let indirect_name = indirect_name
+  let call_named = call_named
 end
 
 module Tier = Compile.Make (Tier_rt)
@@ -1441,7 +1344,7 @@ let classify_exit r =
   if code = 0 then Outcome.Normal else Outcome.App_exit code
 
 (** [run]'s entry protocol on the lowered (and, when hot, compiled)
-    engine. *)
+    engine; {!run_watched} enters through it too. *)
 let run_lowered ?(entry = "main") ?(args = [ "prog" ]) t =
   t.use_lowered <- true;
   classify_run t (fun () ->
@@ -1514,7 +1417,6 @@ let run_watched ?(entry = "main") ?(args = [ "prog" ]) t limitss =
   (* infeasible under tracing (per-event fidelity) and under a forced
      reference tier (watch limits are lowered-block positions) *)
   if t.trace <> None || !tier_mode_ref = Tier_ref then raise Watch_infeasible;
-  t.use_lowered <- true;
   let members =
     Array.map
       (fun lims -> { wm_limits = lims; wm_snap = None; wm_unsharable = false })
@@ -1522,15 +1424,6 @@ let run_watched ?(entry = "main") ?(args = [ "prog" ]) t limitss =
   in
   let merged = Hashtbl.create 16 in
   Array.iter (fun m -> L.merge_limits merged m.wm_limits) members;
-  let w =
-    {
-      w_members = members;
-      w_merged = merged;
-      w_active = Array.length members;
-      w_stack = [];
-      w_extern = 0;
-    }
-  in
   let finish shared =
     Array.map
       (fun m ->
@@ -1541,27 +1434,19 @@ let run_watched ?(entry = "main") ?(args = [ "prog" ]) t limitss =
             else match shared with Some r -> Wshared r | None -> Wzero))
       members
   in
-  Domain.DLS.set wctx_key (Some w);
+  t.watched <-
+    Some
+      {
+        w_members = members;
+        w_merged = merged;
+        w_active = Array.length members;
+        w_stack = [];
+        w_extern = 0;
+      };
   match
     Fun.protect
-      ~finally:(fun () -> Domain.DLS.set wctx_key None)
-      (fun () ->
-        classify_run t (fun () ->
-            let lf =
-              match Hashtbl.find_opt t.lprog.L.funcs entry with
-              | Some lf -> lf
-              | None -> invalid_arg (Printf.sprintf "Prog.func: undefined %S" entry)
-            in
-            let argv_vals =
-              match Array.length lf.L.lparams with
-              | 0 -> [||]
-              | 2 ->
-                  let argc, argv = setup_argv t args in
-                  [| argc; argv |]
-              | _ ->
-                  raise (Vm_error (entry ^ ": entry point must take () or (argc, argv)"))
-            in
-            classify_exit (wexec_lfunc t w lf argv_vals)))
+      ~finally:(fun () -> t.watched <- None)
+      (fun () -> run_lowered ~entry ~args t)
   with
   | r -> finish (Some r)
   | exception Watch_done -> finish None

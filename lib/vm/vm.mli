@@ -27,6 +27,9 @@ exception Vm_error of string
     the supervisor that installed the hook. *)
 exception Cancelled of string
 
+(** The watched-baseline state of a running {!run_watched}. *)
+type watch
+
 type t = {
   prog : Prog.t;
   lprog : Lower.prog;  (** pre-resolved form executed by {!run} *)
@@ -53,6 +56,10 @@ type t = {
       (** the domain's trace sink ({!Dpmr_trace.Trace.current}), captured
           once at {!create}; [None] — the common case — costs one pointer
           test per would-be event *)
+  mutable watched : watch option;
+      (** set by {!run_watched} for the duration of the watched run and
+          [None] otherwise; likewise one pointer test per call and per
+          block entry *)
 }
 
 and extern = t -> value list -> value option
@@ -64,10 +71,11 @@ and extern = t -> value list -> value option
     [lowered] triggers a fresh lowering. *)
 val create : ?seed:int64 -> ?budget:int64 -> ?lowered:Lower.prog -> Prog.t -> t
 
-(** Install (or clear, with [None]) this domain's step-poll hook.  Both
-    dispatch loops call it once per basic block, at the budget check; the
-    hook cancels the run by raising {!Cancelled}.  Domain-local: a hook
-    installed by a worker never affects VMs on other domains. *)
+(** Install (or clear, with [None]) this domain's step-poll hook.  Every
+    engine (reference, lowered and compiled) calls it once per basic
+    block, at the budget check; the hook cancels the run by raising
+    {!Cancelled}.  Domain-local: a hook installed by a worker never
+    affects VMs on other domains. *)
 val set_poll_hook : (unit -> unit) option -> unit
 
 val register_extern : t -> string -> extern -> unit

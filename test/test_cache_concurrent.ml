@@ -6,6 +6,9 @@
      load sees the union of both writers;
    - two domains of one process hammering one [Cache.t]: adds and
      lookups stay consistent under the per-shard locks;
+   - two domains of a fresh process appending at once from the first
+     record on: shared module state (the CRC table) is ready before any
+     domain frames a record;
    - sharding invariants: keys land in their hash shard, and a legacy
      single-file cache migrates into shards on load. *)
 
@@ -102,6 +105,41 @@ let test_two_domains_one_cache () =
   Alcotest.(check int) "no damage from concurrent domains" 0 s.Cache.damaged;
   Alcotest.(check int) "every record persisted" (2 * n) s.Cache.total
 
+(* Each run is a fresh process, so its first two appends are the first
+   CRC framings the process does, from two domains at once and into
+   different shards (no common lock).  Several runs, because a race
+   there loses only some of the time.  The writer runs without
+   [DPMR_CHAOS], whose torn appends would lose records on purpose. *)
+let test_two_domains_fresh_cache () =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "cache_writer.exe" in
+  let env =
+    Array.of_list
+      (List.filter
+         (fun kv -> not (String.starts_with ~prefix:"DPMR_CHAOS=" kv))
+         (Array.to_list (Unix.environment ())))
+  in
+  let n = 40 in
+  for run = 1 to 8 do
+    in_tmp_dir @@ fun dir ->
+    let pid =
+      Unix.create_process_env exe
+        [| exe; dir; "0"; string_of_int n; "domains" |]
+        env Unix.stdin Unix.stdout Unix.stderr
+    in
+    let _, status = Unix.waitpid [] pid in
+    if status <> Unix.WEXITED 0 then
+      Alcotest.failf "run %d: two-domain writer failed on a fresh cache" run;
+    let c = Cache.load ~dir ~salt () in
+    Alcotest.(check int) "every record of both domains" (2 * n) (Cache.entries c);
+    for k = 0 to 1 do
+      for i = 8 * k to (8 * k) + n - 1 do
+        if Cache.find c (key_of ~writer:k i) <> Some (cls i) then
+          Alcotest.failf "run %d: domain %d key %d lost or wrong" run k i
+      done
+    done;
+    Cache.close c
+  done
+
 let test_shard_placement () =
   in_tmp_dir @@ fun dir ->
   let c = Cache.load ~dir ~salt () in
@@ -172,6 +210,8 @@ let suites =
       [
         Alcotest.test_case "two processes, one directory" `Quick test_two_processes;
         Alcotest.test_case "two domains, one cache" `Quick test_two_domains_one_cache;
+        Alcotest.test_case "two domains append to a fresh cache" `Quick
+          test_two_domains_fresh_cache;
         Alcotest.test_case "records land in their hash shard" `Quick
           test_shard_placement;
         Alcotest.test_case "legacy single-file cache migrates" `Quick

@@ -225,6 +225,103 @@ let test_snapshot_vs_zero_grid () =
     (List.map line (run false))
     (List.map line (run true))
 
+(* Watched baselines at the VM level, with hand-built limit tables
+   (function name -> per-block position to fire before).  Each captured
+   snapshot is resumed on the same program, which must equal the
+   from-zero [Vm.run] in outcome, output and cost; a member whose
+   frontier is never reached inherits the baseline's run, which must
+   equal it too.  The tier is pinned to the default so the tests do not
+   depend on [DPMR_TIER]. *)
+module Vm = Dpmr_vm.Vm
+module Lower = Dpmr_vm.Lower
+module Progs = Dpmr_testprogs.Progs
+
+let with_tier mode f =
+  let old = Vm.tier_mode () in
+  Vm.set_tier_mode mode;
+  Fun.protect ~finally:(fun () -> Vm.set_tier_mode old) f
+
+let run_repr (r : Outcome.run) =
+  Printf.sprintf "%s | %S | cost %Ld" (Outcome.to_string r.Outcome.outcome)
+    r.Outcome.output r.Outcome.cost
+
+let limits rows =
+  let t = Hashtbl.create 4 in
+  List.iter (fun (fname, row) -> Hashtbl.replace t fname row) rows;
+  t
+
+(* a row firing at [pos] of block [bidx] only *)
+let at lowered fname bidx pos =
+  let lf = Hashtbl.find lowered.Lower.funcs fname in
+  let row = Array.make (Array.length lf.Lower.lblocks) max_int in
+  row.(bidx) <- pos;
+  (fname, row)
+
+let watched_results p members =
+  let lowered = Lower.lower_prog p in
+  let from_zero = run_repr (Dpmr.run_plain ~lowered p) in
+  let results =
+    Dpmr.watched_plain ~lowered p
+      (Array.of_list (List.map (fun rows -> limits (rows lowered)) members))
+  in
+  let resolve = function
+    | Vm.Wsnap snap -> "snap " ^ run_repr (Dpmr.resume_plain ~lowered p snap)
+    | Vm.Wshared r -> "shared " ^ run_repr r
+    | Vm.Wzero -> "zero"
+  in
+  (from_zero, Array.to_list (Array.map resolve results))
+
+let test_watched_qsort () =
+  with_tier Vm.Tier_auto @@ fun () ->
+  let p = Progs.qsort_prog () in
+  (* a frontier inside the comparator is reached in an extern callback:
+     no fork can resume there *)
+  let _, got = watched_results p [ (fun l -> [ at l "cmp" 0 0 ]) ] in
+  Alcotest.(check (list string)) "comparator frontier" [ "zero" ] got;
+  (* one run resolving four members in turn: mid-block in main's entry
+     block (before qsort), inside the comparator (refused), at the entry
+     of the print loop's body (after qsort returned: the extern nesting
+     must be back to zero), and never *)
+  let z, got =
+    watched_results p
+      [
+        (fun l -> [ at l "main" 0 3 ]);
+        (fun l -> [ at l "cmp" 0 0 ]);
+        (fun l -> [ at l "main" 2 0 ]);
+        (fun _ -> [ ("absent", [| 0 |]) ]);
+      ]
+  in
+  Alcotest.(check (list string))
+    "mid-block, callback, block entry, never"
+    [ "snap " ^ z; "zero"; "snap " ^ z; "shared " ^ z ]
+    got
+
+let test_watched_call_in_flight () =
+  with_tier Vm.Tier_auto @@ fun () ->
+  (* mid-block in [box], called directly from main's loop body: the
+     capture holds main's frame with its [Lcall] in flight *)
+  let z, got = watched_results (Progs.boxed ()) [ (fun l -> [ at l "box" 0 1 ]) ] in
+  Alcotest.(check (list string)) "frontier below an in-flight call" [ "snap " ^ z ] got
+
+let test_watched_hot_loop () =
+  with_tier Vm.Tier_auto @@ fun () ->
+  let p = Progs.fresh () in
+  let b = Progs.main_b p in
+  let acc = B.local b i64 (B.i64c 0) in
+  B.for_ b ~from:(B.i64c 0) ~below:(B.i64c 2000) (fun i ->
+      B.set b i64 acc (B.add b W64 (B.get b i64 acc) i));
+  B.call0 b (Direct "print_int") [ B.get b i64 acc ];
+  Progs.finish b;
+  (* unwatched, the loop is hot enough to promote *)
+  let promos, _ = Vm.tier_stats () in
+  ignore (Dpmr.run_plain p);
+  Alcotest.(check bool) "the loop promotes when unwatched" true
+    (fst (Vm.tier_stats ()) > promos);
+  (* watched, it stays on the lowered loop and reaches the frontier at
+     the loop's exit block *)
+  let z, got = watched_results p [ (fun l -> [ at l "main" 3 0 ]) ] in
+  Alcotest.(check (list string)) "frontier after a hot loop" [ "snap " ^ z ] got
+
 let suites =
   [
     ( "differential",
@@ -233,5 +330,11 @@ let suites =
       @ [
           Alcotest.test_case "snapshot grid = from-zero grid" `Quick
             test_snapshot_vs_zero_grid;
+          Alcotest.test_case "watched qsort: Wzero, Wsnap, Wshared" `Quick
+            test_watched_qsort;
+          Alcotest.test_case "watched: call in flight" `Quick
+            test_watched_call_in_flight;
+          Alcotest.test_case "watched: hot loop before frontier" `Quick
+            test_watched_hot_loop;
         ] );
   ]
