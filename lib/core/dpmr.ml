@@ -57,9 +57,9 @@ let watched_transformed ?seed ?budget ?args ?lowered ~mode ?replicas tp limitss 
 (** Fork an untransformed program from a snapshot: build its VM, swap in
     the captured state, run to completion.  Bit-identical to
     {!run_plain} with the same seed. *)
-let resume_plain ?seed ?budget ?lowered ?remap prog snap =
-  Vm.resume ?remap (vm_plain ?seed ?budget ?lowered prog) snap
+let resume_plain ?seed ?budget ?lowered prog snap =
+  Vm.resume (vm_plain ?seed ?budget ?lowered prog) snap
 
 (** Same for an already-transformed program vs {!run_transformed}. *)
-let resume_transformed ?seed ?budget ?lowered ?remap ~mode ?replicas tp snap =
-  Vm.resume ?remap (vm_dpmr ?seed ?budget ?lowered ~mode ?replicas tp) snap
+let resume_transformed ?seed ?budget ?lowered ~mode ?replicas tp snap =
+  Vm.resume (vm_dpmr ?seed ?budget ?lowered ~mode ?replicas tp) snap

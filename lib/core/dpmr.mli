@@ -9,9 +9,13 @@ module Outcome = Dpmr_vm.Outcome
 exception Unsupported of string
 
 (** [transform cfg prog] returns the DPMR-instrumented program; [prog]
-    is not modified. *)
+    is not modified.  See {!Transform.transform} for [fault]. *)
 val transform :
-  ?excluded:(string -> Inst.reg -> bool) -> Config.t -> Prog.t -> Prog.t
+  ?excluded:(string -> Inst.reg -> bool) ->
+  ?fault:Transform.fault ->
+  Config.t ->
+  Prog.t ->
+  Prog.t
 
 (** VM for an untransformed program (golden / fi-stdapp builds).
     [lowered] lets callers that run the same program repeatedly lower it
@@ -86,7 +90,6 @@ val resume_plain :
   ?seed:int64 ->
   ?budget:int64 ->
   ?lowered:Dpmr_vm.Lower.prog ->
-  ?remap:(string -> Dpmr_vm.Lower.remap option) ->
   Prog.t ->
   Vm.snapshot ->
   Outcome.run
@@ -95,7 +98,6 @@ val resume_transformed :
   ?seed:int64 ->
   ?budget:int64 ->
   ?lowered:Dpmr_vm.Lower.prog ->
-  ?remap:(string -> Dpmr_vm.Lower.remap option) ->
   mode:Config.mode ->
   ?replicas:int ->
   Prog.t ->

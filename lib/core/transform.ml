@@ -31,6 +31,12 @@ let is_intrinsic name =
     dissertation's (x, xr, xs) triple. *)
 type triple = { app : reg; reps : reg array; shd : reg option }
 
+(** Where an injected fault (§3.4) sits in the source program: its
+    function and block, and the positions within that block of the
+    instructions that exist only because of the fault.  The registers
+    those instructions define are the fault's own. *)
+type fault = { fault_func : string; fault_block : string; fault_insts : int list }
+
 type env = {
   cfg : Config.t;
   stx : Shadow_type.t;
@@ -46,6 +52,7 @@ type env = {
       (** Chapter 5 scope refinement: accesses through excluded registers
           (memory DSA cannot vouch for) keep their original behaviour and
           are left out of replication.  Always [false] without DSA. *)
+  fault : fault option;  (** the injected fault's extent, if any *)
 }
 
 let rep_global g = g ^ ".rep"
@@ -219,6 +226,9 @@ type fn_ctx = {
       (** per-type rvSop/rvRopPtr stack slots, hoisted to the entry block
           so call sites in loops do not grow the stack *)
   mutable entry_allocas : inst list;
+  mutable late_regs : reg list;
+      (** destination registers that exist only because of the fault *)
+  mutable late_blocks : Func.block list;  (** same, for blocks *)
 }
 
 (** A stack slot for a call-site return channel, allocated once per
@@ -237,7 +247,9 @@ let rv_slot c ?(count = 1) ty =
 
 let sds c = c.env.cfg.Config.mode = Config.Sds
 
-(** Allocate destination registers for every source register. *)
+(** Allocate destination registers for every source register, in
+    ascending source-register order so the numbering does not depend on
+    the register table's layout. *)
 let make_triples env (sf : Func.t) (df : Func.t) rv_param_count =
   let triples = Hashtbl.create 32 in
   (* parameters first: their destination registers are the declared params *)
@@ -263,8 +275,9 @@ let make_triples env (sf : Func.t) (df : Func.t) rv_param_count =
           incr cursor)
     sf.Func.params;
   (* remaining registers *)
-  Hashtbl.iter
-    (fun r ty ->
+  let regs = Hashtbl.fold (fun r ty acc -> (r, ty) :: acc) sf.Func.reg_tys [] in
+  List.iter
+    (fun (r, ty) ->
       if not (Hashtbl.mem triples r) then
         let name = Func.reg_name sf r in
         match ty with
@@ -286,7 +299,7 @@ let make_triples env (sf : Func.t) (df : Func.t) rv_param_count =
         | _ ->
             let app = Func.fresh_reg df ~name (Shadow_type.at env.stx ty) in
             Hashtbl.replace triples r { app; reps = [||]; shd = None })
-    sf.Func.reg_tys;
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) regs);
   triples
 
 let triple_of c r =
@@ -916,6 +929,67 @@ let transform_inst c b defs inst =
   | Select (r, ty, cond, a0, a1) -> transform_select c b r ty cond a0 a1
   | Call (r, callee, args) -> transform_call c b defs r callee args
 
+(* Transform one of the fault's own instructions: the triple of the
+   register it defines and every register and block its translation
+   creates exist only because of the fault. *)
+let transform_late c b defs inst =
+  (match Inst.def_of inst with
+  | Some r ->
+      let t = triple_of c r in
+      c.late_regs <- (t.app :: Array.to_list t.reps) @ Option.to_list t.shd @ c.late_regs
+  | None -> ());
+  let r0 = c.df.Func.next_reg and nb = List.length c.df.Func.blocks in
+  transform_inst c b defs inst;
+  for r = r0 to c.df.Func.next_reg - 1 do
+    c.late_regs <- r :: c.late_regs
+  done;
+  c.late_blocks <- c.late_blocks @ List.filteri (fun i _ -> i >= nb) c.df.Func.blocks
+
+(* Renumber [c.df] so that every register and block that exists only
+   because of the fault comes after all the ids the uninjected
+   program's transform creates too: shared registers keep their order
+   and close ranks, late ones follow, and late blocks move to the end of
+   the block list.  A fault-injected build then equals the uninjected
+   one at every position outside the fault's own code, which is what
+   lets a snapshot of the uninjected run resume on it unchanged.
+   Parameters come first and are never late, so they keep their ids. *)
+let number_late_last c =
+  if c.late_regs <> [] || c.late_blocks <> [] then begin
+    let df = c.df in
+    let n = df.Func.next_reg in
+    let late = Array.make n false in
+    List.iter (fun r -> late.(r) <- true) c.late_regs;
+    let perm = Array.make n 0 and next = ref 0 in
+    let number want =
+      for r = 0 to n - 1 do
+        if late.(r) = want then begin
+          perm.(r) <- !next;
+          incr next
+        end
+      done
+    in
+    number false;
+    number true;
+    let rekey tbl =
+      let entries = Hashtbl.fold (fun r v acc -> (perm.(r), v) :: acc) tbl [] in
+      Hashtbl.reset tbl;
+      List.iter (fun (r, v) -> Hashtbl.replace tbl r v) entries
+    in
+    rekey df.Func.reg_tys;
+    rekey df.Func.reg_names;
+    let shared, late_blocks =
+      List.partition (fun b -> not (List.memq b c.late_blocks)) df.Func.blocks
+    in
+    df.Func.blocks <- shared @ late_blocks;
+    df.Func.label_cache <- None;
+    df.Func.index_cache <- None;
+    List.iter
+      (fun (b : Func.block) ->
+        b.Func.insts <- List.map (Inst.map_regs (Array.get perm)) b.Func.insts;
+        b.Func.term <- Inst.map_regs_in_term (Array.get perm) b.Func.term)
+      df.Func.blocks
+  end
+
 let transform_body env (sf : Func.t) (df : Func.t) =
   let rv_param_count =
     match sf.Func.ret with Ptr _ -> 1 | _ -> 0
@@ -935,7 +1009,16 @@ let transform_body env (sf : Func.t) (df : Func.t) =
       site = 0;
       rv_slots = Hashtbl.create 4;
       entry_allocas = [];
+      late_regs = [];
+      late_blocks = [];
     }
+  in
+  (* the fault's instruction positions in source block [label] *)
+  let fault_insts label =
+    match env.fault with
+    | Some f when f.fault_func = sf.Func.name && f.fault_block = label ->
+        f.fault_insts
+    | _ -> []
   in
   (* defining-instruction map, for looking through bitcasts (§3.1.5) *)
   let defs = Hashtbl.create 32 in
@@ -953,7 +1036,12 @@ let transform_body env (sf : Func.t) (df : Func.t) =
     (fun (sb : Func.block) ->
       let dbk = Func.find_block df sb.Func.label in
       let b = Builder.on_func env.dst df dbk in
-      List.iter (transform_inst c b defs) sb.Func.insts;
+      let late = fault_insts sb.Func.label in
+      List.iteri
+        (fun i inst ->
+          if List.mem i late then transform_late c b defs inst
+          else transform_inst c b defs inst)
+        sb.Func.insts;
       match sb.Func.term with
       | Br l -> Builder.br b l
       | Cbr (o, l1, l2) -> Builder.cbr b (app_op c o) l1 l2
@@ -964,7 +1052,8 @@ let transform_body env (sf : Func.t) (df : Func.t) =
   if c.entry_allocas <> [] then begin
     let entry = Func.entry df in
     entry.Func.insts <- List.rev c.entry_allocas @ entry.Func.insts
-  end
+  end;
+  number_late_last c
 
 (* ------------------------------------------------------------------ *)
 (* main() handling (§3.1.1)                                            *)
@@ -1015,8 +1104,11 @@ let synthesize_main env (orig_main : Func.t) =
 
 (** Transform [src] under configuration [cfg] into a new program.  The
     source program is left untouched.  [excluded] is the Chapter 5 DSA
-    scope callback (function name, register) -> leave-unreplicated. *)
-let transform ?(excluded = fun _ _ -> false) (cfg : Config.t) (src : Prog.t) : Prog.t =
+    scope callback (function name, register) -> leave-unreplicated.
+    [fault] names the code an injected fault added to [src]; it changes
+    only the numbering, never the program's behaviour. *)
+let transform ?(excluded = fun _ _ -> false) ?fault (cfg : Config.t) (src : Prog.t) :
+    Prog.t =
   if cfg.Config.replicas < 1 then
     unsupported "replica count must be >= 1 (got %d)" cfg.Config.replicas;
   let dst = Prog.create ~tenv:(Tenv.copy src.Prog.tenv) () in
@@ -1052,6 +1144,7 @@ let transform ?(excluded = fun _ _ -> false) (cfg : Config.t) (src : Prog.t) : P
       fams;
       asite = ref 0;
       excluded;
+      fault;
     }
   in
   (* intrinsic signatures (also declares the base libc names; transformed

@@ -17,9 +17,25 @@ open Dpmr_ir
     Chapter 5 scope expansion. *)
 exception Unsupported of string
 
+(** Where an injected fault (§3.4) sits in the source program: its
+    function and block, and the positions within that block of the
+    instructions that exist only because of the fault.  The registers
+    those instructions define are the fault's own. *)
+type fault = { fault_func : string; fault_block : string; fault_insts : int list }
+
 (** [transform cfg src] builds the instrumented program; [src] is not
     modified.  [excluded fname reg] is the Chapter 5 DSA scope callback:
     accesses through excluded registers keep their original behaviour and
-    are left out of replication (default: nothing excluded). *)
+    are left out of replication (default: nothing excluded).
+
+    [fault] marks the code an injected fault added to [src].  It changes
+    no behaviour, only the numbering: every register and block that
+    exists only because of the fault is numbered after all the ids the
+    transform of the uninjected program creates, so the two builds agree
+    at every lowered position outside the fault's own code. *)
 val transform :
-  ?excluded:(string -> Inst.reg -> bool) -> Config.t -> Prog.t -> Prog.t
+  ?excluded:(string -> Inst.reg -> bool) ->
+  ?fault:fault ->
+  Config.t ->
+  Prog.t ->
+  Prog.t

@@ -116,8 +116,8 @@ let prepare t variant =
   let plain prog =
     { pprog = prog; plowered = Dpmr_vm.Lower.lower_prog prog; pmode = None }
   in
-  let dpmr (cfg : Config.t) prog =
-    let tp = Dpmr.transform cfg prog in
+  let dpmr ?fault (cfg : Config.t) prog =
+    let tp = Dpmr.transform ?fault cfg prog in
     {
       pprog = tp;
       plowered = Dpmr_vm.Lower.lower_prog tp;
@@ -128,7 +128,11 @@ let prepare t variant =
   | Golden -> plain t.base
   | Fi_stdapp (kind, site) -> plain (Inject.apply t.base kind site)
   | Nofi_dpmr cfg -> dpmr cfg t.base
-  | Fi_dpmr (cfg, kind, site) -> dpmr cfg (Inject.apply t.base kind site)
+  | Fi_dpmr (cfg, kind, site) ->
+      (* numbering the fault's code last keeps the member positionally
+         equal to its uninjected baseline outside that code *)
+      let prog, fault = Inject.locate t.base kind site in
+      dpmr ~fault cfg prog
 
 (** Run one variant to completion. *)
 let run_variant ?seed t variant =
@@ -196,11 +200,9 @@ type member_plan =
       (** the watched baseline ended without reaching this member's
           divergence frontier, so the member's run is bit-identical to
           the baseline's — this outcome {e is} the member's outcome *)
-  | Fork of Dpmr.Vm.snapshot * (string, Dpmr_vm.Lower.func_diff) Hashtbl.t
-      (** copy-on-write state captured at the member's frontier, plus
-          the structural diff whose remaps translate the captured frames
-          into the member's register/block numbering; the member resumes
-          from it *)
+  | Fork of Dpmr.Vm.snapshot
+      (** copy-on-write state captured at the member's frontier; the
+          member resumes from it *)
 
 type group = {
   g_variants : variant array;
@@ -210,7 +212,7 @@ type group = {
 
 let member_snapshot_hash g i =
   match g.g_plans.(i) with
-  | Fork (snap, _) -> Some (Dpmr.Vm.snapshot_hash snap)
+  | Fork snap -> Some (Dpmr.Vm.snapshot_hash snap)
   | Zero | Inherit _ -> None
 
 (** Plan one snapshot group: the members of a (workload, seeds, budget,
@@ -242,21 +244,16 @@ let plan_group ?seed t variants =
     | Nofi_dpmr cfg | Fi_dpmr (cfg, _, _) -> Nofi_dpmr cfg
   in
   let bp = prepare t bv in
-  (let diffs =
+  (let limits =
      Array.map (fun p -> Dpmr_vm.Lower.diff_limits bp.plowered p.plowered) prepared
    in
    let feas =
      List.filter
-       (fun i -> diffs.(i) <> None)
+       (fun i -> limits.(i) <> None)
        (List.init (Array.length variants) Fun.id)
    in
    if feas <> [] then
-     let limitss =
-       Array.of_list
-         (List.map
-            (fun i -> Dpmr_vm.Lower.limit_table (Option.get diffs.(i)))
-            feas)
-     in
+     let limitss = Array.of_list (List.map (fun i -> Option.get limits.(i)) feas) in
      let watched () =
        match bp.pmode with
        | None ->
@@ -272,7 +269,7 @@ let plan_group ?seed t variants =
            (fun j i ->
              plans.(i) <-
                (match results.(j) with
-               | Dpmr.Vm.Wsnap snap -> Fork (snap, Option.get diffs.(i))
+               | Dpmr.Vm.Wsnap snap -> Fork snap
                | Dpmr.Vm.Wshared r -> Inherit r
                | Dpmr.Vm.Wzero -> Zero))
            feas
@@ -288,19 +285,13 @@ let run_member ?seed t g i =
   match g.g_plans.(i) with
   | Zero -> run_prepared ~seed t p
   | Inherit r -> classify t r
-  | Fork (snap, diffs) ->
-      let remap fname =
-        match Hashtbl.find_opt diffs fname with
-        | Some fd -> fd.Dpmr_vm.Lower.fd_remap
-        | None -> None
-      in
+  | Fork snap ->
       let r =
         match p.pmode with
         | None ->
-            Dpmr.resume_plain ~seed ~budget:t.budget ~lowered:p.plowered
-              ~remap p.pprog snap
+            Dpmr.resume_plain ~seed ~budget:t.budget ~lowered:p.plowered p.pprog snap
         | Some (mode, replicas) ->
-            Dpmr.resume_transformed ~seed ~budget:t.budget ~lowered:p.plowered
-              ~remap ~mode ~replicas p.pprog snap
+            Dpmr.resume_transformed ~seed ~budget:t.budget ~lowered:p.plowered ~mode
+              ~replicas p.pprog snap
       in
       classify t r

@@ -108,7 +108,7 @@ val run_prepared : ?seed:int64 -> t -> prepared -> classification
 type member_plan =
   | Zero
   | Inherit of Outcome.run
-  | Fork of Dpmr_vm.Vm.snapshot * (string, Dpmr_vm.Lower.func_diff) Hashtbl.t
+  | Fork of Dpmr_vm.Vm.snapshot
 
 type group = {
   g_variants : variant array;

@@ -74,49 +74,68 @@ let sites kind (p : Prog.t) =
         f.Func.blocks);
   List.rev !acc
 
-(** [apply p kind site] returns a clone of [p] with the fault enabled at
-    [site].  The injected code calls [__fi_mark] so the harness can record
-    the time of the first successful injection (Table 3.2's SF). *)
-let apply (p : Prog.t) kind site =
+(** [locate p kind site] returns a clone of [p] with the fault enabled
+    at [site], and the fault's extent: the positions of the instructions
+    it added around the (possibly rewritten) site instruction.  The
+    injected code calls [__fi_mark] so the harness can record the time of
+    the first successful injection (Table 3.2's SF). *)
+let locate (p : Prog.t) kind site =
   let q = Clone.prog p in
   let f = Prog.func q site.func in
   let b = Func.find_block f site.block in
   let mark = Call (None, Direct "__fi_mark", []) in
-  let rewrite i inst =
-    if i <> site.index then [ inst ]
-    else
-      match (inst, kind) with
-      | Malloc (r, ty, n), Heap_array_resize pct ->
-          (* n' = n * pct / 100, computed at runtime like the tool's
-             enabled-at-runtime faulty code path *)
-          let t1 = Func.fresh_reg f ~name:"fi_n1" Types.i64 in
-          let t2 = Func.fresh_reg f ~name:"fi_n2" Types.i64 in
-          [
+  (* the fault's code before and after the rewritten site instruction *)
+  let rewrite inst =
+    match (inst, kind) with
+    | Malloc (r, ty, n), Heap_array_resize pct ->
+        (* n' = n * pct / 100, computed at runtime like the tool's
+           enabled-at-runtime faulty code path *)
+        let t1 = Func.fresh_reg f ~name:"fi_n1" Types.i64 in
+        let t2 = Func.fresh_reg f ~name:"fi_n2" Types.i64 in
+        ( [
             mark;
             Binop (t1, Mul, Types.W64, n, Cint (Types.W64, Int64.of_int pct));
             Binop (t2, Udiv, Types.W64, Reg t1, Cint (Types.W64, 100L));
-            Malloc (r, ty, Reg t2);
-          ]
-      | Malloc (r, ty, n), Immediate_free ->
-          [ mark; Malloc (r, ty, n); Free (Reg r) ]
-      | Malloc (r, ty, n), Off_by_one ->
-          let t = Func.fresh_reg f ~name:"fi_n" Types.i64 in
-          [
-            mark;
-            Binop (t, Sub, Types.W64, n, Cint (Types.W64, 1L));
-            Malloc (r, ty, Reg t);
-          ]
-      | Store (ty, v, p), Wild_store off ->
-          let t = Func.fresh_reg f ~name:"fi_wild" (Types.Ptr Types.i8) in
-          [
-            mark;
-            Gep_index (t, Types.i8, p, Cint (Types.W64, Int64.of_int off));
-            Store (ty, v, Reg t);
-          ]
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "Inject.apply: site %s does not match fault type %s"
-               (site_name site) (kind_name kind))
+          ],
+          Malloc (r, ty, Reg t2),
+          [] )
+    | Malloc (r, _, _), Immediate_free -> ([ mark ], inst, [ Free (Reg r) ])
+    | Malloc (r, ty, n), Off_by_one ->
+        let t = Func.fresh_reg f ~name:"fi_n" Types.i64 in
+        ( [ mark; Binop (t, Sub, Types.W64, n, Cint (Types.W64, 1L)) ],
+          Malloc (r, ty, Reg t),
+          [] )
+    | Store (ty, v, p), Wild_store off ->
+        let t = Func.fresh_reg f ~name:"fi_wild" (Types.Ptr Types.i8) in
+        ( [ mark; Gep_index (t, Types.i8, p, Cint (Types.W64, Int64.of_int off)) ],
+          Store (ty, v, Reg t),
+          [] )
+    | _ ->
+        invalid_arg
+          (Printf.sprintf "Inject.apply: site %s does not match fault type %s"
+             (site_name site) (kind_name kind))
   in
-  b.Func.insts <- List.concat (List.mapi rewrite b.Func.insts);
-  q
+  let fault_insts = ref [] in
+  b.Func.insts <-
+    List.concat
+      (List.mapi
+         (fun i inst ->
+           if i <> site.index then [ inst ]
+           else begin
+             let pre, inst', post = rewrite inst in
+             let n = List.length pre in
+             fault_insts :=
+               List.init n (fun k -> i + k)
+               @ List.init (List.length post) (fun k -> i + n + 1 + k);
+             pre @ (inst' :: post)
+           end)
+         b.Func.insts);
+  ( q,
+    {
+      Dpmr_core.Transform.fault_func = site.func;
+      fault_block = site.block;
+      fault_insts = !fault_insts;
+    } )
+
+(** [apply p kind site]: {!locate} without the extent. *)
+let apply p kind site = fst (locate p kind site)

@@ -34,3 +34,7 @@ val sites : kind -> Prog.t -> site list
     the injected code calls [__fi_mark] so the harness records the time
     of the first successful injection. *)
 val apply : Prog.t -> kind -> site -> Prog.t
+
+(** {!apply}, plus the extent of the code the fault added, for
+    {!Dpmr_core.Transform.transform}'s fault-last numbering. *)
+val locate : Prog.t -> kind -> site -> Prog.t * Dpmr_core.Transform.fault

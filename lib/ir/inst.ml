@@ -105,3 +105,35 @@ let uses_of inst =
   | Int_cast (_, _, _, v) | F_to_i (_, _, v) | I_to_f (_, _, v) -> [ v ]
   | Call (_, c, args) -> callee_ops c @ args
   | Select (_, _, c, a, b) -> [ c; a; b ]
+
+(** [inst] with every register it defines or reads renamed by [f]. *)
+let map_regs f inst =
+  let o = function Reg r -> Reg (f r) | op -> op in
+  match inst with
+  | Malloc (r, t, n) -> Malloc (f r, t, o n)
+  | Alloca (r, t, n) -> Alloca (f r, t, o n)
+  | Free p -> Free (o p)
+  | Load (r, t, p) -> Load (f r, t, o p)
+  | Store (t, v, p) -> Store (t, o v, o p)
+  | Gep_field (r, s, p, i) -> Gep_field (f r, s, o p, i)
+  | Gep_index (r, t, p, i) -> Gep_index (f r, t, o p, o i)
+  | Bitcast (r, t, p) -> Bitcast (f r, t, o p)
+  | Ptr_to_int (r, p) -> Ptr_to_int (f r, o p)
+  | Int_to_ptr (r, t, p) -> Int_to_ptr (f r, t, o p)
+  | Binop (r, op, w, a, b) -> Binop (f r, op, w, o a, o b)
+  | Fbinop (r, op, a, b) -> Fbinop (f r, op, o a, o b)
+  | Icmp (r, c, w, a, b) -> Icmp (f r, c, w, o a, o b)
+  | Fcmp (r, c, a, b) -> Fcmp (f r, c, o a, o b)
+  | Int_cast (r, w, s, v) -> Int_cast (f r, w, s, o v)
+  | F_to_i (r, w, v) -> F_to_i (f r, w, o v)
+  | I_to_f (r, w, v) -> I_to_f (f r, w, o v)
+  | Call (r, c, args) ->
+      let c = match c with Indirect x -> Indirect (o x) | Direct _ -> c in
+      Call (Option.map f r, c, List.map o args)
+  | Select (r, t, c, a, b) -> Select (f r, t, o c, o a, o b)
+
+(** A terminator with its operand registers renamed by [f]. *)
+let map_regs_in_term f = function
+  | Cbr (Reg r, l1, l2) -> Cbr (Reg (f r), l1, l2)
+  | Ret (Some (Reg r)) -> Ret (Some (Reg (f r)))
+  | t -> t

@@ -68,3 +68,9 @@ val def_of : inst -> reg option
 
 (** Operands read by an instruction. *)
 val uses_of : inst -> operand list
+
+(** The instruction with every register it defines or reads renamed. *)
+val map_regs : (reg -> reg) -> inst -> inst
+
+(** The terminator with its operand register renamed. *)
+val map_regs_in_term : (reg -> reg) -> term -> term

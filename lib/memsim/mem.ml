@@ -417,4 +417,3 @@ let thaw f =
   }
 
 let frozen_hash f = f.f_hash
-let frozen_pages f = f.f_mapped

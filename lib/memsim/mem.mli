@@ -98,5 +98,3 @@ val thaw : frozen -> t
     content (same write history from the same root); deterministic
     across processes, so it can serve as a cache-key component. *)
 val frozen_hash : frozen -> int64
-
-val frozen_pages : frozen -> int

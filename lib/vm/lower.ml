@@ -410,7 +410,8 @@ let lower_prog (p : Prog.t) : prog =
 (* Equality is by observable behaviour, not representation: extern slots
    are per-program numbering (compare the name), callees compare by name
    (lfuncs are cyclic), captured static-error exceptions compare by
-   constructor and rendering, floats by bit pattern. *)
+   constructor and rendering, floats by bit pattern.  Registers and block
+   ids compare by plain equality. *)
 
 let exn_eq a b =
   a == b
@@ -423,24 +424,9 @@ let value_eq a b =
   | F x, F y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
   | _ -> false
 
-(* Register and block-target handling is pluggable: [m_use]/[m_def]
-   judge operand and destination registers, [m_blk] branch targets.  The
-   identity matcher gives plain positional structural equality; the
-   alpha matcher of {!diff_limits} instead grows a baseline→member
-   bijection as it walks, so pure renumbering — fault injection
-   consuming builder names upstream of otherwise untouched code — no
-   longer reads as divergence. *)
-type matcher = {
-  m_use : int -> int -> bool;
-  m_def : int -> int -> bool;
-  m_blk : int -> int -> bool;
-}
-
-let ident = { m_use = Int.equal; m_def = Int.equal; m_blk = Int.equal }
-
-let lop_m m a b =
+let lop_eq a b =
   match (a, b) with
-  | Lreg x, Lreg y -> m.m_use x y
+  | Lreg x, Lreg y -> x = y
   | Lconst x, Lconst y -> value_eq x y
   | Lglobal x, Lglobal y -> String.equal x y
   | Lfun_name x, Lfun_name y -> String.equal x y
@@ -452,95 +438,80 @@ let lkind_eq a b =
   | Kfloat, Kfloat | Kbad, Kbad -> true
   | _ -> false
 
-let starget_m m a b =
+let starget_eq a b =
   match (a, b) with
-  | Bidx x, Bidx y -> m.m_blk x y
+  | Bidx x, Bidx y -> x = y
   | Braise x, Braise y -> exn_eq x y
   | _ -> false
 
-let lcallee_m m a b =
+let lcallee_eq a b =
   match (a, b) with
   | Lfun f, Lfun g -> String.equal f.lname g.lname
   | Lextern (_, n1), Lextern (_, n2) -> String.equal n1 n2
-  | Lindirect x, Lindirect y -> lop_m m x y
+  | Lindirect x, Lindirect y -> lop_eq x y
   | _ -> false
 
-let ops_m m xs ys =
-  Array.length xs = Array.length ys
-  &&
-  let rec go i = i >= Array.length xs || (lop_m m xs.(i) ys.(i) && go (i + 1)) in
-  go 0
+let ops_eq xs ys = Array.length xs = Array.length ys && Array.for_all2 lop_eq xs ys
 
-(* Operand (use) positions are matched before destination (def)
-   positions, so a def only extends the bijection once the instruction's
-   reads agree.  Pre-computed call costs compare exactly: a call whose
-   callee body diverged charges differently and cannot be shared. *)
-let linst_m m a b =
+(* Pre-computed call costs compare exactly: a call whose callee body
+   diverged charges differently and cannot be shared. *)
+let linst_eq a b =
   match (a, b) with
-  | Lmalloc (r1, s1, n1), Lmalloc (r2, s2, n2) -> s1 = s2 && lop_m m n1 n2 && m.m_def r1 r2
+  | Lmalloc (r1, s1, n1), Lmalloc (r2, s2, n2) -> r1 = r2 && s1 = s2 && lop_eq n1 n2
   | Lalloca (r1, s1, a1, n1), Lalloca (r2, s2, a2, n2) ->
-      s1 = s2 && a1 = a2 && lop_m m n1 n2 && m.m_def r1 r2
-  | Lfree p1, Lfree p2 -> lop_m m p1 p2
-  | Lload (r1, k1, p1), Lload (r2, k2, p2) ->
-      lkind_eq k1 k2 && lop_m m p1 p2 && m.m_def r1 r2
+      r1 = r2 && s1 = s2 && a1 = a2 && lop_eq n1 n2
+  | Lfree p1, Lfree p2 -> lop_eq p1 p2
+  | Lload (r1, k1, p1), Lload (r2, k2, p2) -> r1 = r2 && lkind_eq k1 k2 && lop_eq p1 p2
   | Lstore (k1, v1, p1), Lstore (k2, v2, p2) ->
-      lkind_eq k1 k2 && lop_m m v1 v2 && lop_m m p1 p2
-  | Lgep_field (r1, o1, p1), Lgep_field (r2, o2, p2) ->
-      o1 = o2 && lop_m m p1 p2 && m.m_def r1 r2
+      lkind_eq k1 k2 && lop_eq v1 v2 && lop_eq p1 p2
+  | Lgep_field (r1, o1, p1), Lgep_field (r2, o2, p2) -> r1 = r2 && o1 = o2 && lop_eq p1 p2
   | Lgep_index (r1, s1, p1, i1), Lgep_index (r2, s2, p2, i2) ->
-      s1 = s2 && lop_m m p1 p2 && lop_m m i1 i2 && m.m_def r1 r2
-  | Lmov (r1, p1), Lmov (r2, p2) -> lop_m m p1 p2 && m.m_def r1 r2
+      r1 = r2 && s1 = s2 && lop_eq p1 p2 && lop_eq i1 i2
+  | Lmov (r1, p1), Lmov (r2, p2) -> r1 = r2 && lop_eq p1 p2
   | Lbinop (r1, op1, w1, a1, b1), Lbinop (r2, op2, w2, a2, b2) ->
-      op1 = op2 && w1 = w2 && lop_m m a1 a2 && lop_m m b1 b2 && m.m_def r1 r2
+      r1 = r2 && op1 = op2 && w1 = w2 && lop_eq a1 a2 && lop_eq b1 b2
   | Lfbinop (r1, op1, a1, b1), Lfbinop (r2, op2, a2, b2) ->
-      op1 = op2 && lop_m m a1 a2 && lop_m m b1 b2 && m.m_def r1 r2
+      r1 = r2 && op1 = op2 && lop_eq a1 a2 && lop_eq b1 b2
   | Licmp (r1, c1, w1, a1, b1), Licmp (r2, c2, w2, a2, b2) ->
-      c1 = c2 && w1 = w2 && lop_m m a1 a2 && lop_m m b1 b2 && m.m_def r1 r2
+      r1 = r2 && c1 = c2 && w1 = w2 && lop_eq a1 a2 && lop_eq b1 b2
   | Lfcmp (r1, c1, a1, b1), Lfcmp (r2, c2, a2, b2) ->
-      c1 = c2 && lop_m m a1 a2 && lop_m m b1 b2 && m.m_def r1 r2
+      r1 = r2 && c1 = c2 && lop_eq a1 a2 && lop_eq b1 b2
   | Lint_cast (r1, w1, s1, sw1, v1), Lint_cast (r2, w2, s2, sw2, v2) ->
-      w1 = w2 && s1 = s2 && sw1 = sw2 && lop_m m v1 v2 && m.m_def r1 r2
-  | Lf_to_i (r1, w1, v1), Lf_to_i (r2, w2, v2) ->
-      w1 = w2 && lop_m m v1 v2 && m.m_def r1 r2
-  | Li_to_f (r1, w1, v1), Li_to_f (r2, w2, v2) ->
-      w1 = w2 && lop_m m v1 v2 && m.m_def r1 r2
+      r1 = r2 && w1 = w2 && s1 = s2 && sw1 = sw2 && lop_eq v1 v2
+  | Lf_to_i (r1, w1, v1), Lf_to_i (r2, w2, v2) -> r1 = r2 && w1 = w2 && lop_eq v1 v2
+  | Li_to_f (r1, w1, v1), Li_to_f (r2, w2, v2) -> r1 = r2 && w1 = w2 && lop_eq v1 v2
   | Lselect (r1, c1, a1, b1), Lselect (r2, c2, a2, b2) ->
-      lop_m m c1 c2 && lop_m m a1 a2 && lop_m m b1 b2 && m.m_def r1 r2
+      r1 = r2 && lop_eq c1 c2 && lop_eq a1 a2 && lop_eq b1 b2
   | Lcall (r1, c1, a1, k1), Lcall (r2, c2, a2, k2) ->
-      k1 = k2 && lcallee_m m c1 c2 && ops_m m a1 a2
-      && (match (r1, r2) with
-         | Some x, Some y -> m.m_def x y
-         | None, None -> true
-         | _ -> false)
+      r1 = r2 && k1 = k2 && lcallee_eq c1 c2 && ops_eq a1 a2
   | Lpoison e1, Lpoison e2 -> exn_eq e1 e2
   | Lload_idx (r1, k1, p1, s1, b1, i1), Lload_idx (r2, k2, p2, s2, b2, i2) ->
-      lkind_eq k1 k2 && s1 = s2 && lop_m m b1 b2 && lop_m m i1 i2 && m.m_def p1 p2
-      && m.m_def r1 r2
+      r1 = r2 && p1 = p2 && lkind_eq k1 k2 && s1 = s2 && lop_eq b1 b2 && lop_eq i1 i2
   | Lstore_idx (k1, v1, p1, s1, b1, i1), Lstore_idx (k2, v2, p2, s2, b2, i2) ->
-      lkind_eq k1 k2 && s1 = s2 && lop_m m v1 v2 && lop_m m b1 b2 && lop_m m i1 i2
-      && m.m_def p1 p2
+      p1 = p2 && lkind_eq k1 k2 && s1 = s2 && lop_eq v1 v2 && lop_eq b1 b2
+      && lop_eq i1 i2
   | Lload_fld (r1, k1, p1, o1, b1), Lload_fld (r2, k2, p2, o2, b2) ->
-      lkind_eq k1 k2 && o1 = o2 && lop_m m b1 b2 && m.m_def p1 p2 && m.m_def r1 r2
+      r1 = r2 && p1 = p2 && lkind_eq k1 k2 && o1 = o2 && lop_eq b1 b2
   | Lstore_fld (k1, v1, p1, o1, b1), Lstore_fld (k2, v2, p2, o2, b2) ->
-      lkind_eq k1 k2 && o1 = o2 && lop_m m v1 v2 && lop_m m b1 b2 && m.m_def p1 p2
+      p1 = p2 && lkind_eq k1 k2 && o1 = o2 && lop_eq v1 v2 && lop_eq b1 b2
   | _ -> false
 
-let lterm_m m a b =
+let lterm_eq a b =
   match (a, b) with
-  | Lbr t1, Lbr t2 -> starget_m m t1 t2
+  | Lbr t1, Lbr t2 -> starget_eq t1 t2
   | Lcbr (c1, x1, y1), Lcbr (c2, x2, y2) ->
-      lop_m m c1 c2 && starget_m m x1 x2 && starget_m m y1 y2
+      lop_eq c1 c2 && starget_eq x1 x2 && starget_eq y1 y2
   | Lcheck (c1, x1, y1, d1, e1), Lcheck (c2, x2, y2, d2, e2) ->
-      d1 = d2 && e1 = e2 && lop_m m c1 c2 && starget_m m x1 x2 && starget_m m y1 y2
+      d1 = d2 && e1 = e2 && lop_eq c1 c2 && starget_eq x1 x2 && starget_eq y1 y2
   | Lcmpbr (r1, c1, w1, a1, b1, x1, y1), Lcmpbr (r2, c2, w2, a2, b2, x2, y2) ->
-      c1 = c2 && w1 = w2 && lop_m m a1 a2 && lop_m m b1 b2 && m.m_def r1 r2
-      && starget_m m x1 x2 && starget_m m y1 y2
+      r1 = r2 && c1 = c2 && w1 = w2 && lop_eq a1 a2 && lop_eq b1 b2
+      && starget_eq x1 x2 && starget_eq y1 y2
   | Lcmpcheck (r1, c1, w1, a1, b1, x1, y1, d1, e1), Lcmpcheck (r2, c2, w2, a2, b2, x2, y2, d2, e2)
     ->
-      c1 = c2 && w1 = w2 && d1 = d2 && e1 = e2 && lop_m m a1 a2 && lop_m m b1 b2
-      && m.m_def r1 r2 && starget_m m x1 x2 && starget_m m y1 y2
+      r1 = r2 && c1 = c2 && w1 = w2 && d1 = d2 && e1 = e2 && lop_eq a1 a2 && lop_eq b1 b2
+      && starget_eq x1 x2 && starget_eq y1 y2
   | Lret None, Lret None -> true
-  | Lret (Some o1), Lret (Some o2) -> lop_m m o1 o2
+  | Lret (Some o1), Lret (Some o2) -> lop_eq o1 o2
   | Lunreachable m1, Lunreachable m2 -> String.equal m1 m2
   | _ -> false
 
@@ -580,155 +551,57 @@ let globals_eq (p1 : Prog.t) (p2 : Prog.t) =
          && ginit_eq a.Prog.ginit b.Prog.ginit)
        g1 g2
 
-type remap = { rm_regs : int array; rm_blocks : int array }
+(* First divergent position of [b2] against [b1]: the index of the
+   first differing instruction, [Array.length b1.linsts] when only the
+   terminators differ, [max_int] when the blocks are equal. *)
+let block_limit b1 b2 =
+  let n1 = Array.length b1.linsts and n2 = Array.length b2.linsts in
+  let stop = min n1 n2 in
+  let i = ref 0 in
+  while !i < stop && linst_eq b1.linsts.(!i) b2.linsts.(!i) do
+    incr i
+  done;
+  if !i < stop || n1 <> n2 then !i
+  else if lterm_eq b1.lterm b2.lterm then max_int
+  else n1
 
-type func_diff = { fd_limits : int array; fd_remap : remap option }
-
-(* Plain positional equality of two lowered functions — the fast path
-   that keeps identical functions out of the diff table without
-   allocating any match state. *)
-let positional_eq (bf : lfunc) (ff : lfunc) =
-  bf.lparams = ff.lparams
-  && Array.length bf.lblocks = Array.length ff.lblocks
-  &&
-  let nb = Array.length bf.lblocks in
-  let rec go bi =
-    bi >= nb
-    ||
-    let b1 = bf.lblocks.(bi) and b2 = ff.lblocks.(bi) in
-    let n1 = Array.length b1.linsts in
-    n1 = Array.length b2.linsts
-    && (let rec gi i =
-          i >= n1 || (linst_m ident b1.linsts.(i) b2.linsts.(i) && gi (i + 1))
-        in
-        gi 0)
-    && lterm_m ident b1.lterm b2.lterm
-    && go (bi + 1)
-  in
-  go 0
-
-(* Alpha matcher: walk both functions in lockstep from the entry block,
-   growing a register and block-id bijection instead of demanding equal
-   numbering.  Fault injection inserts code mid-function, so every
-   builder-assigned register and check-block index downstream of the
-   site shifts; positionally that makes nearly every block of the
-   function read as divergent at index 0, even though the code is
-   identical up to renaming.  Matched-modulo-bijection positions execute
-   identically — same opcodes, same constants, same costs, same memory
-   traffic — and the bijection tells {!Vm.resume} how to translate a
-   captured baseline frame into the member's numbering.
-
-   Greedy and conservative: block pairs are committed the first time a
-   matched terminator connects them, register pairs the first time a
-   matched def (or the positional parameter pairing) connects them; any
-   later conflict with a committed pair is divergence at that position.
-   A committed pair that later proves wrong only produces earlier
-   limits, never unsound sharing — the inductive argument is that
-   execution enters blocks solely through matched terminators and reads
-   only registers written by matched defs (or frame poison, which is
-   identical on both sides). *)
-let alpha_diff (bf : lfunc) (ff : lfunc) =
+(* Per-block limits of [ff] against [bf], or [None] when the functions
+   are equal.  Blocks [ff] adds past [bf]'s last one are only reachable
+   through a divergent position, so they need no limit. *)
+let func_limits (bf : lfunc) (ff : lfunc) =
   let nb = Array.length bf.lblocks and nfb = Array.length ff.lblocks in
-  let lim = Array.make nb max_int in
-  let rm_regs = Array.make (max bf.lnregs 1) (-1) in
-  let rev_regs = Array.make (max ff.lnregs 1) (-1) in
-  let rm_blocks = Array.make (max nb 1) (-1) in
-  let rev_blocks = Array.make (max nfb 1) (-1) in
-  let remap = { rm_regs; rm_blocks } in
-  let entry_diff () =
-    if nb > 0 then lim.(0) <- 0;
-    { fd_limits = lim; fd_remap = Some remap }
+  let lim =
+    if bf.lparams <> ff.lparams then Array.init nb (fun i -> if i = 0 then 0 else max_int)
+    else
+      Array.init nb (fun i ->
+          if i >= nfb then 0 else block_limit bf.lblocks.(i) ff.lblocks.(i))
   in
-  if Array.length bf.lparams <> Array.length ff.lparams then entry_diff ()
-  else begin
-    let def r1 r2 =
-      r1 >= 0 && r2 >= 0
-      && r1 < Array.length rm_regs
-      && r2 < Array.length rev_regs
-      &&
-      if rm_regs.(r1) = -1 && rev_regs.(r2) = -1 then begin
-        rm_regs.(r1) <- r2;
-        rev_regs.(r2) <- r1;
-        true
-      end
-      else rm_regs.(r1) = r2
-    in
-    let use r1 r2 = r1 >= 0 && r1 < Array.length rm_regs && rm_regs.(r1) = r2 in
-    let params_ok = ref true in
-    Array.iteri
-      (fun i r -> if not (def r ff.lparams.(i)) then params_ok := false)
-      bf.lparams;
-    if not !params_ok then entry_diff ()
-    else begin
-      let q = Queue.create () in
-      let blk a b =
-        a >= 0 && b >= 0 && a < nb && b < nfb
-        &&
-        if rm_blocks.(a) = -1 && rev_blocks.(b) = -1 then begin
-          rm_blocks.(a) <- b;
-          rev_blocks.(b) <- a;
-          Queue.add a q;
-          true
-        end
-        else rm_blocks.(a) = b
-      in
-      let m = { m_use = use; m_def = def; m_blk = blk } in
-      if not (blk 0 0) then entry_diff ()
-      else begin
-        while not (Queue.is_empty q) do
-          let a = Queue.pop q in
-          let b1 = bf.lblocks.(a) and b2 = ff.lblocks.(rm_blocks.(a)) in
-          let n1 = Array.length b1.linsts and n2 = Array.length b2.linsts in
-          let stop = min n1 n2 in
-          let i = ref 0 in
-          while !i < stop && linst_m m b1.linsts.(!i) b2.linsts.(!i) do
-            incr i
-          done;
-          if !i < stop || n1 <> n2 then lim.(a) <- !i
-          else if not (lterm_m m b1.lterm b2.lterm) then lim.(a) <- n1
-        done;
-        let id = ref true in
-        Array.iteri (fun i r -> if r <> -1 && r <> i then id := false) rm_regs;
-        Array.iteri (fun i b -> if b <> -1 && b <> i then id := false) rm_blocks;
-        { fd_limits = lim; fd_remap = (if !id then None else Some remap) }
-      end
-    end
-  end
+  if Array.exists (fun l -> l < max_int) lim then Some lim else None
 
 (** First-divergence limits of [fi] against [base], for the watched
-    baseline run: for every function of [base] with any structural
-    difference (modulo the alpha bijection), an array over its blocks
-    giving the first instruction index at which the programs differ
-    ([Array.length linsts] when only the terminator differs; [max_int]
-    for identical blocks), plus the register/block remap {!Vm.resume}
-    needs to translate captured frames.  Execution of [base] is
-    bit-identical (modulo the remap, which is invisible to behaviour) to
-    execution of [fi] until it first reaches a limit position, because a
-    basic block is only entered at index 0.  [None] when the programs
-    cannot share a prefix at all (global layout or the defined-function
-    set changed) — the caller must fall back to a from-zero run. *)
+    baseline run: for every function of [base] that differs from [fi],
+    an array over its blocks giving the first instruction index at which
+    the programs differ ([Array.length linsts] when only the terminator
+    differs; [max_int] for equal blocks).  Comparison is purely
+    positional — registers and block ids compare by plain equality — so
+    execution of [base] is bit-identical to execution of [fi], register
+    for register, until it first reaches a limit position: a basic block
+    is only entered at index 0.  [None] when the programs cannot share a
+    prefix at all (global layout or the defined-function set changed) —
+    the caller must fall back to a from-zero run. *)
 let diff_limits (base : prog) (fi : prog) =
   if not (globals_eq base.src fi.src) then None
   else begin
-    let diffs = Hashtbl.create 8 in
+    let limits = Hashtbl.create 8 in
     let feasible = ref true in
     Hashtbl.iter
       (fun name (bf : lfunc) ->
         match Hashtbl.find_opt fi.funcs name with
         | None -> feasible := false
-        | Some ff ->
-            if not (positional_eq bf ff) then
-              Hashtbl.replace diffs name (alpha_diff bf ff))
+        | Some ff -> Option.iter (Hashtbl.replace limits name) (func_limits bf ff))
       base.funcs;
-    if !feasible then Some diffs else None
+    if !feasible then Some limits else None
   end
-
-(** Watch-limit projection of a member diff: the per-function limit
-    arrays {!Vm.run_watched} consumes (arrays shared, not copied). *)
-let limit_table diffs =
-  let t = Hashtbl.create (max 1 (Hashtbl.length diffs)) in
-  Hashtbl.iter (fun name fd -> Hashtbl.replace t name fd.fd_limits) diffs;
-  t
 
 (** In-place elementwise-minimum merge of [src] into [dst]: the union
     watch set fires at the earliest position any member diverges. *)

@@ -146,38 +146,19 @@ val lower_prog : Prog.t -> prog
 
 (** {1 Structural divergence, for snapshot/fork campaign execution} *)
 
-(** Baseline-index → member-index correspondence for one function, as
-    discovered by the alpha matcher of {!diff_limits}: fault injection
-    inserts code mid-function, shifting every builder-assigned register
-    and block index downstream of the site, so structural comparison is
-    done modulo this bijection.  [-1] = never matched (the entry is dead
-    below the divergence frontier).  {!Vm.resume} uses it to translate a
-    captured baseline frame into the member's numbering. *)
-type remap = {
-  rm_regs : int array;  (** baseline register → member register *)
-  rm_blocks : int array;  (** baseline block id → member block id *)
-}
-
-type func_diff = {
-  fd_limits : int array;
-      (** per baseline block: first instruction index at which the
-          programs differ modulo the remap ([Array.length linsts] =
-          terminator-only difference, [max_int] = matched block) *)
-  fd_remap : remap option;  (** [None] = identity (pure positional match) *)
-}
-
-(** [diff_limits base fi] — per-function structural divergence of [fi]
-    against [base], modulo register/block renaming; functions absent
-    from the table are positionally identical.  Executing [base] is
-    bit-identical (modulo the remap, invisible to behaviour) to
-    executing [fi] until the first arrival at a limit position.  [None]
-    when no common prefix exists (globals or function set differ). *)
-val diff_limits : prog -> prog -> (string, func_diff) Hashtbl.t option
-
-(** Watch-limit projection of a member diff: what {!Vm.run_watched}
-    consumes.  Limit arrays are shared with the diff, not copied. *)
-val limit_table :
-  (string, func_diff) Hashtbl.t -> (string, int array) Hashtbl.t
+(** [diff_limits base fi] — per-function first-divergence limits of
+    [fi] against [base]: for each function that differs, an array over
+    [base]'s blocks giving the first instruction index at which the two
+    differ ([Array.length linsts] = terminator-only difference, [max_int]
+    = equal block).  Comparison is purely positional: registers and
+    block ids compare by plain equality, which the transform's
+    fault-last numbering makes sufficient for injected members.
+    Functions absent from the table are equal.  Executing [base] is
+    bit-identical to executing [fi] until the first arrival at a limit
+    position, so a snapshot captured there resumes on [fi] as is.  This
+    table is what {!Vm.run_watched} consumes.  [None] when no common
+    prefix exists (globals or function set differ). *)
+val diff_limits : prog -> prog -> (string, int array) Hashtbl.t option
 
 (** Elementwise-minimum merge of watch limits into the first table. *)
 val merge_limits :

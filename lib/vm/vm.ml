@@ -1392,7 +1392,6 @@ let run ?(entry = "main") ?(args = [ "prog" ]) t =
 
 let snapshot_hash s = s.sn_hash
 let snapshot_cost s = Int64.of_int s.sn_cost
-let snapshot_pages s = Mem.frozen_pages s.sn_mem
 
 (** Per-member resolution of a watched baseline run. *)
 type watch_result =
@@ -1452,9 +1451,10 @@ let run_watched ?(entry = "main") ?(args = [ "prog" ]) t limitss =
   | exception Watch_done -> finish None
 
 (* Rebuild one activation record from its capture.  The fork's function
-   may have more registers than the baseline's (fault injection appends
-   fresh ones); the extra registers were untouched at the capture point,
-   so [make_lframe]'s poison is exactly their from-zero contents. *)
+   may have more registers than the baseline's (the fault's own, which
+   the transform numbers last); the extra registers were untouched at the
+   capture point, so [make_lframe]'s poison is exactly their from-zero
+   contents. *)
 let remake_lframe nregs (sf : snap_frame) =
   let frame = make_lframe nregs sf.sf_entry_sp in
   let nb = min (Bytes.length sf.sf_bits) (Bytes.length frame.bits) in
@@ -1463,24 +1463,7 @@ let remake_lframe nregs (sf : snap_frame) =
   Bytes.blit sf.sf_tags 0 frame.tags 0 nt;
   frame
 
-(* Same, through an alpha remap: baseline register [r] lands in member
-   register [rm_regs.(r)].  Unmapped member registers keep their poison
-   — at the capture point the baseline had only written registers whose
-   defs the matcher paired, so poison is exactly their from-zero
-   contents. *)
-let remake_lframe_mapped nregs (sf : snap_frame) (rm : L.remap) =
-  let frame = make_lframe nregs sf.sf_entry_sp in
-  let n = min (Array.length rm.L.rm_regs) (Bytes.length sf.sf_tags) in
-  for r = 0 to n - 1 do
-    let r2 = rm.L.rm_regs.(r) in
-    if r2 >= 0 && r2 < nregs then begin
-      Bytes.blit sf.sf_bits (r lsl 3) frame.bits (r2 lsl 3) 8;
-      Bytes.set frame.tags r2 (Bytes.get sf.sf_tags r)
-    end
-  done;
-  frame
-
-let rec resume_frames t remap frames =
+let rec resume_frames t frames =
   match frames with
   | [] -> raise (Vm_error "snapshot resume: empty frame stack")
   | sf :: rest -> (
@@ -1491,34 +1474,16 @@ let rec resume_frames t remap frames =
       in
       if t.call_depth >= max_call_depth then raise (Vm_error "stack overflow");
       t.call_depth <- t.call_depth + 1;
-      let rm = remap sf.sf_fname in
-      (* captured positions sit below the divergence frontier, so their
-         blocks were paired by the matcher; an unmapped block means the
-         snapshot and the remap disagree *)
-      let bidx =
-        match rm with
-        | None -> sf.sf_bidx
-        | Some r ->
-            if
-              sf.sf_bidx < Array.length r.L.rm_blocks
-              && r.L.rm_blocks.(sf.sf_bidx) >= 0
-            then r.L.rm_blocks.(sf.sf_bidx)
-            else raise (Vm_error "snapshot resume: unmapped block")
-      in
-      let frame =
-        match rm with
-        | None -> remake_lframe lf.L.lnregs sf
-        | Some r -> remake_lframe_mapped lf.L.lnregs sf r
-      in
+      let frame = remake_lframe lf.L.lnregs sf in
       let result =
         match rest with
         | [] ->
             (* innermost activation: continue at the captured position *)
-            exec_lblocks_at t lf frame bidx sf.sf_inst
+            exec_lblocks_at t lf frame sf.sf_bidx sf.sf_inst
         | _ :: _ ->
             (* an [Lcall] was in flight at the captured position: finish
                it from the inner frames, then continue after it *)
-            let b = lf.L.lblocks.(bidx) in
+            let b = lf.L.lblocks.(sf.sf_bidx) in
             if sf.sf_inst >= Array.length b.L.linsts then
               raise (Vm_error "snapshot resume: frame mismatch");
             (match b.L.linsts.(sf.sf_inst) with
@@ -1529,9 +1494,9 @@ let rec resume_frames t remap frames =
                   | L.Lextern (_, n) -> n
                   | L.Lindirect _ -> (List.hd rest).sf_fname
                 in
-                finish_call t frame r name (resume_frames t remap rest)
+                finish_call t frame r name (resume_frames t rest)
             | _ -> raise (Vm_error "snapshot resume: frame mismatch"));
-            exec_lblocks_at t lf frame bidx (sf.sf_inst + 1)
+            exec_lblocks_at t lf frame sf.sf_bidx (sf.sf_inst + 1)
       in
       t.sp <- frame.lentry_sp;
       t.call_depth <- t.call_depth - 1;
@@ -1541,9 +1506,8 @@ let rec resume_frames t remap frames =
     program, externs already registered) with the snapshot's, then run to
     completion.  Bit-identical to running the fork's program from zero
     with the same seed — the prefix up to the capture point executed the
-    same instruction stream (modulo [remap]'s renaming, invisible to
-    behaviour) on the same state. *)
-let resume ?(remap = fun _ -> None) t snapshot =
+    same instruction stream, register for register, on the same state. *)
+let resume t snapshot =
   if t.trace <> None then raise Watch_infeasible;
   t.use_lowered <- true;
   t.mem <- Mem.thaw snapshot.sn_mem;
@@ -1563,4 +1527,4 @@ let resume ?(remap = fun _ -> None) t snapshot =
   t.next_fun_addr <- snapshot.sn_next_fun_addr;
   t.fi_first_cost <- None;
   t.call_depth <- 0;
-  classify_run t (fun () -> classify_exit (resume_frames t remap snapshot.sn_frames))
+  classify_run t (fun () -> classify_exit (resume_frames t snapshot.sn_frames))

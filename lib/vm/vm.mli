@@ -178,12 +178,10 @@ val run_watched :
   watch_result array
 
 (** Replace this (freshly created, extern-registered) VM's state with the
-    snapshot's and run to completion.  [remap] gives, per function, the
-    {!Lower.remap} translating the captured baseline frames into this
-    program's register/block numbering ([None] = identity — the default
-    for every function). *)
-val resume :
-  ?remap:(string -> Lower.remap option) -> t -> snapshot -> Outcome.run
+    snapshot's and run to completion.  The captured frames are taken as
+    they are: the fork's program numbers registers and blocks like the
+    baseline's at every position below the divergence frontier. *)
+val resume : t -> snapshot -> Outcome.run
 
 (** Deterministic content hash of the captured state (a cache-key
     component: equal hashes imply forks resume from equal states). *)
@@ -191,5 +189,3 @@ val snapshot_hash : snapshot -> int64
 
 (** Simulated cost already spent at the capture point. *)
 val snapshot_cost : snapshot -> int64
-
-val snapshot_pages : snapshot -> int

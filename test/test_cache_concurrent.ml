@@ -14,6 +14,7 @@
 
 module Experiment = Dpmr_fi.Experiment
 module Cache = Dpmr_engine.Cache
+module Chaos = Dpmr_engine.Chaos
 module Job = Dpmr_engine.Job
 
 let salt = "test-salt/concurrent"
@@ -39,6 +40,18 @@ let cls i =
 (* distinct, hash-shaped keys: 16 hex digits, spread over all shards *)
 let key_of ~writer i = Printf.sprintf "%x%07x%08x" (i mod 16) writer i
 
+(* These tests count records exactly, which [DPMR_CHAOS]'s deliberately
+   torn appends would perturb: their bodies run with chaos off, and the
+   sibling writers get an environment without it.  Cache durability
+   under chaos is the supervisor and corruption tests' business. *)
+let no_chaos f () = Chaos.with_chaos None f
+
+let env_without_chaos () =
+  Array.of_list
+    (List.filter
+       (fun kv -> not (String.starts_with ~prefix:"DPMR_CHAOS=" kv))
+       (Array.to_list (Unix.environment ())))
+
 let writer_loop dir ~writer ~n =
   let c = Cache.load ~dir ~flush_every:7 ~salt () in
   for i = 0 to n - 1 do
@@ -56,9 +69,9 @@ let test_two_processes () =
      writes writer 0's — cache_writer.ml keeps cls/key_of in lockstep *)
   let exe = Filename.concat (Filename.dirname Sys.executable_name) "cache_writer.exe" in
   let pid =
-    Unix.create_process exe
+    Unix.create_process_env exe
       [| exe; dir; "1"; string_of_int n |]
-      Unix.stdin Unix.stdout Unix.stderr
+      (env_without_chaos ()) Unix.stdin Unix.stdout Unix.stderr
   in
   writer_loop dir ~writer:0 ~n;
   let _, status = Unix.waitpid [] pid in
@@ -108,16 +121,10 @@ let test_two_domains_one_cache () =
 (* Each run is a fresh process, so its first two appends are the first
    CRC framings the process does, from two domains at once and into
    different shards (no common lock).  Several runs, because a race
-   there loses only some of the time.  The writer runs without
-   [DPMR_CHAOS], whose torn appends would lose records on purpose. *)
+   there loses only some of the time. *)
 let test_two_domains_fresh_cache () =
   let exe = Filename.concat (Filename.dirname Sys.executable_name) "cache_writer.exe" in
-  let env =
-    Array.of_list
-      (List.filter
-         (fun kv -> not (String.starts_with ~prefix:"DPMR_CHAOS=" kv))
-         (Array.to_list (Unix.environment ())))
-  in
+  let env = env_without_chaos () in
   let n = 40 in
   for run = 1 to 8 do
     in_tmp_dir @@ fun dir ->
@@ -208,13 +215,15 @@ let suites =
   [
     ( "cache/concurrent",
       [
-        Alcotest.test_case "two processes, one directory" `Quick test_two_processes;
-        Alcotest.test_case "two domains, one cache" `Quick test_two_domains_one_cache;
+        Alcotest.test_case "two processes, one directory" `Quick
+          (no_chaos test_two_processes);
+        Alcotest.test_case "two domains, one cache" `Quick
+          (no_chaos test_two_domains_one_cache);
         Alcotest.test_case "two domains append to a fresh cache" `Quick
           test_two_domains_fresh_cache;
         Alcotest.test_case "records land in their hash shard" `Quick
           test_shard_placement;
         Alcotest.test_case "legacy single-file cache migrates" `Quick
-          test_legacy_migration;
+          (no_chaos test_legacy_migration);
       ] );
   ]

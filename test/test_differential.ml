@@ -185,7 +185,7 @@ let prop_dsa_scope =
    with copy-on-write snapshot forking (the default engine path) must
    classify every job byte-identically to running each one from zero
    (--no-snapshot).  This drives the whole pipeline the forks depend on:
-   structural diff limits, the watched baseline, frame remapping, and
+   structural diff limits, the watched baseline, frame restoring, and
    the cell riders that inherit the baseline outcome. *)
 let test_snapshot_vs_zero_grid () =
   let module Experiment = Dpmr_fi.Experiment in
@@ -224,6 +224,134 @@ let test_snapshot_vs_zero_grid () =
     "snapshot forks classify like from-zero runs"
     (List.map line (run false))
     (List.map line (run true))
+
+(* Fault-last numbering: the transform numbers every register and block
+   that exists only because of the injected fault after all the ids the
+   uninjected program's transform creates too.  A fault-injected member
+   then equals its cell baseline at every lowered position outside the
+   fault's own code, so its purely positional divergence frontier is one
+   block in the site's function, at the member's [__fi_mark] call, and a
+   fork's capture happens right before that call. *)
+let test_fault_last_numbering () =
+  let module Experiment = Dpmr_fi.Experiment in
+  let module Inject = Dpmr_fi.Inject in
+  let module Workloads = Dpmr_workloads.Workloads in
+  let module Lower = Dpmr_vm.Lower in
+  let module Vm = Dpmr_vm.Vm in
+  let app = "mcf" in
+  let entry = Workloads.find app in
+  let e =
+    Experiment.make
+      (Experiment.workload app (fun () -> entry.Workloads.build ~scale:1 ()))
+  in
+  let mds = { Config.default with Config.mode = Config.Mds } in
+  let kinds =
+    [ Inject.Heap_array_resize 50; Inject.Immediate_free; Inject.Off_by_one; Inject.Wild_store 4096 ]
+  in
+  (* (baseline, members) per cell *)
+  let cells =
+    List.concat_map
+      (fun kind ->
+        let members mk = Array.of_list (List.map mk (Experiment.sites e kind)) in
+        let fi cfg = members (fun s -> Experiment.Fi_dpmr (cfg, kind, s)) in
+        [
+          (Experiment.Golden, members (fun s -> Experiment.Fi_stdapp (kind, s)));
+          (Experiment.Nofi_dpmr Config.default, fi Config.default);
+          (Experiment.Nofi_dpmr mds, fi mds);
+        ])
+      kinds
+  in
+  let site_of = function
+    | Experiment.Fi_stdapp (k, s) | Experiment.Fi_dpmr (_, k, s) -> (k, s)
+    | Experiment.Golden | Experiment.Nofi_dpmr _ -> assert false
+  in
+  let is_mark = function
+    | Lower.Lcall (_, Lower.Lextern (_, "__fi_mark"), _, _) -> true
+    | _ -> false
+  in
+  let sds_free = ref 0 and forks = ref 0 in
+  List.iter
+    (fun (baseline, members) ->
+      let bp = Experiment.prepare e baseline in
+      (* per member: is its frontier exactly its [__fi_mark] call? *)
+      let at_mark =
+        Array.map (fun v ->
+          let kind, site = site_of v in
+          let name = Inject.kind_name kind ^ " at " ^ Inject.site_name site in
+          let p = Experiment.prepare e v in
+          let finite =
+            match Lower.diff_limits bp.Experiment.plowered p.Experiment.plowered with
+            | None -> Alcotest.failf "%s: no common prefix" name
+            | Some limits ->
+                Hashtbl.fold
+                  (fun fname row acc ->
+                    let acc = ref acc in
+                    Array.iteri
+                      (fun bidx pos -> if pos < max_int then acc := (fname, bidx, pos) :: !acc)
+                      row;
+                    !acc)
+                  limits []
+          in
+          (match v with
+          | Experiment.Fi_dpmr (cfg, Inject.Immediate_free, _) when cfg.Config.mode = Config.Sds ->
+              incr sds_free
+          | _ -> ());
+          match finite with
+          | [ (fname, bidx, pos) ] ->
+              (* the transform renames [main] to [mainAug] *)
+              let site_func =
+                if site.Inject.func = "main" && p.Experiment.pmode <> None then "mainAug"
+                else site.Inject.func
+              in
+              Alcotest.(check string) (name ^ ": frontier function") site_func fname;
+              let insts =
+                (Hashtbl.find p.Experiment.plowered.Lower.funcs fname).Lower.lblocks.(bidx)
+                  .Lower.linsts
+              in
+              if is_mark insts.(pos) then true
+              else begin
+                (* the one exception: an untransformed wild-store site
+                   that stores through the address the instruction before
+                   it computed.  The baseline's lowering fuses that pair
+                   into one superinstruction, so the frontier is the
+                   address computation right before [__fi_mark]. *)
+                (match (v, insts.(pos)) with
+                | ( Experiment.Fi_stdapp (Inject.Wild_store _, _),
+                    (Lower.Lgep_index _ | Lower.Lgep_field _) )
+                  when is_mark insts.(pos + 1) -> ()
+                | _ -> Alcotest.failf "%s: frontier is not the __fi_mark call" name);
+                false
+              end
+          | l -> Alcotest.failf "%s: %d finite limits, expected 1" name (List.length l))
+        members
+      in
+      let g = Experiment.plan_group e members in
+      Array.iteri
+        (fun i plan ->
+          match plan with
+          | Experiment.Fork snap ->
+              incr forks;
+              let p = g.Experiment.g_prepared.(i) in
+              let seed = e.Experiment.seed and budget = e.Experiment.budget in
+              let lowered = p.Experiment.plowered in
+              let r =
+                match p.Experiment.pmode with
+                | None -> Dpmr.resume_plain ~seed ~budget ~lowered p.Experiment.pprog snap
+                | Some (mode, replicas) ->
+                    Dpmr.resume_transformed ~seed ~budget ~lowered ~mode ~replicas
+                      p.Experiment.pprog snap
+              in
+              let mark_cost = Int64.add (Vm.snapshot_cost snap) (Int64.of_int Dpmr_vm.Cost.call_base) in
+              let first = Option.value r.Outcome.fi_first_cost ~default:0L in
+              if at_mark.(i) then
+                Alcotest.(check int64) "capture right before __fi_mark" mark_cost first
+              else
+                Alcotest.(check bool) "capture before __fi_mark" true (first > mark_cost)
+          | Experiment.Zero | Experiment.Inherit _ -> ())
+        g.Experiment.g_plans)
+    cells;
+  Alcotest.(check bool) "SDS immediate-free members checked" true (!sds_free > 0);
+  Alcotest.(check bool) "members forked" true (!forks > 0)
 
 (* Watched baselines at the VM level, with hand-built limit tables
    (function name -> per-block position to fire before).  Each captured
@@ -330,6 +458,8 @@ let suites =
       @ [
           Alcotest.test_case "snapshot grid = from-zero grid" `Quick
             test_snapshot_vs_zero_grid;
+          Alcotest.test_case "fault-last numbering: frontier at __fi_mark" `Quick
+            test_fault_last_numbering;
           Alcotest.test_case "watched qsort: Wzero, Wsnap, Wshared" `Quick
             test_watched_qsort;
           Alcotest.test_case "watched: call in flight" `Quick

@@ -18,6 +18,7 @@ module Inject = Dpmr_fi.Inject
 module Experiment = Dpmr_fi.Experiment
 module Job = Dpmr_engine.Job
 module Cache = Dpmr_engine.Cache
+module Chaos = Dpmr_engine.Chaos
 module Engine = Dpmr_engine.Engine
 module Protocol = Dpmr_server.Protocol
 module Families = Dpmr_nversion.Families
@@ -201,6 +202,8 @@ let some_cls =
     peak_heap = 512;
   }
 
+(* Runs with chaos off: it counts records exactly, which [DPMR_CHAOS]'s
+   deliberately torn cache appends would perturb. *)
 let test_salt_bump_evicts_cleanly () =
   Alcotest.(check string) "salt was bumped for N-version" "dpmr-engine/2"
     Job.default_salt;
@@ -330,7 +333,8 @@ let suites =
           test_majority_subset_of_any_mismatch;
         Alcotest.test_case "rx family recovery" `Quick test_rx_family_recovery;
         Alcotest.test_case "rx skips inapplicable" `Quick test_rx_skips_inapplicable_steps;
-        Alcotest.test_case "salt bump evicts cleanly" `Quick test_salt_bump_evicts_cleanly;
+        Alcotest.test_case "salt bump evicts cleanly" `Quick
+          (fun () -> Chaos.with_chaos None test_salt_bump_evicts_cleanly);
         Alcotest.test_case "config repr suffix" `Quick test_config_repr_nversion_suffix;
         Alcotest.test_case "protocol defaults and roundtrip" `Quick
           test_protocol_defaults_and_roundtrip;

@@ -10,10 +10,9 @@
       snapshot — and the compiled tier actually deoptimizes when the
       injected fault activates mid-run;
 
-   3. [Vm.resume ?remap] edges: a member whose divergence frontier sits
-      in a call block (a compiled-tier deopt point), and whose remap
-      bijection shifts registers that the compiled tier's fused
-      superinstructions then read from the translated frame. *)
+   3. a [Vm.resume] edge: a member whose divergence frontier sits in a
+      call block (a compiled-tier deopt point) resumes, lowered and
+      compiled, exactly like its from-zero run. *)
 
 open Dpmr_ir
 open Types
@@ -107,20 +106,16 @@ let test_grid_tiers_agree () =
     "compiled resumed grid = lowered from zero" true
     (classify_all Vm.Tier_compiled ~resume:true = baseline)
 
-(* ---- 3. resume ?remap edges ----------------------------------------- *)
+(* ---- 3. resume at a deopt-point frontier ---------------------------- *)
 
 (* Baseline and member share functions, globals and block structure; the
    member does an extra boxed round-trip inside the then-branch of a
-   conditional the baseline run takes.  The alpha matcher reaches the
-   join block through the (structurally identical) else-branch, so the
-   join and the hot loop after it match modulo a shifted register
-   numbering — a genuine non-identity bijection.  The member-side
-   frontier block contains calls (box/free), so its boundary is a
-   compiled-tier deoptimization point; and the hot loop past the join
-   lowers to fused load/arith/store runs whose array-pointer and
-   accumulator operands were captured in the baseline's numbering, so
-   the resumed compiled tier reads them through the remap. *)
-let build_remap_prog ~extra () =
+   conditional the baseline run takes.  That branch is the first block
+   where the two differ, and it contains calls (box/free), so the
+   divergence frontier's block boundary is a compiled-tier
+   deoptimization point.  The hot loop past the join lowers to fused
+   load/arith/store runs, which the resumed member executes compiled. *)
+let build_fork_prog ~extra () =
   let p = Prog.create () in
   Dpmr_vm.Extern.declare_signatures p;
   let b = B.create p ~name:"box" ~params:[ ("v", i64) ] ~ret:(Ptr i64) () in
@@ -156,80 +151,44 @@ let build_remap_prog ~extra () =
   B.ret b (Some (B.i32c 0));
   p
 
-let test_resume_remap_compiled () =
-  let base = build_remap_prog ~extra:false () in
-  let memb = build_remap_prog ~extra:true () in
+let test_resume_at_deopt_point () =
+  let base = build_fork_prog ~extra:false () in
+  let memb = build_fork_prog ~extra:true () in
   Verifier.check_prog base;
   Verifier.check_prog memb;
   let lbase = Lower.lower_prog base and lmemb = Lower.lower_prog memb in
-  let diffs =
+  let limits =
     match Lower.diff_limits lbase lmemb with
-    | Some d -> d
+    | Some l -> l
     | None -> Alcotest.fail "expected a common structural prefix"
   in
-  let fd =
-    match Hashtbl.find_opt diffs "main" with
-    | Some fd -> fd
-    | None -> Alcotest.fail "expected main to diverge"
-  in
-  let rm =
-    match fd.Lower.fd_remap with
-    | Some rm -> rm
-    | None -> Alcotest.fail "expected a non-identity register bijection"
-  in
-  Alcotest.(check bool)
-    "the bijection actually shifts registers" true
-    (Array.exists (fun i -> i >= 0) rm.Lower.rm_regs
-    && Array.to_list rm.Lower.rm_regs
-       |> List.mapi (fun i j -> (i, j))
-       |> List.exists (fun (i, j) -> j >= 0 && i <> j));
-  (* the member-side frontier block contains calls: its boundary is a
-     compiled-tier deoptimization point *)
+  (* the first block with a finite limit contains calls: its boundary is
+     a compiled-tier deoptimization point *)
   let frontier_is_call_block =
-    let lf = Hashtbl.find lmemb.Lower.funcs "main" in
-    let limits = fd.Lower.fd_limits in
-    let rec first i =
-      if i >= Array.length limits then None
-      else if limits.(i) < max_int then Some i
-      else first (i + 1)
-    in
-    match first 0 with
+    match Hashtbl.find_opt limits "main" with
     | None -> false
-    | Some bidx ->
-        let midx =
-          match fd.Lower.fd_remap with
-          | Some rm when bidx < Array.length rm.Lower.rm_blocks
-            && rm.Lower.rm_blocks.(bidx) >= 0 ->
-              rm.Lower.rm_blocks.(bidx)
-          | _ -> bidx
-        in
-        lf.Lower.lblocks.(midx).Lower.lflags land Lower.b_call <> 0
+    | Some row -> (
+        let lf = Hashtbl.find lmemb.Lower.funcs "main" in
+        match Array.find_index (fun l -> l < max_int) row with
+        | None -> false
+        | Some bidx -> lf.Lower.lblocks.(bidx).Lower.lflags land Lower.b_call <> 0)
   in
   Alcotest.(check bool)
     "frontier block is a deopt point (call block)" true frontier_is_call_block;
-  let remap fname =
-    match Hashtbl.find_opt diffs fname with
-    | Some fd -> fd.Lower.fd_remap
-    | None -> None
-  in
   let from_zero =
     with_tier Vm.Tier_lowered (fun () ->
         run_fp (Dpmr.run_plain ~lowered:lmemb memb))
   in
   let resumed mode =
     with_tier mode (fun () ->
-        let limitss = [| Lower.limit_table diffs |] in
-        match Dpmr.watched_plain ~lowered:lbase base limitss with
-        | [| Vm.Wsnap snap |] ->
-            run_fp (Dpmr.resume_plain ~lowered:lmemb ~remap memb snap)
+        match Dpmr.watched_plain ~lowered:lbase base [| limits |] with
+        | [| Vm.Wsnap snap |] -> run_fp (Dpmr.resume_plain ~lowered:lmemb memb snap)
         | _ -> Alcotest.fail "expected the baseline to reach the frontier")
   in
-  Alcotest.(check string)
-    "lowered resume through the remap = from zero" from_zero
+  Alcotest.(check string) "lowered resume = from zero" from_zero
     (resumed Vm.Tier_lowered);
   let promos_before, _ = Vm.tier_stats () in
-  Alcotest.(check string)
-    "compiled resume through the remap = from zero" from_zero
+  Alcotest.(check string) "compiled resume = from zero" from_zero
     (resumed Vm.Tier_compiled);
   let promos_after, _ = Vm.tier_stats () in
   Alcotest.(check bool)
@@ -244,7 +203,7 @@ let suites =
           test_three_tiers_agree;
         Alcotest.test_case "fault grid agrees across tiers and plans" `Quick
           test_grid_tiers_agree;
-        Alcotest.test_case "resume ?remap feeds the compiled tier" `Quick
-          test_resume_remap_compiled;
+        Alcotest.test_case "resume at a deopt-point frontier" `Quick
+          test_resume_at_deopt_point;
       ] );
   ]
