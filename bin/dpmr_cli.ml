@@ -427,20 +427,6 @@ let report_cmd =
           ~doc:"Base backoff between retry attempts, milliseconds (doubles per \
                 attempt, deterministically jittered).")
   in
-  let tier_t =
-    Arg.(
-      value
-      & opt (some (enum [ ("auto", Dpmr_vm.Vm.Tier_auto);
-                          ("ref", Dpmr_vm.Vm.Tier_ref);
-                          ("lowered", Dpmr_vm.Vm.Tier_lowered);
-                          ("compiled", Dpmr_vm.Vm.Tier_compiled) ])) None
-      & info [ "tier" ] ~docv:"auto|ref|lowered|compiled"
-          ~doc:
-            "Force the execution tier (overrides DPMR_TIER): the reference \
-             tree-walker, the lowered interpreter only, or closure-compilation \
-             of every function at first entry.  Output is byte-identical \
-             across tiers.")
-  in
   let remote_workers_t =
     Arg.(
       value
@@ -483,9 +469,8 @@ let report_cmd =
                 after $(docv) milliseconds; first result wins (0 disables).")
   in
   let go id fig scale seed reps replicas families vote jobs no_cache no_snapshot
-      chaos deadline retries backoff_ms telemetry_json tier remote_workers
+      chaos deadline retries backoff_ms telemetry_json remote_workers
       min_workers window chunk hedge_ms =
-    (match tier with None -> () | Some m -> Dpmr_vm.Vm.set_tier_mode m);
     (match chaos with
     | None -> () (* DPMR_CHAOS, if set, still applies via Chaos.active *)
     | Some "0" -> Chaos.set None
@@ -578,7 +563,7 @@ let report_cmd =
     Term.(
       const go $ id_t $ fig_t $ scale_t $ seed_t $ reps_t $ replicas_t
       $ families_t $ vote_t $ jobs_t $ no_cache_t $ no_snapshot_t $ chaos_t
-      $ deadline_t $ retries_t $ backoff_ms_t $ telemetry_json_t $ tier_t
+      $ deadline_t $ retries_t $ backoff_ms_t $ telemetry_json_t
       $ remote_workers_t $ min_workers_t $ window_t $ chunk_t $ hedge_ms_t)
 
 let cache_cmd =

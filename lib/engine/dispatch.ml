@@ -428,7 +428,10 @@ let runner t rs host =
             drop_conn ();
             let attempt =
               Mutex.protect t.mu (fun () ->
-                  note_failure t host;
+                  (* once [rs.stop] is set, [run]'s own [c_abort] ends
+                     in-flight calls — here a losing hedge duplicate, in
+                     the prober a ping: no evidence against the host *)
+                  if not rs.stop then note_failure t host;
                   requeue t rs host ck;
                   host.h_consec)
             in
@@ -469,7 +472,8 @@ let prober t rs host =
     in
     Mutex.protect t.mu (fun () ->
         host.h_probed <- true;
-        if ok then note_success t host else note_failure t host;
+        if ok then note_success t host
+        else if not rs.stop then note_failure t host;
         Condition.broadcast t.work)
   in
   let stopped () = Mutex.protect t.mu (fun () -> rs.stop) in

@@ -113,7 +113,9 @@ type host_stats = {
   hs_retried : int;  (** chunks re-dispatched after this host failed *)
   hs_hedged : int;  (** hedge duplicates issued against this host's stragglers *)
   hs_quarantined : int;  (** times quarantined *)
-  hs_failures : int;  (** connection-level failures (probes included) *)
+  hs_failures : int;
+      (** connection-level failures (probes included; calls the batch-end
+          abort cuts short are not failures) *)
   hs_rtt_p50_ms : float;  (** over completed chunks; [0.] when none *)
   hs_rtt_p95_ms : float;
 }

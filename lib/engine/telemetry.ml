@@ -69,13 +69,13 @@ let speedup_estimate t =
   if t.wall_seconds > 1e-6 && t.busy_seconds > 0. then Some (t.busy_seconds /. t.wall_seconds)
   else None
 
-(* [tier] = (functions promoted, deopts) from [Vm.tier_stats], a
-   process-global counter pair the engine samples at summary time;
-   passed in rather than read here to keep this module free of VM
-   dependencies.  Only surfaced when the tier actually fired, so
-   historical summary shapes are preserved. *)
+(* [tier] = functions promoted, from [Vm.tier_stats], a process-global
+   counter the engine samples at summary time; passed in rather than
+   read here to keep this module free of VM dependencies.  Only surfaced
+   when the tier actually fired, so historical summary shapes are
+   preserved. *)
 
-let summary_lines ?(tier = (0, 0)) ?dispatch t ~workers
+let summary_lines ?(tier = 0) ?dispatch t ~workers
     ~(cache : Cache.stats option) =
   let total = t.jobs_run + t.jobs_cached + t.jobs_failed in
   let degraded =
@@ -112,13 +112,8 @@ let summary_lines ?(tier = (0, 0)) ?dispatch t ~workers
       t.busy_seconds t.wall_seconds t.batches speed t.cost_units
   in
   let tier_lines =
-    let promoted, deopts = tier in
-    if promoted = 0 && deopts = 0 then []
-    else
-      [
-        Printf.sprintf "[engine] tier: %d function(s) promoted, %d deopt(s)"
-          promoted deopts;
-      ]
+    if tier = 0 then []
+    else [ Printf.sprintf "[engine] tier: %d function(s) promoted" tier ]
   in
   (* only surfaced when a remote dispatcher was wired in, so
      single-host runs keep the historical summary shape *)
@@ -145,7 +140,7 @@ let summary_lines ?(tier = (0, 0)) ?dispatch t ~workers
 (** Machine-readable snapshot of everything {!summary_lines} reports
     (plus the raw fields), for CI trend tracking.  One flat JSON object;
     keys are stable, floats fixed-precision, absent subsystems [null]. *)
-let to_json ?(tier = (0, 0)) ?dispatch t ~workers
+let to_json ?(tier = 0) ?dispatch t ~workers
     ~(cache : Cache.stats option) =
   let b = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -175,8 +170,7 @@ let to_json ?(tier = (0, 0)) ?dispatch t ~workers
       add
         "  \"cache\": { \"hits\": %d, \"lookups\": %d, \"hit_rate_pct\": %.1f, \"added\": %d, \"evicted\": %d, \"damaged\": %d },\n"
         c.Cache.hits looked pct c.Cache.added c.Cache.evicted c.Cache.damaged);
-  (let promoted, deopts = tier in
-   add "  \"tier\": { \"promoted\": %d, \"deopts\": %d },\n" promoted deopts);
+  add "  \"tier\": { \"promoted\": %d },\n" tier;
   (match dispatch with
   | None -> add "  \"dispatch\": null,\n"
   | Some d ->

@@ -34,21 +34,21 @@ val speedup_estimate : t -> float option
     every executed job back-to-back on one domain. *)
 
 val summary_lines :
-  ?tier:int * int ->
+  ?tier:int ->
   ?dispatch:Dispatch.t ->
   t ->
   workers:int ->
   cache:Cache.stats option ->
   string list
-(** [tier] = (functions promoted, deopts) from [Vm.tier_stats].  Passed
-    in by the engine at summary time to keep this module free of VM
-    dependencies; a tier line appears only when the pair is non-zero,
-    preserving historical summary shapes.
+(** [tier] = functions promoted, from [Vm.tier_stats].  Passed in by the
+    engine at summary time to keep this module free of VM dependencies;
+    a tier line appears only when the count is non-zero, preserving
+    historical summary shapes.
     [dispatch] adds per-host scatter/gather lines for campaigns run
     with [--workers]. *)
 
 val to_json :
-  ?tier:int * int ->
+  ?tier:int ->
   ?dispatch:Dispatch.t ->
   t ->
   workers:int ->

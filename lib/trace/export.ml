@@ -64,16 +64,9 @@ let chrome_json ?(pid = 1) ?(tid = 1) (records : Trace.record array) =
           ev ~name:"detect" ~cat:"dpmr" ~ph:"i" ~ts:r.cost args
       | Trace.Fi_mark -> ev ~name:"fi_mark" ~cat:"fi" ~ph:"i" ~ts:r.cost []
       | Trace.Phase p -> ev ~name:p ~cat:"phase" ~ph:"i" ~ts:r.cost []
-      | Trace.Tier { fn; transition } ->
-          let what =
-            match transition with
-            | Trace.Tier_refused -> "refused"
-            | Trace.Tier_promote -> "promote"
-            | Trace.Tier_deopt -> "deopt"
-          in
+      | Trace.Tier_refused fn ->
           ev ~name:"tier" ~cat:"tier" ~ph:"i" ~ts:r.cost
-            [ ("fn", Printf.sprintf "\"%s\"" fn);
-              ("transition", Printf.sprintf "\"%s\"" what) ]
+            [ ("fn", Printf.sprintf "\"%s\"" fn); ("transition", "\"refused\"") ]
       | Trace.Block _ | Trace.Store _ | Trace.Write _ | Trace.Mirror _
       | Trace.Compare _ ->
           (* too dense for a span view; represented by profiles instead *)

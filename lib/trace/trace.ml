@@ -146,23 +146,10 @@ let[@inline] emit_fi_mark t ~cost =
 let emit_phase t ~label =
   put t k_phase (t.clock ()) (Int64.of_int (intern t label)) 0L 0L
 
-type transition = Tier_refused | Tier_promote | Tier_deopt
-
-let int_of_transition = function
-  | Tier_refused -> 0
-  | Tier_promote -> 1
-  | Tier_deopt -> 2
-
-let transition_of_int = function
-  | 0 -> Tier_refused
-  | 1 -> Tier_promote
-  | _ -> Tier_deopt
-
-let emit_tier t ~cost ~fname ~transition =
-  put t k_tier cost
-    (Int64.of_int (intern t fname))
-    (Int64.of_int (int_of_transition transition))
-    0L
+(* payload: the interned function name, then 0 — the refusal code of
+   the ring format *)
+let emit_tier_refused t ~cost ~fname =
+  put t k_tier cost (Int64.of_int (intern t fname)) 0L 0L
 
 (* ---- domain-local installation --------------------------------------- *)
 
@@ -190,7 +177,7 @@ type event =
   | Detect of { what : string; addr : int64; off : int }
   | Fi_mark
   | Phase of string
-  | Tier of { fn : string; transition : transition }
+  | Tier_refused of string
 
 type record = { cost : int; ev : event }
 
@@ -216,8 +203,7 @@ let decode t kind a b c =
     Detect { what = name_of t (i64 a); addr = b; off = i64 c }
   else if kind = k_fi_mark then Fi_mark
   else if kind = k_phase then Phase (name_of t (i64 a))
-  else if kind = k_tier then
-    Tier { fn = name_of t (i64 a); transition = transition_of_int (i64 b) }
+  else if kind = k_tier then Tier_refused (name_of t (i64 a))
   else Phase (Printf.sprintf "?kind=%d" kind)
 
 let snapshot t =
@@ -282,13 +268,6 @@ let pp_event ppf ev =
       else Fmt.pf ppf "DETECT %s at 0x%Lx+%d" what addr off
   | Fi_mark -> Fmt.pf ppf "fi-mark"
   | Phase p -> Fmt.pf ppf "phase %s" p
-  | Tier { fn; transition } ->
-      let what =
-        match transition with
-        | Tier_refused -> "refused"
-        | Tier_promote -> "promote"
-        | Tier_deopt -> "deopt"
-      in
-      Fmt.pf ppf "tier %s %s" what fn
+  | Tier_refused fn -> Fmt.pf ppf "tier refused %s" fn
 
 let pp_record ppf r = Fmt.pf ppf "[%10d] %a" r.cost pp_event r.ev

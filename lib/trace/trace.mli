@@ -64,13 +64,10 @@ val emit_detect : t -> cost:int -> what:string -> addr:int64 -> off:int -> unit
 val emit_fi_mark : t -> cost:int -> unit
 val emit_phase : t -> label:string -> unit
 
-(** Tier-transition outcome at a hot-function boundary: the promotion
-    check refused compilation (full-fidelity run), the function was
-    promoted to the compiled tier, or compiled code deoptimized back
-    into the lowered interpreter. *)
-type transition = Tier_refused | Tier_promote | Tier_deopt
-
-val emit_tier : t -> cost:int -> fname:string -> transition:transition -> unit
+val emit_tier_refused : t -> cost:int -> fname:string -> unit
+(** A hot function crossed the promotion threshold but stays on the
+    lowered interpreter — the one tier transition a sink can observe,
+    since a sink itself refuses promotion. *)
 
 (** {1 Decoding} *)
 
@@ -87,7 +84,7 @@ type event =
   | Detect of { what : string; addr : int64; off : int }
   | Fi_mark
   | Phase of string
-  | Tier of { fn : string; transition : transition }
+  | Tier_refused of string
 
 type record = { cost : int; ev : event }
 

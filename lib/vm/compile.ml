@@ -23,12 +23,12 @@
       per block — the hook is installed by a supervisor before the run
       and cannot change underneath a running domain.
 
-    Deoptimization: the compiled code operates directly on the lowered
-    tier's {!Machine.lframe}, so bailing out needs no state
-    materialization at all — a block that observed a full-fidelity event
-    (today: a callee activating fault injection) simply returns the next
-    block index as {!Rdeopt} and the lowered engine continues from that
-    block boundary with the very same frame.
+    A compiled activation runs until it returns or raises; there is no
+    exit back to the lowered engine.  The compiled code operates directly
+    on the lowered tier's {!Machine.lframe} and calls externs through the
+    lowered engine's protocol, so nothing a run can do demands one —
+    fault activation included, whose only VM-visible effect is an extern
+    recording its cost.
 
     Boxing discipline (the whole point of the exercise): a closure that
     {e returns} an [int64] or [float], or passes one to another closure,
@@ -44,21 +44,13 @@ open Dpmr_ir
 open Dpmr_memsim
 module L = Lower
 
-(* What a tier entry returns to [Vm.exec_lblocks_at]. *)
-type result =
-  | Rret of Lower.value option  (** the function returned *)
-  | Rdeopt of int
-      (** fidelity demanded mid-run: resume the lowered engine at this
-          block index, on the same frame *)
-
-(* Process-wide tier telemetry.  Atomics, not per-VM fields: promotion
-   mutates shared [lfunc] state under the lowering table's publication
-   discipline, and report jobs run one VM per domain — a pair of global
-   counters is race-free to read and keeps [cstate] free of accounting. *)
+(* Process-wide tier telemetry.  An atomic, not a per-VM field:
+   promotion mutates shared [lfunc] state under the lowering table's
+   publication discipline, and report jobs run one VM per domain — a
+   global counter is race-free to read and keeps [cstate] free of
+   accounting. *)
 let promotions = Atomic.make 0
-let deopts = Atomic.make 0
 let n_promotions () = Atomic.get promotions
-let n_deopts () = Atomic.get deopts
 
 (** Everything the compiled code needs from the VM.  A functor parameter
     rather than a direct [Vm] dependency because [Vm] sits {e above}
@@ -75,10 +67,6 @@ module type RUNTIME = sig
   val set_sp : t -> int64 -> unit
   val global_address : t -> string -> int64
   val fun_address : t -> string -> int64
-
-  val fault_active : t -> bool
-  (** has fault injection activated ([Vm.fi_first_cost] set)?  Polled
-      around calls: activation is a deoptimization trigger. *)
 
   val call_lfun : t -> L.lfunc -> L.value array -> L.value option
   (** call a lowered function (the callee runs on whatever tier its own
@@ -111,7 +99,6 @@ module Make (R : RUNTIME) = struct
     alloc : Allocator.t;
     fr : Machine.lframe;
     mutable cret : L.value option;  (* return value, set by [Lret] steps *)
-    mutable deopt : bool;  (* a call step observed fault activation *)
   }
 
   type step = cstate -> unit
@@ -540,9 +527,7 @@ module Make (R : RUNTIME) = struct
             fun st ->
               st.cost := !(st.cost) + Cost.select;
               if Int64.equal (ec st) 0L then cb st else ca st)
-    (* calls: the only steps that can set [deopt] — a callee (or a chain
-       through one) may activate fault injection, after which the rest of
-       the run must keep the lowered engine's block-by-block shape *)
+    (* calls *)
     | L.Lcall (r, callee, args, cost) -> (
         let eas = Array.map op_val args in
         let nargs = Array.length eas in
@@ -558,24 +543,12 @@ module Make (R : RUNTIME) = struct
             fun st ->
               st.cost := !(st.cost) + cost;
               let argv = eval_args st in
-              let was = R.fault_active st.rt in
-              let res = R.call_lfun st.rt lf argv in
-              if (not was) && R.fault_active st.rt then begin
-                st.deopt <- true;
-                Atomic.incr deopts
-              end;
-              finish st r lf.L.lname res
+              finish st r lf.L.lname (R.call_lfun st.rt lf argv)
         | L.Lextern (slot, name) ->
             fun st ->
               st.cost := !(st.cost) + cost;
               let argv = eval_args st in
-              let was = R.fault_active st.rt in
-              let res = R.call_extern_slot st.rt slot name argv in
-              if (not was) && R.fault_active st.rt then begin
-                st.deopt <- true;
-                Atomic.incr deopts
-              end;
-              finish st r name res
+              finish st r name (R.call_extern_slot st.rt slot name argv)
         | L.Lindirect o ->
             let eo = op_int o in
             fun st ->
@@ -583,13 +556,7 @@ module Make (R : RUNTIME) = struct
               let addr = eo st in
               let name = R.indirect_name st.rt addr in
               let argv = eval_args st in
-              let was = R.fault_active st.rt in
-              let res = R.call_named st.rt name argv in
-              if (not was) && R.fault_active st.rt then begin
-                st.deopt <- true;
-                Atomic.incr deopts
-              end;
-              finish st r name res)
+              finish st r name (R.call_named st.rt name argv))
     | L.Lpoison e -> fun _ -> raise e
     (* fused superinstructions: gep charge, address compute, address-
        register write, access charge, access — the order of the
@@ -874,8 +841,8 @@ module Make (R : RUNTIME) = struct
   (* One closure per basic block.  The prologue replicates
      [Vm.check_budget] exactly — budget test, then the captured step-poll
      hook — so timeouts and cooperative cancellation fire at the same
-     block boundaries as the lowered engine (cancellation deoptimizes by
-     unwinding: the raise leaves compiled code with no state to save). *)
+     block boundaries as the lowered engine (cancellation leaves compiled
+     code by unwinding: there is no state to save). *)
   let cblock (b : L.lblock) : cstate -> int =
     let body = fuse (Array.map cinst b.L.linsts) 0 (cterm b.L.lterm) in
     fun st ->
@@ -883,39 +850,27 @@ module Make (R : RUNTIME) = struct
       (match st.poll with None -> () | Some f -> f ());
       body st
 
-  type cfunc = {
-    cf_blocks : (cstate -> int) array;
-    cf_flags : int array;  (** {!Lower.lflags} per block, for deopt gating *)
-  }
-
-  (* The compiled code hangs off the shared [lfunc] through [Lower]'s
+  (* The compiled code — one closure per block, indexed like
+     [lf.lblocks] — hangs off the shared [lfunc] through [Lower]'s
      extensible attachment slot, so the lowering stays compiler-agnostic
      and recompilation after [Make] is re-applied (it never is in
      production: [Vm] applies it once) would just shadow the constructor. *)
-  type L.tier3 += Compiled of cfunc
+  type L.tier3 += Compiled of (cstate -> int) array
 
-  let compile_lfunc (lf : L.lfunc) : cfunc =
-    {
-      cf_blocks = Array.map cblock lf.L.lblocks;
-      cf_flags = Array.map (fun (b : L.lblock) -> b.L.lflags) lf.L.lblocks;
-    }
-
-  let code_for (lf : L.lfunc) : cfunc =
+  let code_for (lf : L.lfunc) =
     match lf.L.ltier3 with
-    | Compiled cf -> cf
+    | Compiled blocks -> blocks
     | _ ->
-        let cf = compile_lfunc lf in
-        lf.L.ltier3 <- Compiled cf;
+        let blocks = Array.map cblock lf.L.lblocks in
+        lf.L.ltier3 <- Compiled blocks;
         Atomic.incr promotions;
-        cf
+        blocks
 
-  (* Drive loop: run block closures until return or deopt.  The deopt
-     flag is only consulted after blocks that contain a call ([b_call] in
-     the static flags) — the only steps that can set it — so straight
-     ALU blocks chain with a single array load and compare between them. *)
+  (* Drive loop: run block closures from block [idx0] until one
+     returns. *)
   let enter (rt : R.t) (lf : L.lfunc) (fr : Machine.lframe) (idx0 : int) :
-      result =
-    let cf = code_for lf in
+      L.value option =
+    let blocks = code_for lf in
     let st =
       {
         rt;
@@ -926,16 +881,11 @@ module Make (R : RUNTIME) = struct
         alloc = R.alloc rt;
         fr;
         cret = None;
-        deopt = false;
       }
     in
-    let blocks = cf.cf_blocks and flags = cf.cf_flags in
     let rec go idx =
       let n = (Array.unsafe_get blocks idx) st in
-      if n < 0 then Rret st.cret
-      else if Array.unsafe_get flags idx land L.b_call <> 0 && st.deopt then
-        Rdeopt n
-      else go n
+      if n < 0 then st.cret else go n
     in
     go idx0
 end

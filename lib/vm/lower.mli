@@ -62,7 +62,6 @@ type lfunc = {
 and lblock = {
   linsts : linst array;
   lterm : lterm;
-  mutable lflags : int;  (** static block facts, see {!b_call} *)
 }
 
 and lterm =
@@ -128,15 +127,6 @@ type prog = {
   mutable n_slots : int;
   src : Prog.t;  (** the program this was lowered from *)
 }
-
-val b_call : int
-(** {!lblock.lflags} bit: the block contains a call — its boundary is a
-    compiled-tier deoptimization point (the call may activate fault
-    injection mid-block). *)
-
-val b_check : int
-(** {!lblock.lflags} bit: the block ends in a replica load-check
-    ([Lcheck]/[Lcmpcheck]) — fidelity-relevant under a trace sink. *)
 
 (** Lower a whole program.  Cheap enough to run once per program build;
     the result is immutable (apart from the per-function tier state,

@@ -6,8 +6,8 @@
     and raises the same exceptions, but must sit {e below} {!Vm} in the
     module graph — [Vm] instantiates the compiler's runtime functor after
     its recursive execution knot.  Everything both tiers touch therefore
-    lives here; [Vm] re-exports the exceptions and the frame type so its
-    public interface is unchanged. *)
+    lives here, once; [Vm] opens this module and re-exports the
+    exceptions so its public interface is unchanged. *)
 
 open Dpmr_ir
 open Types

@@ -19,23 +19,24 @@ open Dpmr_ir
 open Dpmr_memsim
 open Types
 open Inst
+open Machine
 module L = Lower
 module Trace = Dpmr_trace.Trace
 
 type value = Lower.value = I of int64 | F of float
 
-(* The classification exceptions, the step-poll hook and the scalar-op
-   semantics live in {!Machine}, shared with the closure-compiled tier
-   ({!Compile}, instantiated at the bottom of this file).  Rebinding
-   keeps the constructors physically identical, so a [Machine.Vm_error]
-   raised from compiled code is caught by [classify_run] below. *)
+(* The classification exceptions, the step-poll hook, the register file
+   and the scalar-op semantics live in {!Machine}, shared with the
+   closure-compiled tier ({!Compile}, instantiated at the bottom of this
+   file).  Rebinding keeps the constructors physically identical, so a
+   [Machine.Vm_error] raised from compiled code is caught by
+   [classify_run] below. *)
 exception Exit_program = Machine.Exit_program
 exception Dpmr_detected = Machine.Dpmr_detected
 exception Timeout_exceeded = Machine.Timeout_exceeded
 exception Vm_error = Machine.Vm_error
 exception Cancelled = Machine.Cancelled
 
-let poll_key = Machine.poll_key
 let set_poll_hook = Machine.set_poll_hook
 
 (* ------------------------------------------------------------------ *)
@@ -65,29 +66,14 @@ let set_tier_mode m =
 
 let tier_mode () = !tier_mode_ref
 
-let tier_mode_of_string = function
-  | "auto" -> Some Tier_auto
-  | "ref" -> Some Tier_ref
-  | "lowered" -> Some Tier_lowered
-  | "compiled" -> Some Tier_compiled
-  | _ -> None
-
 let () =
   match Sys.getenv_opt "DPMR_TIER" with
   | None | Some "" -> ()
-  | Some s -> (
-      match tier_mode_of_string s with
-      | Some m -> set_tier_mode m
-      | None -> invalid_arg (Printf.sprintf "DPMR_TIER: unknown tier %S" s))
-
-(* the frame type is {!Machine}'s, so the compiled tier executes the
-   very same record the lowered engine allocated — promotion shares the
-   register file, deoptimization needs no state copy at all *)
-type lframe = Machine.lframe = {
-  bits : Bytes.t;
-  tags : Bytes.t;
-  lentry_sp : int64;
-}
+  | Some "auto" -> set_tier_mode Tier_auto
+  | Some "ref" -> set_tier_mode Tier_ref
+  | Some "lowered" -> set_tier_mode Tier_lowered
+  | Some "compiled" -> set_tier_mode Tier_compiled
+  | Some s -> invalid_arg (Printf.sprintf "DPMR_TIER: unknown tier %S" s)
 
 (* ------------------------------------------------------------------ *)
 (* Copy-on-write snapshots: types and watched-execution state          *)
@@ -335,63 +321,6 @@ let register_extern t name fn =
 
 type frame = { regs : value array; entry_sp : int64 }
 
-let[@inline] exec_binop op w a b =
-  let sa = sign_extend w a and sb = sign_extend w b in
-  let r =
-    match op with
-    | Add -> Int64.add a b
-    | Sub -> Int64.sub a b
-    | Mul -> Int64.mul a b
-    | Sdiv ->
-        if Int64.equal sb 0L then raise (Vm_error "division by zero")
-        else Int64.div sa sb
-    | Srem ->
-        if Int64.equal sb 0L then raise (Vm_error "division by zero")
-        else Int64.rem sa sb
-    | Udiv ->
-        if Int64.equal b 0L then raise (Vm_error "division by zero")
-        else Int64.unsigned_div a b
-    | Urem ->
-        if Int64.equal b 0L then raise (Vm_error "division by zero")
-        else Int64.unsigned_rem a b
-    | And -> Int64.logand a b
-    | Or -> Int64.logor a b
-    | Xor -> Int64.logxor a b
-    | Shl -> Int64.shift_left a (Int64.to_int (Int64.logand b 63L))
-    | Lshr -> Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L))
-    | Ashr -> Int64.shift_right sa (Int64.to_int (Int64.logand b 63L))
-  in
-  truncate_to w r
-
-let[@inline] exec_icmp c w a b =
-  let sa = sign_extend w a and sb = sign_extend w b in
-  let r =
-    match c with
-    | Ieq -> Int64.equal a b
-    | Ine -> not (Int64.equal a b)
-    | Islt -> Int64.compare sa sb < 0
-    | Isle -> Int64.compare sa sb <= 0
-    | Isgt -> Int64.compare sa sb > 0
-    | Isge -> Int64.compare sa sb >= 0
-    | Iult -> Int64.unsigned_compare a b < 0
-    | Iule -> Int64.unsigned_compare a b <= 0
-    | Iugt -> Int64.unsigned_compare a b > 0
-    | Iuge -> Int64.unsigned_compare a b >= 0
-  in
-  if r then 1L else 0L
-
-let[@inline] exec_fcmp c a b =
-  let r =
-    match c with
-    | Foeq -> a = b
-    | Fone -> a <> b
-    | Folt -> a < b
-    | Fole -> a <= b
-    | Fogt -> a > b
-    | Foge -> a >= b
-  in
-  if r then 1L else 0L
-
 let max_call_depth = 10_000
 
 (* Reference-engine scalar moves (the lowered engine bakes the kind). *)
@@ -412,33 +341,11 @@ let store_scalar t ty addr v =
   | Int _, F _ | Ptr _, F _ -> raise (Vm_error "store: float value into int slot")
   | _ -> raise (Vm_error "store of non-scalar")
 
-(* Lowered-engine register file: a flat byte buffer, 8 bytes per
-   register, plus one tag byte per register ('\000' int, '\001' float).
-   Keeping scalars out of [value] boxes is the difference between ~5
-   words of allocation per executed ALU instruction and none: results
-   flow between [Bytes] 64-bit primitives unboxed, and [I]/[F] boxes are
-   built only at call, return and extern boundaries.  Register indices
-   come from {!Lower} and are always < [lnregs], so the unchecked
-   accessors are in range. *)
-
-external reg_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external reg_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-(* same poison as the boxed register file had: an uninitialized register
-   reads back as the int 0xDEADBEEF *)
-let make_lframe nregs sp =
-  let bits = Bytes.create (nregs lsl 3) in
-  let tags = Bytes.make nregs '\000' in
-  for r = 0 to nregs - 1 do
-    reg_set bits (r lsl 3) 0xDEADBEEFL
-  done;
-  { bits; tags; lentry_sp = sp }
-
 (* Entry point of the compiled tier, tied after the recursive execution
    knot below ({!Compile} needs the knot's call helpers, the knot needs
    this to promote).  Never read before the initializer at the bottom of
    this file runs. *)
-let tier_enter : (t -> L.lfunc -> lframe -> int -> Compile.result) ref =
+let tier_enter : (t -> L.lfunc -> lframe -> int -> value option) ref =
   ref (fun _ _ _ _ -> assert false)
 
 exception Watch_done
@@ -456,28 +363,6 @@ let merged_row merged fname =
 let[@inline] block_limit wf idx =
   let a = wf.wf_lim in
   if idx < Array.length a then Array.unsafe_get a idx else max_int
-
-let[@inline] reg_int fr r =
-  if Bytes.unsafe_get fr.tags r <> '\000' then
-    raise (Vm_error "expected int/pointer value");
-  reg_get fr.bits (r lsl 3)
-
-let[@inline] reg_float fr r =
-  if Bytes.unsafe_get fr.tags r = '\000' then
-    raise (Vm_error "expected float value");
-  Int64.float_of_bits (reg_get fr.bits (r lsl 3))
-
-let[@inline] set_int fr r x =
-  Bytes.unsafe_set fr.tags r '\000';
-  reg_set fr.bits (r lsl 3) x
-
-let[@inline] set_float fr r x =
-  Bytes.unsafe_set fr.tags r '\001';
-  reg_set fr.bits (r lsl 3) (Int64.bits_of_float x)
-
-let[@inline] set_value fr r = function
-  | I x -> set_int fr r x
-  | F x -> set_float fr r x
 
 (* Operand evaluation.  [leval_int o] ≡ [as_int (leval o)] and
    [leval_float o] ≡ [as_float (leval o)] of the boxed form: same
@@ -525,9 +410,6 @@ let copy_op t fr r (o : L.lop) =
   | o -> set_value fr r (leval t fr o)
 
 let resolve_target = function L.Bidx i -> i | L.Braise e -> raise e
-
-let unknown_function name =
-  raise (Vm_error (Printf.sprintf "call to unknown function %S" name))
 
 let indirect_name t addr =
   match Hashtbl.find_opt t.addr_fun addr with
@@ -710,13 +592,13 @@ and exec_lfunc t (lf : L.lfunc) (args : value array) =
    the function has executed [!tier_threshold] lowered blocks it enters
    the compiled tier — at call granularity for short hot functions, and
    mid-run (on-stack replacement: same frame, same block index) for a
-   long-running loop that never returns.  Promotion is refused while
-   full fidelity is required: a trace sink needs per-block samples and
-   per-check compare events, and an activated fault injection must keep
-   the block-by-block shape the forensics suite reasons about; a watched
-   baseline's frontier limits are lowered-instruction positions.  The
-   compiled tier deoptimizes back here (a [Rdeopt] with the next block
-   index) when fidelity demands appear mid-run.
+   long-running loop that never returns — and stays there until the
+   activation returns.  Promotion is refused in exactly two cases: a
+   trace sink needs per-block samples and per-check compare events, and
+   a watched baseline's frontier limits are lowered-instruction
+   positions.  Fault activation is no reason: the injected code's only
+   VM-visible effect is the [__fi_mark] extern, which the compiled tier
+   calls and charges like any other.
 
    A watched run (see {!run_watched}) executes each block through
    [exec_watched], which fires at the activation's frontier limit; the
@@ -729,18 +611,14 @@ and exec_lblocks_at t (lf : L.lfunc) frame idx0 i0 =
       let h = lf.L.lhot + 1 in
       lf.L.lhot <- h;
       if h >= !tier_threshold then
-        if t.trace == None && t.fi_first_cost == None && t.watched == None then
-          match !tier_enter t lf frame idx with
-          | Compile.Rret v -> v
-          | Compile.Rdeopt b -> exec_block b 0
+        if t.trace == None && t.watched == None then !tier_enter t lf frame idx
         else begin
           (* the only tier transition observable under a sink: record
              the refusal once, at the exact threshold crossing *)
           (if h = !tier_threshold then
              match t.trace with
              | Some s ->
-                 Trace.emit_tier s ~cost:(!(t.cost)) ~fname:lf.L.lname
-                   ~transition:Trace.Tier_refused
+                 Trace.emit_tier_refused s ~cost:(!(t.cost)) ~fname:lf.L.lname
              | None -> ());
           exec_block idx 0
         end
@@ -1281,10 +1159,6 @@ module Tier_rt = struct
   let set_sp t v = t.sp <- v
   let global_address = global_address
   let fun_address = fun_address
-
-  let fault_active t =
-    match t.fi_first_cost with None -> false | Some _ -> true
-
   let call_lfun t lf args = exec_lfunc t lf args
 
   let call_extern_slot = call_extern_slot
@@ -1296,9 +1170,9 @@ module Tier = Compile.Make (Tier_rt)
 
 let () = tier_enter := Tier.enter
 
-(** Cumulative (process-wide) compiled-tier telemetry:
-    (functions promoted, deoptimizations). *)
-let tier_stats () = (Compile.n_promotions (), Compile.n_deopts ())
+(** Cumulative (process-wide) count of functions promoted to the
+    compiled tier. *)
+let tier_stats () = Compile.n_promotions ()
 
 (* ------------------------------------------------------------------ *)
 (* Top-level driver                                                    *)

@@ -111,11 +111,12 @@ val run_reference : ?entry:string -> ?args:string list -> t -> Outcome.run
     byte-for-byte on every outcome: the reference tree-walker, the
     lowered threaded interpreter, and a closure-compiled top tier
     ({!Compile}) that hot functions are promoted into after
-    {!Cost.tier_promote_blocks} executed lowered blocks.  Promotion is
-    refused while full per-event fidelity is required (trace sink
-    installed, fault injection activated), and compiled code
-    deoptimizes back into the lowered engine — same frame, at a block
-    boundary — when fidelity demands appear mid-run. *)
+    {!Cost.tier_promote_blocks} executed lowered blocks — with or
+    without an activated fault.  Promotion is refused only while a
+    trace sink is installed (per-event fidelity) or a baseline is
+    watched ({!run_watched}: frontier limits are lowered-instruction
+    positions).  A promoted activation stays compiled until it
+    returns. *)
 
 type tier_mode =
   | Tier_auto  (** telemetry-driven promotion (the default) *)
@@ -125,15 +126,15 @@ type tier_mode =
 
 (** Set the process-global tier policy.  Also settable through the
     [DPMR_TIER] environment variable ([auto]/[ref]/[lowered]/[compiled]),
-    read once at module initialization. *)
+    read once at module initialization — the one way to force a tier
+    from outside the process. *)
 val set_tier_mode : tier_mode -> unit
 
 val tier_mode : unit -> tier_mode
-val tier_mode_of_string : string -> tier_mode option
 
-(** Cumulative (process-wide) compiled-tier telemetry:
-    (functions promoted, deoptimizations). *)
-val tier_stats : unit -> int * int
+(** Cumulative (process-wide) count of functions promoted to the
+    compiled tier. *)
+val tier_stats : unit -> int
 
 (** {1 Copy-on-write snapshots (snapshot/fork campaign execution)}
 

@@ -69,12 +69,22 @@ let record_batch f items =
   in
   go ()
 
+(* [c_abort] behaves like the socket transport's: a batch stalled on
+   the connection wakes with [Host_down], and the connection is dead *)
 let fake_transport hosts =
   {
     Dispatch.connect =
       (fun addr ->
         let f = List.assoc addr hosts in
         if not (Atomic.get f.alive) then raise (Dispatch.Host_down "connect refused");
+        let aborted = Atomic.make false in
+        let rec stall left =
+          if Atomic.get aborted then raise (Dispatch.Host_down "aborted");
+          if left > 0. then begin
+            Unix.sleepf (Float.min left 0.005);
+            stall (left -. 0.005)
+          end
+        in
         {
           Dispatch.c_run_batch =
             (fun items ->
@@ -82,11 +92,11 @@ let fake_transport hosts =
               if Atomic.fetch_and_add f.fail_next (-1) > 0 then
                 raise (Dispatch.Host_down "injected failure")
               else Atomic.incr f.fail_next;
-              if f.stall > 0. then Unix.sleepf f.stall;
+              stall f.stall;
               record_batch f items;
               Array.map f.reply items);
-          c_ping = (fun () -> Atomic.get f.alive);
-          c_abort = ignore;
+          c_ping = (fun () -> Atomic.get f.alive && not (Atomic.get aborted));
+          c_abort = (fun () -> Atomic.set aborted true);
           c_close = ignore;
         });
   }
@@ -239,7 +249,10 @@ let test_remote_reject_runs_locally () =
 
 let test_hedging_first_result_wins () =
   (* w0 sits on every chunk for a second; hedges onto w1 must win and
-     the stragglers' late verdicts must dedup, not double-count *)
+     the stragglers' late verdicts must dedup, not double-count.  When
+     the batch ends, w0 is still inside its stalled batches, and [run]'s
+     batch-end abort wakes them with [Host_down]: our own doing, which
+     must not count against a healthy host *)
   let hosts = [ ("w0", fake ~stall:1.0 ()); ("w1", fake ~stall:0.02 ()) ] in
   let policy =
     { fast_policy with Dispatch.chunk_jobs = 1; hedge_after = 0.05; window = 2 }
@@ -250,7 +263,11 @@ let test_hedging_first_result_wins () =
   let tot = Dispatch.totals t in
   Alcotest.(check bool) "hedges issued" true (tot.Dispatch.t_hedges >= 1);
   Alcotest.(check bool) "a hedge won" true (tot.Dispatch.t_hedge_wins >= 1);
-  Alcotest.(check int) "no holes" 0 tot.Dispatch.t_holes
+  Alcotest.(check int) "no holes" 0 tot.Dispatch.t_holes;
+  let failures =
+    List.fold_left (fun acc h -> acc + h.Dispatch.hs_failures) 0 (Dispatch.host_stats t)
+  in
+  Alcotest.(check int) "a healthy fleet logs no failures" 0 failures
 
 let test_groups_never_split () =
   (* snapshot cells must land in one chunk so remote engines can fork

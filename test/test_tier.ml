@@ -7,12 +7,12 @@
 
    2. a fault-injection grid classifies identically whether members run
       lowered or compiled, from zero or resumed from a copy-on-write
-      snapshot — and the compiled tier actually deoptimizes when the
-      injected fault activates mid-run;
+      snapshot — and under the default policy the resumed members, whose
+      fault activates at once, still promote to the compiled tier;
 
    3. a [Vm.resume] edge: a member whose divergence frontier sits in a
-      call block (a compiled-tier deopt point) resumes, lowered and
-      compiled, exactly like its from-zero run. *)
+      block with calls resumes, lowered and compiled, exactly like its
+      from-zero run, and the resumed member runs compiled. *)
 
 open Dpmr_ir
 open Types
@@ -91,30 +91,34 @@ let test_grid_tiers_agree () =
   Alcotest.(check bool)
     "at least one injection activated" true
     (List.exists (fun c -> c.Experiment.sf) baseline);
-  let _, deopts_before = Vm.tier_stats () in
   Alcotest.(check bool)
     "compiled from-zero grid = lowered" true
     (classify_all Vm.Tier_compiled ~resume:false = baseline);
-  let _, deopts_after = Vm.tier_stats () in
-  Alcotest.(check bool)
-    "fault activation forced compiled-tier deopts" true
-    (deopts_after > deopts_before);
   Alcotest.(check bool)
     "lowered resumed grid = lowered from zero" true
     (classify_all Vm.Tier_lowered ~resume:true = baseline);
   Alcotest.(check bool)
     "compiled resumed grid = lowered from zero" true
-    (classify_all Vm.Tier_compiled ~resume:true = baseline)
+    (classify_all Vm.Tier_compiled ~resume:true = baseline);
+  (* every resumed member activates its fault at once; the default
+     policy promotes it all the same *)
+  let promos = Vm.tier_stats () in
+  Alcotest.(check bool)
+    "auto resumed grid = lowered from zero" true
+    (classify_all Vm.Tier_auto ~resume:true = baseline);
+  Alcotest.(check bool)
+    "activated resumed members promote" true
+    (Vm.tier_stats () > promos)
 
-(* ---- 3. resume at a deopt-point frontier ---------------------------- *)
+(* ---- 3. resume at a call-block frontier ----------------------------- *)
 
 (* Baseline and member share functions, globals and block structure; the
    member does an extra boxed round-trip inside the then-branch of a
    conditional the baseline run takes.  That branch is the first block
    where the two differ, and it contains calls (box/free), so the
-   divergence frontier's block boundary is a compiled-tier
-   deoptimization point.  The hot loop past the join lowers to fused
-   load/arith/store runs, which the resumed member executes compiled. *)
+   capture holds a frame in a call-carrying block.  The hot loop past
+   the join lowers to fused load/arith/store runs, which the resumed
+   member executes compiled. *)
 let build_fork_prog ~extra () =
   let p = Prog.create () in
   Dpmr_vm.Extern.declare_signatures p;
@@ -151,7 +155,7 @@ let build_fork_prog ~extra () =
   B.ret b (Some (B.i32c 0));
   p
 
-let test_resume_at_deopt_point () =
+let test_resume_at_call_block () =
   let base = build_fork_prog ~extra:false () in
   let memb = build_fork_prog ~extra:true () in
   Verifier.check_prog base;
@@ -162,19 +166,6 @@ let test_resume_at_deopt_point () =
     | Some l -> l
     | None -> Alcotest.fail "expected a common structural prefix"
   in
-  (* the first block with a finite limit contains calls: its boundary is
-     a compiled-tier deoptimization point *)
-  let frontier_is_call_block =
-    match Hashtbl.find_opt limits "main" with
-    | None -> false
-    | Some row -> (
-        let lf = Hashtbl.find lmemb.Lower.funcs "main" in
-        match Array.find_index (fun l -> l < max_int) row with
-        | None -> false
-        | Some bidx -> lf.Lower.lblocks.(bidx).Lower.lflags land Lower.b_call <> 0)
-  in
-  Alcotest.(check bool)
-    "frontier block is a deopt point (call block)" true frontier_is_call_block;
   let from_zero =
     with_tier Vm.Tier_lowered (fun () ->
         run_fp (Dpmr.run_plain ~lowered:lmemb memb))
@@ -187,10 +178,10 @@ let test_resume_at_deopt_point () =
   in
   Alcotest.(check string) "lowered resume = from zero" from_zero
     (resumed Vm.Tier_lowered);
-  let promos_before, _ = Vm.tier_stats () in
+  let promos_before = Vm.tier_stats () in
   Alcotest.(check string) "compiled resume = from zero" from_zero
     (resumed Vm.Tier_compiled);
-  let promos_after, _ = Vm.tier_stats () in
+  let promos_after = Vm.tier_stats () in
   Alcotest.(check bool)
     "the resumed member actually ran compiled" true
     (promos_after > promos_before)
@@ -203,7 +194,7 @@ let suites =
           test_three_tiers_agree;
         Alcotest.test_case "fault grid agrees across tiers and plans" `Quick
           test_grid_tiers_agree;
-        Alcotest.test_case "resume at a deopt-point frontier" `Quick
-          test_resume_at_deopt_point;
+        Alcotest.test_case "resume at a call-block frontier" `Quick
+          test_resume_at_call_block;
       ] );
   ]
