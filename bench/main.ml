@@ -1,33 +1,15 @@
-(* Benchmark harness.
+(* Host-side microbenchmarks.
 
-   Two halves:
-
-   1. Regenerate every evaluation table and figure of the paper (Chapters
-      3 and 4) by running the actual experiments — this prints the same
-      rows/series the paper reports, in cost-model units.
-
-   2. A Bechamel microbenchmark per table/figure measuring the host-side
-      cost of the representative operation behind it (transforming a
-      workload, running one instrumented variant, one fault-injection
-      experiment, ...), so regressions in the tooling itself are visible.
+   A Bechamel microbenchmark per table/figure measuring the host-side
+   cost of the representative operation behind it (transforming a
+   workload, running one instrumented variant, one fault-injection
+   experiment, ...), so regressions in the tooling itself are visible.
 
    Usage:
-     dune exec bench/main.exe              # both halves
-     dune exec bench/main.exe -- figures   # paper tables/figures only
-     dune exec bench/main.exe -- micro     # bechamel microbenches only
+     dune exec bench/main.exe
 
-   A third mode compares two shell commands A/B-style:
-
-     dune exec bench/main.exe -- --compare [--rounds N] [--json FILE] \
-       'CMD_BEFORE' 'CMD_AFTER'
-
-   Each round runs both commands back-to-back (paired, so machine-load
-   drift hits both sides of a pair equally) and the report is the ratio
-   of the two per-command wall-time medians.
-
-   The figures half goes through the parallel experiment engine
-   (lib/engine): worker domains + the content-addressed result cache,
-   with the engine summary printed to stderr at the end. *)
+   The paper's tables and figures come from [dpmr report <id>]; end-to-end
+   timings come from bench/e2e. *)
 
 open Bechamel
 open Toolkit
@@ -36,23 +18,7 @@ module Dpmr = Dpmr_core.Dpmr
 module Experiment = Dpmr_fi.Experiment
 module Inject = Dpmr_fi.Inject
 module Workloads = Dpmr_workloads.Workloads
-module Figures = Dpmr_harness.Figures
-module Engine = Dpmr_engine.Engine
 module Job = Dpmr_engine.Job
-
-(* ------------------------------------------------------------------ *)
-(* Half 1: the paper's tables and figures                              *)
-(* ------------------------------------------------------------------ *)
-
-let run_figures () =
-  let engine = Engine.create () in
-  let ctx = Figures.create ~engine () in
-  Figures.run_all ctx;
-  Engine.print_summary engine
-
-(* ------------------------------------------------------------------ *)
-(* Half 2: bechamel microbenches, one per table/figure                 *)
-(* ------------------------------------------------------------------ *)
 
 let sds = Config.default
 let mds = { Config.default with Config.mode = Config.Mds }
@@ -150,115 +116,4 @@ let run_micro () =
         (Test.elements test))
     micro_tests
 
-(* ------------------------------------------------------------------ *)
-(* Mode 3: paired A/B comparison of two shell commands                  *)
-(* ------------------------------------------------------------------ *)
-
-let median a =
-  let s = Array.copy a in
-  Array.sort compare s;
-  let n = Array.length s in
-  if n = 0 then nan
-  else if n land 1 = 1 then s.(n / 2)
-  else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.
-
-let timed_command cmd =
-  let t0 = Unix.gettimeofday () in
-  let rc = Sys.command cmd in
-  let wall = Unix.gettimeofday () -. t0 in
-  if rc <> 0 then (
-    Printf.eprintf "compare: command exited %d: %s\n%!" rc cmd;
-    exit 1);
-  wall
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let run_compare ~rounds ~json cmd_a cmd_b =
-  let ta = Array.make rounds 0. and tb = Array.make rounds 0. in
-  (* one untimed warmup pair so cold caches (file system, result cache
-     state) are charged to neither side *)
-  ignore (timed_command cmd_a);
-  ignore (timed_command cmd_b);
-  for i = 0 to rounds - 1 do
-    ta.(i) <- timed_command cmd_a;
-    tb.(i) <- timed_command cmd_b;
-    Printf.printf "round %d/%d: A %.3fs  B %.3fs  (A/B %.2fx)\n%!" (i + 1)
-      rounds ta.(i) tb.(i)
-      (ta.(i) /. tb.(i))
-  done;
-  let ma = median ta and mb = median tb in
-  let speedup = ma /. mb in
-  Printf.printf "\nA: %s\nB: %s\n" cmd_a cmd_b;
-  Printf.printf "median A %.3fs, median B %.3fs — B is %.2fx vs A\n" ma mb
-    speedup;
-  match json with
-  | None -> ()
-  | Some file ->
-      let b = Buffer.create 512 in
-      let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-      let floats a =
-        String.concat ", "
-          (List.map (Printf.sprintf "%.4f") (Array.to_list a))
-      in
-      add "{\n";
-      add "  \"schema\": \"dpmr-bench-compare/1\",\n";
-      add "  \"cmd_before\": \"%s\",\n" (json_escape cmd_a);
-      add "  \"cmd_after\": \"%s\",\n" (json_escape cmd_b);
-      add "  \"rounds\": %d,\n" rounds;
-      add "  \"before_seconds\": [%s],\n" (floats ta);
-      add "  \"after_seconds\": [%s],\n" (floats tb);
-      add "  \"median_before_seconds\": %.4f,\n" ma;
-      add "  \"median_after_seconds\": %.4f,\n" mb;
-      add "  \"speedup\": %.3f\n" speedup;
-      add "}\n";
-      let oc = open_out file in
-      output_string oc (Buffer.contents b);
-      close_out oc;
-      Printf.printf "wrote %s\n" file
-
-let compare_main args =
-  let rounds = ref 5 and json = ref None and cmds = ref [] in
-  let rec parse = function
-    | "--rounds" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some v when v > 0 -> rounds := v
-        | _ ->
-            Printf.eprintf "compare: bad --rounds %S\n" n;
-            exit 2);
-        parse rest
-    | "--json" :: file :: rest ->
-        json := Some file;
-        parse rest
-    | cmd :: rest ->
-        cmds := cmd :: !cmds;
-        parse rest
-    | [] -> ()
-  in
-  parse args;
-  match List.rev !cmds with
-  | [ a; b ] -> run_compare ~rounds:!rounds ~json:!json a b
-  | _ ->
-      Printf.eprintf
-        "usage: bench/main.exe --compare [--rounds N] [--json FILE] 'CMD_BEFORE' 'CMD_AFTER'\n";
-      exit 2
-
-let () =
-  let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "both" in
-  if what = "--compare" then
-    compare_main (Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)))
-  else begin
-    if what = "figures" || what = "both" then run_figures ();
-    if what = "micro" || what = "both" then run_micro ()
-  end
+let () = run_micro ()

@@ -139,13 +139,6 @@ let families_t =
         ~doc:"Comma-separated diversity-transform families applied per replica \
               (see 'dpmr list' for the registry).")
 
-let vote_t =
-  Arg.(
-    value
-    & opt (enum [ ("any-mismatch", Config.Any_mismatch); ("majority", Config.Majority) ])
-        Config.Any_mismatch
-    & info [ "vote" ] ~doc:"Per-site voting rule across replicas: any-mismatch | majority.")
-
 (** Configs built by commands that do not expose the N-version axes keep
     the single-replica defaults. *)
 let cfg_of mode diversity policy seed =
@@ -171,12 +164,12 @@ let report_run (r : Outcome.run) =
 (* ---- commands ---- *)
 
 let run_cmd =
-  let go name scale seed mode diversity policy plain replicas families vote =
+  let go name scale seed mode diversity policy plain replicas families =
     let prog = build_workload name scale in
     let r =
       if plain then Dpmr.run_plain ~seed prog
       else
-        let cfg = { (cfg_of mode diversity policy seed) with Config.replicas; families; vote } in
+        let cfg = { (cfg_of mode diversity policy seed) with Config.replicas; families } in
         Dpmr.run_dpmr ~seed cfg prog
     in
     report_run r
@@ -184,21 +177,19 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run a workload, optionally under DPMR.")
     Term.(
       const go $ workload_t $ scale_t $ seed_t $ mode_t $ diversity_t $ policy_t $ plain_t
-      $ replicas_t $ families_t $ vote_t)
+      $ replicas_t $ families_t)
 
 let transform_cmd =
-  let go name scale mode diversity policy replicas families vote =
+  let go name scale mode diversity policy replicas families =
     let prog = build_workload name scale in
-    let cfg =
-      { Config.default with Config.mode; diversity; policy; replicas; families; vote }
-    in
+    let cfg = { Config.default with Config.mode; diversity; policy; replicas; families } in
     let tp = Dpmr.transform cfg prog in
     print_string (Dpmr_ir.Printer.prog_to_string tp)
   in
   Cmd.v (Cmd.info "transform" ~doc:"Print the DPMR-transformed IR of a workload.")
     Term.(
       const go $ workload_t $ scale_t $ mode_t $ diversity_t $ policy_t $ replicas_t
-      $ families_t $ vote_t)
+      $ families_t)
 
 let sites_cmd =
   let go name scale =
@@ -468,7 +459,7 @@ let report_cmd =
           ~doc:"Duplicate a straggling chunk onto a second healthy worker \
                 after $(docv) milliseconds; first result wins (0 disables).")
   in
-  let go id fig scale seed reps replicas families vote jobs no_cache no_snapshot
+  let go id fig scale seed reps replicas families jobs no_cache no_snapshot
       chaos deadline retries backoff_ms telemetry_json remote_workers
       min_workers window chunk hedge_ms =
     (match chaos with
@@ -546,7 +537,7 @@ let report_cmd =
         Engine.drain engine;
         write_telemetry ());
     Drain.graceful_exit ();
-    let ctx = Figures.create ~scale ~seed ~reps ~replicas ~families ~vote ~engine () in
+    let ctx = Figures.create ~scale ~seed ~reps ~replicas ~families ~engine () in
     (if id = "all" then Figures.run_all ctx
      else if id = "forensics" then
        Figures.forensics ctx (Option.value fig ~default:"fig-3.6")
@@ -562,7 +553,7 @@ let report_cmd =
              FIG' for a traced fault grid).")
     Term.(
       const go $ id_t $ fig_t $ scale_t $ seed_t $ reps_t $ replicas_t
-      $ families_t $ vote_t $ jobs_t $ no_cache_t $ no_snapshot_t $ chaos_t
+      $ families_t $ jobs_t $ no_cache_t $ no_snapshot_t $ chaos_t
       $ deadline_t $ retries_t $ backoff_ms_t $ telemetry_json_t
       $ remote_workers_t $ min_workers_t $ window_t $ chunk_t $ hedge_ms_t)
 

@@ -10,8 +10,8 @@
    experiment identities, the rest from a cold space, so the run
    exercises both the federated cache and the worker pool.
 
-   Reports client-observed throughput and latency percentiles to
-   stdout and (--out) a BENCH_serve.json artifact.
+   Reports client-observed throughput and latency percentiles as JSON
+   on stdout, and also writes that report to --out FILE when given.
 
    --pinned / --pinned-local write the verdicts of a fixed request set
    (same bytes on every conforming build): --pinned asks the daemon
@@ -298,8 +298,9 @@ let hot_t =
 let out_t =
   Arg.(
     value
-    & opt string "BENCH_serve.json"
-    & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Benchmark report path.")
+    & opt (some string) None
+    & info [ "out"; "o" ] ~docv:"FILE"
+        ~doc:"Also write the benchmark report (printed on stdout) to $(docv).")
 
 let pinned_t =
   Arg.(
@@ -355,11 +356,14 @@ let go socket tcp connections requests seed scale hot_pct out pinned pinned_loca
         a
       in
       let report = bench_json ~connections ~requests:total ~tallies ~wall ~sorted in
-      let oc = open_out out in
-      output_string oc report;
-      close_out oc;
       print_string report;
-      Printf.printf "report  : %s\n" out;
+      Option.iter
+        (fun out ->
+          let oc = open_out out in
+          output_string oc report;
+          close_out oc;
+          Printf.printf "report  : %s\n" out)
+        out;
       let protocol_errors =
         List.fold_left (fun a t -> a + t.protocol_errors) 0 tallies
       in

@@ -29,13 +29,6 @@ type policy =
           check [i mod 64] executes (Table 2.9) *)
   | Static of float  (** compile-time probability that a load site keeps its check *)
 
-(** Per-site voting rule across the N replicas (N-version extension).
-    With a single replica the two coincide: one mismatch is both "any"
-    and a majority. *)
-type vote =
-  | Any_mismatch  (** any replica disagreeing with the application detects *)
-  | Majority  (** more than N/2 replicas must disagree *)
-
 type t = {
   mode : mode;
   diversity : diversity;
@@ -45,7 +38,6 @@ type t = {
   families : string list;
       (** diversity-family names ({!Diversity_family} registry), applied
           to every replica with per-replica deterministic seeding *)
-  vote : vote;
 }
 
 let default =
@@ -56,7 +48,6 @@ let default =
     seed = 42L;
     replicas = 1;
     families = [];
-    vote = Any_mismatch;
   }
 
 (* The three masks evaluated in §2.7: repeating the printed 32-bit
@@ -84,16 +75,13 @@ let policy_name = function
       Printf.sprintf "temporal-%d/64" !bits
   | Static f -> Printf.sprintf "static-%d%%" (int_of_float (f *. 100.))
 
-let vote_name = function Any_mismatch -> "any-mismatch" | Majority -> "majority"
-
 (* The N-version axes render only when non-default, so every display
    label of the paper's single-replica grid is unchanged. *)
 let nversion_suffix c =
-  if c.replicas = 1 && c.families = [] && c.vote = Any_mismatch then ""
+  if c.replicas = 1 && c.families = [] then ""
   else
-    Printf.sprintf "/n%d%s%s" c.replicas
+    Printf.sprintf "/n%d%s" c.replicas
       (match c.families with [] -> "" | fs -> "/" ^ String.concat "+" fs)
-      (match c.vote with Any_mismatch -> "" | Majority -> "/majority")
 
 let name c =
   Printf.sprintf "%s/%s/%s%s" (mode_name c.mode) (diversity_name c.diversity)

@@ -30,12 +30,6 @@ type policy =
           (Table 2.9) *)
   | Static of float  (** compile-time keep-probability per load site *)
 
-(** Per-site voting rule across the N replicas (N-version extension);
-    with one replica the two coincide. *)
-type vote =
-  | Any_mismatch  (** any replica disagreeing with the application detects *)
-  | Majority  (** more than N/2 replicas must disagree *)
-
 type t = {
   mode : mode;
   diversity : diversity;
@@ -45,11 +39,10 @@ type t = {
   families : string list;
       (** diversity-family names ({!Diversity_family} registry), applied
           to every replica with per-replica deterministic seeding *)
-  vote : vote;
 }
 
-(** SDS, no diversity, all loads, seed 42, one replica, no families,
-    any-mismatch voting — the paper's configuration. *)
+(** SDS, no diversity, all loads, seed 42, one replica, no families —
+    the paper's configuration. *)
 val default : t
 
 (** The §2.7 masks: 1/8, 1/2 and 7/8 checking density. *)
@@ -61,7 +54,6 @@ val temporal_mask_7_8 : int64
 val mode_name : mode -> string
 val diversity_name : diversity -> string
 val policy_name : policy -> string
-val vote_name : vote -> string
 
 (** Display rendering of the N-version axes; [""] for the single-replica
     default, so the paper grid's labels are unchanged. *)

@@ -30,71 +30,42 @@ let prepare (p : Config.policy) seed (dst : Prog.t) =
       { mask_counter = Some mask_counter_name; rng }
   | Config.All_loads | Config.Static _ -> { mask_counter = None; rng }
 
-(** Load one replica value and compare it with the application value,
-    yielding the equality operand. *)
-let emit_eq (b : Builder.t) ty app_val rep_addr =
-  let rep_val = Builder.load b ~name:"chk" ty rep_addr in
-  match ty with
-  | Float -> Builder.fcmp b Foeq app_val rep_val
-  | Int w -> Builder.icmp b Ieq w app_val rep_val
-  | Ptr _ ->
-      let a = Builder.ptr_to_int b app_val in
-      let r = Builder.ptr_to_int b rep_val in
-      Builder.icmp b Ieq W64 a r
-  | _ -> invalid_arg "Policy.emit_compare: non-scalar load"
-
 (** Emit the comparison itself: load the replica value, compare it with
     the application value, branch to [detect_label] on mismatch. *)
 let emit_compare (b : Builder.t) ty app_val rep_addr detect_label =
-  let eq = emit_eq b ty app_val rep_addr in
+  let rep_val = Builder.load b ~name:"chk" ty rep_addr in
+  let eq =
+    match ty with
+    | Float -> Builder.fcmp b Foeq app_val rep_val
+    | Int w -> Builder.icmp b Ieq w app_val rep_val
+    | Ptr _ ->
+        let a = Builder.ptr_to_int b app_val in
+        let r = Builder.ptr_to_int b rep_val in
+        Builder.icmp b Ieq W64 a r
+    | _ -> invalid_arg "Policy.emit_compare: non-scalar load"
+  in
   let cont = Builder.new_block b "chk.ok" in
   Builder.cbr b eq cont.Func.label detect_label;
   Builder.position b cont
 
-(** Emit the N-replica vote for one load site.  A single replica address
-    emits exactly the dissertation's compare-and-branch under either
-    rule; [Any_mismatch] chains per-replica compares, each branching
-    straight to detection; [Majority] accumulates a mismatch count and
-    detects only when more than N/2 replicas disagree. *)
-let emit_vote (vote : Config.vote) (b : Builder.t) ty app_val rep_addrs
-    detect_label =
-  match (rep_addrs, vote) with
-  | [], _ -> ()
-  | [ one ], _ -> emit_compare b ty app_val one detect_label
-  | addrs, Config.Any_mismatch ->
-      List.iter (fun a -> emit_compare b ty app_val a detect_label) addrs
-  | addrs, Config.Majority ->
-      let n = List.length addrs in
-      let count =
-        List.fold_left
-          (fun acc a ->
-            let eq = emit_eq b ty app_val a in
-            let miss =
-              Builder.select b ~name:"miss" i64 eq (Builder.i64c 0)
-                (Builder.i64c 1)
-            in
-            Builder.add b ~name:"votes" W64 acc miss)
-          (Builder.i64c 0) addrs
-      in
-      let over =
-        Builder.icmp b ~name:"maj" Isgt W64 count (Builder.i64c (n / 2))
-      in
-      let cont = Builder.new_block b "vote.ok" in
-      Builder.cbr b over detect_label cont.Func.label;
-      Builder.position b cont
-
 (** Emit the (possibly gated) load check for one load site across the N
-    replica addresses.  Returns [true] if any check code was emitted
-    (used by tests and statistics). *)
-let emit_check state (p : Config.policy) (vote : Config.vote) (b : Builder.t)
-    ty app_val rep_addrs detect_label =
+    replica addresses: one compare per replica, each mismatch branching
+    straight to detection, so any disagreeing replica detects (a single
+    replica emits exactly the dissertation's compare-and-branch).
+    Returns [true] if any check code was emitted (used by tests and
+    statistics). *)
+let emit_check state (p : Config.policy) (b : Builder.t) ty app_val rep_addrs
+    detect_label =
+  let emit_compares () =
+    List.iter (fun a -> emit_compare b ty app_val a detect_label) rep_addrs
+  in
   match p with
   | Config.All_loads ->
-      emit_vote vote b ty app_val rep_addrs detect_label;
+      emit_compares ();
       true
   | Config.Static fraction ->
       if Rng.float state.rng < fraction then begin
-        emit_vote vote b ty app_val rep_addrs detect_label;
+        emit_compares ();
         true
       end
       else false
@@ -102,16 +73,15 @@ let emit_check state (p : Config.policy) (vote : Config.vote) (b : Builder.t)
       (* Table 2.9: the check runs iff bit [maskCounter] of [mask] is set
          [mask shifted left by 64 - c - 1, then logically right by 63],
          and maskCounter advances to [maskCounter + 1 mod 64].  The mask
-         gates the whole vote, so each site still advances the counter
-         exactly once regardless of N. *)
+         gates all N compares together, so each site still advances the
+         counter exactly once regardless of N. *)
       let counter = Global (Option.get state.mask_counter) in
       let c = Builder.load b ~name:"mc" i32 counter in
       let c64 = Builder.int_cast b ~signed:false W64 c in
       let shift = Builder.sub b W64 (Builder.i64c 63) c64 in
       let shifted = Builder.binop b Shl W64 (Cint (W64, mask)) shift in
       let bit = Builder.binop b Lshr W64 shifted (Builder.i64c 63) in
-      Builder.if_ b bit (fun () ->
-          emit_vote vote b ty app_val rep_addrs detect_label);
+      Builder.if_ b bit emit_compares;
       let c1 = Builder.add b W32 c (Builder.i32c 1) in
       let cm = Builder.srem b W32 c1 (Builder.i32c 64) in
       Builder.store b i32 cm counter;

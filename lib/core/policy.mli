@@ -20,17 +20,12 @@ val prepare : Config.policy -> int64 -> Prog.t -> state
     the detect label on mismatch. *)
 val emit_compare : Builder.t -> ty -> operand -> operand -> string -> unit
 
-(** Emit the N-replica vote for one site over the replica addresses; a
-    single address reproduces {!emit_compare} exactly under either rule. *)
-val emit_vote :
-  Config.vote -> Builder.t -> ty -> operand -> operand list -> string -> unit
-
 (** Emit the (policy-gated) load check for one site across the N replica
-    addresses; returns whether any check code was emitted. *)
+    addresses: one {!emit_compare} per replica, so any mismatch detects.
+    Returns whether any check code was emitted. *)
 val emit_check :
   state ->
   Config.policy ->
-  Config.vote ->
   Builder.t ->
   ty ->
   operand ->

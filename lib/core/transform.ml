@@ -502,8 +502,7 @@ let transform_load c b dst_reg ty p =
     let lbl = detect_label c b in
     c.site <- c.site + 1;
     ignore
-      (Policy.emit_check c.env.pol c.env.cfg.Config.policy
-         c.env.cfg.Config.vote b aug_ty (Reg t.app)
+      (Policy.emit_check c.env.pol c.env.cfg.Config.policy b aug_ty (Reg t.app)
          (Array.to_list (rep_ops c p)) lbl)
   end;
   if is_ptr then

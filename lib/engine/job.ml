@@ -51,35 +51,23 @@ let site_repr (s : Inject.site) =
 (* [Config.name] is for display (it rounds [Static] fractions); the cache
    identity needs full fidelity, so floats render as hex and temporal
    masks as the exact 64-bit pattern. *)
+let policy_repr = function
+  | Config.All_loads -> "all-loads"
+  | Config.Temporal m -> Printf.sprintf "temporal-%Lx" m
+  | Config.Static f -> Printf.sprintf "static-%h" f
+
 let config_repr (c : Config.t) =
-  let diversity =
-    match c.Config.diversity with
-    | Config.No_diversity -> "no-diversity"
-    | Config.Pad_malloc n -> Printf.sprintf "pad-malloc-%d" n
-    | Config.Zero_before_free -> "zero-before-free"
-    | Config.Rearrange_heap -> "rearrange-heap"
-    | Config.Pad_alloca n -> Printf.sprintf "pad-alloca-%d" n
-  in
-  let policy =
-    match c.Config.policy with
-    | Config.All_loads -> "all-loads"
-    | Config.Temporal m -> Printf.sprintf "temporal-%Lx" m
-    | Config.Static f -> Printf.sprintf "static-%h" f
-  in
   (* N-version axes append only when non-default, so every pre-N-version
      repr (and therefore its key) is reproduced byte for byte *)
   let nversion =
-    if
-      c.Config.replicas = 1 && c.Config.families = []
-      && c.Config.vote = Config.Any_mismatch
-    then ""
+    if c.Config.replicas = 1 && c.Config.families = [] then ""
     else
-      Printf.sprintf ",n=%d,fam=%s,vote=%s" c.Config.replicas
+      Printf.sprintf ",n=%d,fam=%s" c.Config.replicas
         (String.concat "+" c.Config.families)
-        (Config.vote_name c.Config.vote)
   in
-  Printf.sprintf "%s,%s,%s,%Ld%s" (Config.mode_name c.Config.mode) diversity policy
-    c.Config.seed nversion
+  Printf.sprintf "%s,%s,%s,%Ld%s" (Config.mode_name c.Config.mode)
+    (Config.diversity_name c.Config.diversity)
+    (policy_repr c.Config.policy) c.Config.seed nversion
 
 let variant_repr = function
   | Experiment.Golden -> "golden"

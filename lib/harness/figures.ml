@@ -24,7 +24,7 @@ type ctx = {
   engine : Engine.t;  (** runs every job batch: parallelism + result cache *)
   nv : Config.t -> Config.t;
       (** N-version override applied to every figure configuration
-          ([--replicas]/[--families]/[--vote]); identity at the defaults,
+          ([--replicas]/[--families]); identity at the defaults,
           so the byte-stable [report all] contract is untouched *)
   experiments : (string, Experiment.t) Hashtbl.t;
       (** main-domain contexts, for site enumeration and golden baselines
@@ -34,7 +34,7 @@ type ctx = {
 }
 
 let create ?(scale = 1) ?(seed = 42L) ?(reps = 1) ?(replicas = 1) ?(families = [])
-    ?(vote = Config.Any_mismatch) ?engine () =
+    ?engine () =
   let engine =
     (* absent an explicit engine, behave exactly like the historical
        serial driver: one worker, no persistent cache *)
@@ -47,7 +47,7 @@ let create ?(scale = 1) ?(seed = 42L) ?(reps = 1) ?(replicas = 1) ?(families = [
     seed;
     reps = max 1 reps;
     engine;
-    nv = (fun cfg -> { cfg with Config.replicas; families; vote });
+    nv = (fun cfg -> { cfg with Config.replicas; families });
     experiments = Hashtbl.create 8;
     class_cache = Hashtbl.create 64;
     snad_cache = Hashtbl.create 16;
@@ -905,21 +905,13 @@ let nversion_surface ctx =
     (T.render
        ([ "kind"; "families"; "N"; "CO"; "NatDet"; "DpmrDet"; "total"; "n" ]
        :: List.rev !rows));
-  (* detection conditions: what each (N, vote) point requires of a fault *)
-  T.print_section "Detection conditions by (N, vote)";
+  (* detection conditions: what each replica count requires of a fault *)
+  T.print_section "Detection conditions by N";
   print_string
     (T.render
-       ([ "N"; "vote"; "condition" ]
-       :: List.concat_map
-            (fun n ->
-              List.map
-                (fun vote ->
-                  [
-                    string_of_int n;
-                    Config.vote_name vote;
-                    Surface.detection_condition ~n ~vote;
-                  ])
-                [ Config.Any_mismatch; Config.Majority ])
+       ([ "N"; "condition" ]
+       :: List.map
+            (fun n -> [ string_of_int n; Surface.detection_condition ~n ])
             Surface.ns));
   (* marginal detection gain of going 1 -> max N, per family set *)
   T.print_section "Marginal total-coverage gain of N=3 over N=1";

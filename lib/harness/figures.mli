@@ -12,17 +12,15 @@ type ctx
     run-number dimension RN of the §3.6 experiment tuple.  [engine] runs
     all job batches (parallel workers + persistent result cache); when
     absent, a serial uncached engine reproduces the historical driver
-    behaviour exactly.  [replicas]/[families]/[vote] override the
-    N-version axes of every figure configuration; at their defaults
-    (1/[]/any-mismatch) every figure is byte-identical to the
-    single-replica driver. *)
+    behaviour exactly.  [replicas]/[families] override the N-version
+    axes of every figure configuration; at their defaults (1/[]) every
+    figure is byte-identical to the single-replica driver. *)
 val create :
   ?scale:int ->
   ?seed:int64 ->
   ?reps:int ->
   ?replicas:int ->
   ?families:string list ->
-  ?vote:Dpmr_core.Config.vote ->
   ?engine:Dpmr_engine.Engine.t ->
   unit ->
   ctx
@@ -39,7 +37,7 @@ val run_all : ctx -> unit
 
 val nversion_surface : ctx -> unit
 (** Detection-coverage surface over (replica count N, diversity-family
-    set, fault model), with the (N, vote) detection conditions, the
+    set, fault model), with the per-N detection conditions, the
     marginal gain of N=3 over N=1, and measured per-replica overhead
     against the Equation 3.1-style linear model.  Not part of {!all} for
     the same byte-stability reason as {!forensics}. *)

@@ -28,18 +28,15 @@ let family_sets =
 (** The configuration one grid point denotes.  Baseline diversity stays
     [No_diversity]: the surface isolates what the *families* and the
     replica count buy, on top of nothing. *)
-let cfg ?(mode = Config.Sds) ?(vote = Config.Any_mismatch) ~n ~families () =
-  { Config.default with Config.mode; replicas = n; families; vote }
+let cfg ?(mode = Config.Sds) ~n ~families () =
+  { Config.default with Config.mode; replicas = n; families }
 
 (** When does a fault manifest as a detection at a grid point?  The
-    §2.5-style condition, generalized across N and the voting rule. *)
-let detection_condition ~n ~(vote : Config.vote) =
-  match (n, vote) with
-  | 1, _ -> "app diverges from its single replica at a checked load"
-  | _, Config.Any_mismatch ->
-      Printf.sprintf "app diverges from >= 1 of %d replicas at a checked load" n
-  | _, Config.Majority ->
-      Printf.sprintf "app diverges from > %d of %d replicas at a checked load" (n / 2) n
+    §2.5-style condition, generalized across N: any replica that
+    disagrees with the application detects. *)
+let detection_condition ~n =
+  if n = 1 then "app diverges from its single replica at a checked load"
+  else Printf.sprintf "app diverges from >= 1 of %d replicas at a checked load" n
 
 (** The naive linear cost model the measured per-replica overhead is
     compared against: replication work scales with N on top of the

@@ -26,13 +26,7 @@ let max_frame = 16 * 1024 * 1024
 (** Upper bound on one frame's payload: large enough for any IR program
     we ship, small enough to refuse a garbage length prefix. *)
 
-(* ---------------- variant atoms (Job.repr conventions) ---------------- *)
-
-let kind_to_string = function
-  | Inject.Heap_array_resize pct -> Printf.sprintf "resize-%d" pct
-  | Inject.Immediate_free -> "free"
-  | Inject.Off_by_one -> "off-by-one"
-  | Inject.Wild_store off -> Printf.sprintf "wild-store-%d" off
+(* ------ variant atom parsers (the encoder renders with Job.repr's) ------ *)
 
 let kind_of_string s =
   match s with
@@ -49,13 +43,6 @@ let kind_of_string s =
       | None -> None)
   | _ -> None
 
-let diversity_to_string = function
-  | Config.No_diversity -> "no-diversity"
-  | Config.Pad_malloc n -> Printf.sprintf "pad-malloc-%d" n
-  | Config.Zero_before_free -> "zero-before-free"
-  | Config.Rearrange_heap -> "rearrange-heap"
-  | Config.Pad_alloca n -> Printf.sprintf "pad-alloca-%d" n
-
 let diversity_of_string s =
   match s with
   | "no-diversity" | "none" -> Some Config.No_diversity
@@ -71,11 +58,6 @@ let diversity_of_string s =
       | None -> None)
   | _ -> None
 
-let policy_to_string = function
-  | Config.All_loads -> "all-loads"
-  | Config.Temporal m -> Printf.sprintf "temporal-%Lx" m
-  | Config.Static f -> Printf.sprintf "static-%h" f
-
 let policy_of_string s =
   match s with
   | "all-loads" -> Some Config.All_loads
@@ -89,26 +71,13 @@ let policy_of_string s =
       | None -> None)
   | _ -> None
 
-let mode_to_string = function Config.Sds -> "sds" | Config.Mds -> "mds"
-
 let mode_of_string = function
   | "sds" -> Some Config.Sds
   | "mds" -> Some Config.Mds
   | _ -> None
 
-let vote_to_string = function
-  | Config.Any_mismatch -> "any-mismatch"
-  | Config.Majority -> "majority"
-
-let vote_of_string = function
-  | "any-mismatch" -> Some Config.Any_mismatch
-  | "majority" -> Some Config.Majority
-  | _ -> None
-
 (** Families travel as one "+"-joined string field, matching the
     {!Config.nversion_suffix} rendering. *)
-let families_to_string fs = String.concat "+" fs
-
 let families_of_string s =
   if s = "" then []
   else String.split_on_char '+' s |> List.filter (fun f -> f <> "")
@@ -143,7 +112,6 @@ type run_params = {
   cfg_seed : int64;
   replicas : int;  (** N-version replica count; 1 = the paper's design *)
   families : string list;  (** diversity-family names, registry-validated *)
-  vote : Config.vote;
   forensics : bool;
 }
 
@@ -165,7 +133,6 @@ let default_run =
     cfg_seed = 42L;
     replicas = 1;
     families = [];
-    vote = Config.Any_mismatch;
     forensics = false;
   }
 
@@ -177,7 +144,6 @@ let config_of (p : run_params) =
     seed = p.cfg_seed;
     replicas = p.replicas;
     families = p.families;
-    vote = p.vote;
   }
 
 type body =
@@ -261,7 +227,7 @@ let encode_request { rid; body } =
       add ",\"eseed\":%Ld,\"rseed\":%Ld,\"budget\":%Ld" p.exp_seed p.run_seed p.budget;
       add ",\"golden\":%b,\"plain\":%b" p.golden p.plain;
       add ",\"kind\":%s"
-        (match p.kind with Some k -> Printf.sprintf "\"%s\"" (kind_to_string k) | None -> "null");
+        (match p.kind with Some k -> Printf.sprintf "\"%s\"" (Job.kind_repr k) | None -> "null");
       add ",\"site\":%d" p.site;
       (match p.site_ref with
       | None -> ()
@@ -269,16 +235,14 @@ let encode_request { rid; body } =
           add ",\"sfunc\":\"%s\",\"sblock\":\"%s\",\"sidx\":%d" (esc s.Inject.func)
             (esc s.Inject.block) s.Inject.index);
       add ",\"mode\":\"%s\",\"diversity\":\"%s\",\"policy\":\"%s\",\"cseed\":%Ld"
-        (mode_to_string p.mode)
-        (diversity_to_string p.diversity)
-        (policy_to_string p.policy) p.cfg_seed;
+        (Config.mode_name p.mode)
+        (Config.diversity_name p.diversity)
+        (Job.policy_repr p.policy) p.cfg_seed;
       (* N-version fields travel only when non-default, so single-replica
          frames are byte-identical to the pre-N-version wire format *)
       if p.replicas <> 1 then add ",\"replicas\":%d" p.replicas;
       if p.families <> [] then
-        add ",\"families\":\"%s\"" (esc (families_to_string p.families));
-      if p.vote <> Config.Any_mismatch then
-        add ",\"vote\":\"%s\"" (vote_to_string p.vote);
+        add ",\"families\":\"%s\"" (esc (String.concat "+" p.families));
       add ",\"forensics\":%b" p.forensics);
   Buffer.add_char b '}';
   Buffer.contents b
@@ -415,8 +379,13 @@ let decode_run fields =
   in
   let* families_s = str_field fields "families" ~default:"" in
   let families = families_of_string families_s in
-  let* vote_s = str_field fields "vote" ~default:"any-mismatch" in
-  let* vote = atom "vote" vote_of_string vote_s in
+  (* any-mismatch is the only N-version check: a frame asking for another
+     voting rule is refused, never served as an any-mismatch verdict *)
+  let* vote = str_field fields "vote" ~default:"any-mismatch" in
+  let* () =
+    if vote = "any-mismatch" then Ok ()
+    else Error (Printf.sprintf "unsupported vote %S (only any-mismatch)" vote)
+  in
   let* forensics = bool_field fields "forensics" ~default:false in
   Ok
     {
@@ -436,7 +405,6 @@ let decode_run fields =
       cfg_seed;
       replicas;
       families;
-      vote;
       forensics;
     }
 

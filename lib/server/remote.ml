@@ -55,7 +55,6 @@ let params_of_spec (spec : Job.spec) =
         cfg_seed = cfg.Dpmr_core.Config.seed;
         replicas = cfg.Dpmr_core.Config.replicas;
         families = cfg.Dpmr_core.Config.families;
-        vote = cfg.Dpmr_core.Config.vote;
       }
   | Experiment.Fi_dpmr (cfg, kind, site) ->
       {
@@ -68,7 +67,6 @@ let params_of_spec (spec : Job.spec) =
         cfg_seed = cfg.Dpmr_core.Config.seed;
         replicas = cfg.Dpmr_core.Config.replicas;
         families = cfg.Dpmr_core.Config.families;
-        vote = cfg.Dpmr_core.Config.vote;
       }
 
 (** [unix:PATH], [HOST:PORT], or a bare socket path. *)

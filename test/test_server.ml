@@ -199,7 +199,6 @@ let gen_run =
   oneofl
     [ []; [ "pad-jitter" ]; [ "layout-perm"; "alloc-shuffle" ]; [ "segment-base" ] ]
   >>= fun families ->
-  oneofl [ Config.Any_mismatch; Config.Majority ] >>= fun vote ->
   return
     {
       Protocol.workload;
@@ -218,7 +217,6 @@ let gen_run =
       cfg_seed;
       replicas;
       families;
-      vote;
       forensics;
     }
 
