@@ -380,7 +380,7 @@ let report_cmd =
       & info [ "telemetry-json" ] ~docv:"FILE"
           ~doc:
             "Write the engine telemetry (jobs, retries, cache hit rate, wall \
-             time, trace totals) as JSON to $(docv).")
+             time, GC counts, trace totals) as JSON to $(docv).")
   in
   let reps_t =
     Arg.(value & opt int 1 & info [ "reps" ] ~docv:"N"
@@ -545,7 +545,8 @@ let report_cmd =
      else if List.mem id Figures.ids then Figures.run ctx id
      else die "unknown experiment %S (see 'dpmr list')" id);
     Engine.print_summary engine;
-    write_telemetry ()
+    write_telemetry ();
+    Engine.close engine
   in
   Cmd.v
     (Cmd.info "report"
@@ -778,11 +779,6 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List workloads and experiment ids.") Term.(const go $ const ())
 
 let () =
-  (* The interpreter's steady-state allocation is near zero, but variant
-     builds (clone + transform + lower per job) churn short-lived blocks;
-     a larger minor heap (32 MB vs the 2 MB default, in words) cuts minor
-     collections during experiment sweeps. *)
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
   (* the standard diversity families must be registered before any
      --families value is validated *)
   Dpmr_nversion.Families.ensure ();

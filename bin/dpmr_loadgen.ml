@@ -244,7 +244,7 @@ let run_pinned ~socket ~tcp ~scale file =
 (** The same set, computed in this process through the daemon's own
     resolution path (no socket, no cache) — the byte-identity baseline. *)
 let run_pinned_local ~scale file =
-  let engine = Engine.create ~jobs:2 ~use_cache:false ~resident:true () in
+  let engine = Engine.create ~jobs:2 ~use_cache:false () in
   let t = Server.create engine in
   let lines =
     List.map

@@ -160,7 +160,7 @@ let go socket tcp workers retries backoff_ms deadline quota_rps quota_burst max_
   in
   let jobs = if workers <= 0 then Engine.default_jobs () else workers in
   let engine =
-    Engine.create ~jobs ~use_cache:(not no_cache) ?cache_dir ~policy ~resident:true ()
+    Engine.create ~jobs ~use_cache:(not no_cache) ?cache_dir ~policy ()
   in
   let cfg =
     {
@@ -194,7 +194,6 @@ let cmd =
       $ chaos_wire_t $ cache_dir_t $ no_cache_t $ quiet_t)
 
 let () =
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
   (* populate the diversity-family registry before any request can name
      a family; without this every N-version request would be rejected *)
   Dpmr_nversion.Families.ensure ();

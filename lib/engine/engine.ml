@@ -6,8 +6,9 @@
     - deduplicates identical specs inside a batch and serves previously
       seen specs from the content-addressed result [Cache];
     - executes the remaining jobs on a fixed pool of OCaml 5 domains
-      ([Pool]), each worker holding its own experiment contexts (programs
-      carry internal caches, so a [Prog.t] must never cross domains);
+      ([Pool]) that lives as long as the engine, each worker holding its
+      own experiment contexts (programs carry internal caches, so a
+      [Prog.t] must never cross domains);
     - returns classifications keyed by input position, so output is
       byte-identical to the serial engine regardless of completion order
       or worker count;
@@ -24,9 +25,9 @@ type t = {
   telemetry : Telemetry.t;
   supervisor : Supervisor.t;
   progress : bool;
-  pool : Pool.t option;
-      (** resident worker pool, reused across batches; [None] runs every
-          batch on transient domains (the historical behaviour) *)
+  pool : Pool.t;
+      (** [jobs] worker domains spawned at {!create} and joined at
+          {!close}; at [jobs = 1] batches run on the calling domain *)
   snapshots : bool;
       (** snapshot/fork campaign execution: run each fault-injection
           cell's warmup once as a watched baseline and fork the members
@@ -40,7 +41,7 @@ type t = {
 let default_jobs () = Pool.default_size ()
 
 let create ?jobs ?(use_cache = true) ?(cache_dir = Cache.default_dir)
-    ?(salt = Job.default_salt) ?policy ?(progress = true) ?(resident = false)
+    ?(salt = Job.default_salt) ?policy ?(progress = true)
     ?(snapshots = Sys.getenv_opt "DPMR_NO_SNAPSHOT" = None) ?dispatcher () =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let cache = if use_cache then Some (Cache.load ~dir:cache_dir ~salt ()) else None in
@@ -51,7 +52,7 @@ let create ?jobs ?(use_cache = true) ?(cache_dir = Cache.default_dir)
     telemetry = Telemetry.create ();
     supervisor = Supervisor.create ?policy ();
     progress;
-    pool = (if resident && jobs > 1 then Some (Pool.create ~size:jobs ()) else None);
+    pool = Pool.create ~size:jobs ();
     snapshots;
     dispatcher;
   }
@@ -72,14 +73,7 @@ let drain t = Option.iter Cache.flush t.cache
 let close t =
   Option.iter Cache.flush t.cache;
   Option.iter Cache.close t.cache;
-  Option.iter Pool.shutdown t.pool
-
-(* Batches go to the resident pool when there is one; otherwise to a
-   transient per-batch pool. *)
-let pool_map t ?progress f xs =
-  match t.pool with
-  | Some p -> Pool.map_on p ?progress f xs
-  | None -> Pool.map ?progress ~jobs:t.jobs f xs
+  Pool.shutdown t.pool
 
 (* ---------------- per-domain experiment contexts ---------------- *)
 
@@ -166,12 +160,26 @@ let partition_units t to_run =
       order
   end
 
+(* The minor heap of a domain that runs cells, in words: one 32 MB
+   nursery budget split over the engine's workers.  A cell keeps all of
+   its prepared members (transformed and lowered programs) live across
+   the watched baseline and every resume; on the runtime's 2 MB default
+   they are promoted and then swept by the major GC.  [Gc.set] reaches
+   only the calling domain, and every minor collection stops and
+   promotes all domains, so only domains that run cells grow: singles,
+   tasks and idle domains keep the default and their peak RSS. *)
+let grow_nursery t =
+  let g = Gc.get () in
+  let words = 4 * 1024 * 1024 / t.jobs in
+  if g.Gc.minor_heap_size < words then Gc.set { g with Gc.minor_heap_size = words }
+
 (* Run a whole cell on one worker: plan the shared baseline once, then
    run each member under its own supervision.  Any planning failure
    degrades every member to the ordinary from-zero path — never worse
    than ungrouped execution.  Returns one result per member, tagged with
    the snapshot hash its run actually resumed from. *)
 let run_cell t members =
+  grow_nursery t;
   let _, spec0 = members.(0) in
   let e = adjusted spec0 in
   let t_plan = Telemetry.now () in
@@ -261,7 +269,7 @@ let run_specs_r t specs =
         | Cell members -> run_cell t members
       in
       let run_units us =
-        pool_map t ?progress:(progress_fn t (List.length us)) exec_unit us
+        Pool.map_on t.pool ?progress:(progress_fn t (List.length us)) exec_unit us
         |> List.concat
         |> List.map (fun (it, r, wall, snap) ->
                let outcome =
@@ -357,7 +365,7 @@ let run_tasks t thunks =
   | _ ->
       let t0 = Telemetry.now () in
       let outs =
-        pool_map t
+        Pool.map_on t.pool
           (fun f ->
             let t1 = Telemetry.now () in
             let r = f () in

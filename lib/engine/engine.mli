@@ -2,9 +2,9 @@
 
     Experiment drivers submit batches of [Job.spec]s; the engine dedups
     identical specs, serves known ones from the on-disk cache, runs the
-    rest on a fixed pool of OCaml 5 domains, and returns classifications
-    in input order — so output is byte-identical to a serial run
-    regardless of worker count. *)
+    rest on a fixed pool of OCaml 5 domains that lives as long as the
+    engine, and returns classifications in input order — so output is
+    byte-identical to a serial run regardless of worker count. *)
 
 module Experiment = Dpmr_fi.Experiment
 
@@ -20,7 +20,6 @@ val create :
   ?salt:string ->
   ?policy:Supervisor.policy ->
   ?progress:bool ->
-  ?resident:bool ->
   ?snapshots:bool ->
   ?dispatcher:Dispatch.t ->
   unit ->
@@ -33,16 +32,16 @@ val create :
     (directory [Cache.default_dir]); [salt] defaults to
     [Job.default_salt]; [policy] is the supervision policy (deadline /
     retry / backoff, default [Supervisor.default_policy]); [progress]
-    prints batch progress to stderr on long grids.  [resident] (default
-    [false]) keeps one worker pool alive across batches instead of
-    spawning domains per batch, so per-domain warmup (experiment
-    contexts, lowered programs) is paid once — the mode long-lived
-    embedders (the serving daemon, multi-figure reports) use.  A
-    resident engine must be {!close}d; its domains otherwise park
-    forever.  [dispatcher] scatters cache misses to remote workers
-    ([report all --workers]) with the local pool as the degradation
-    path; the engine's cache, figures, and result ordering are
-    unchanged. *)
+    prints batch progress to stderr on long grids.  With [jobs > 1] the
+    engine spawns its worker domains here and keeps them until {!close},
+    so per-domain warmup (experiment contexts, lowered programs) is paid
+    once per engine; such an engine must be {!close}d, or its domains
+    park forever.  With [jobs = 1] every batch runs on the calling
+    domain.  A domain that runs a multi-member snapshot cell raises its
+    own minor heap to [4M / jobs] words.  [dispatcher] scatters cache
+    misses to remote workers ([report all --workers]) with the local
+    pool as the degradation path; the engine's cache, figures, and
+    result ordering are unchanged. *)
 
 val jobs : t -> int
 
@@ -61,8 +60,8 @@ val drain : t -> unit
     the daemon and of interrupted batch reports. *)
 
 val close : t -> unit
-(** [drain], close the cache channels, and shut down the resident pool
-    (if any), joining its domains. *)
+(** [drain], close the cache channels, and shut down the worker pool,
+    joining its domains. *)
 
 val experiment_for : Job.spec -> Experiment.t
 (** The per-domain experiment context (golden run, budget, prepared
@@ -94,4 +93,4 @@ val summary_lines : t -> string list
 
 val print_summary : t -> unit
 (** Engine summary (jobs run/cached, cache hit rate, busy vs wall time,
-    speedup estimate) on stderr. *)
+    pool occupancy, GC counts) on stderr. *)

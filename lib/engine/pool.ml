@@ -1,14 +1,11 @@
 (** Fixed-size domain worker pool with deterministic result ordering.
 
-    Two modes share one execution core:
-
-    - the historical batch calls ({!map} / {!map_results}) spin up a
-      transient pool, run the batch, and join the domains;
-    - a {b resident} pool ({!create}) keeps its worker domains parked on
-      a condition variable between batches, so repeated batches — an
-      engine reused across figures, or a daemon serving requests — pay
-      domain spawn and per-domain warmup (DLS-cached experiment
-      contexts, lowered programs) once instead of per batch.
+    A pool's worker domains are spawned once by {!create} and park on a
+    condition variable between batches until {!shutdown}, so repeated
+    batches — an engine reused across figures, or a daemon serving
+    requests — pay domain spawn and per-domain warmup (DLS-cached
+    experiment contexts, lowered programs) once.  A pool of size 1
+    spawns no domain: its batches run serially on the calling domain.
 
     Workers pull tasks from a mutex-protected queue and write results
     into per-index slots, so the returned list is ordered by input
@@ -56,7 +53,8 @@ let create ?(size = default_size ()) () =
       domains = [];
     }
   in
-  t.domains <- List.init t.size (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  if t.size > 1 then
+    t.domains <- List.init t.size (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let shutdown t =
@@ -120,11 +118,12 @@ let serial_batch ?progress f xs =
       r)
     xs
 
-(** Batch on a resident pool.  Safe to call from several domains at
-    once: tasks interleave in one queue and each batch waits only on its
-    own completion counter. *)
+(** Safe to call from several domains at once: tasks interleave in one
+    queue and each batch waits only on its own completion counter. *)
 let map_results_on t ?progress f xs =
-  if xs = [] then [] else run_batch t ?progress f xs
+  if xs = [] then []
+  else if t.size = 1 then serial_batch ?progress f xs
+  else run_batch t ?progress f xs
 
 let map_on t ?progress f xs =
   List.map
@@ -132,25 +131,3 @@ let map_on t ?progress f xs =
       | Ok r -> r
       | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
     (map_results_on t ?progress f xs)
-
-(* ---------------- transient (historical) interface ---------------- *)
-
-let map_results ?progress ~jobs f xs =
-  let n = List.length xs in
-  let jobs = max 1 (min jobs n) in
-  if jobs <= 1 then serial_batch ?progress f xs
-  else begin
-    let t = create ~size:jobs () in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> run_batch t ?progress f xs)
-  end
-
-(* One job raising no longer discards the other N−1 results: callers
-   that can degrade per-slot use [map_results]; [map] keeps the
-   raise-on-first-error contract but now rethrows on the joining domain
-   with the worker's backtrace attached. *)
-let map ?progress ~jobs f xs =
-  List.map
-    (function
-      | Ok r -> r
-      | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-    (map_results ?progress ~jobs f xs)

@@ -1,19 +1,21 @@
 (** Fixed-size domain worker pool with deterministic result ordering.
 
-    Batches either spin up a transient pool per call ({!map},
-    {!map_results}) or run on a {b resident} pool ({!create}) whose
-    worker domains park between batches — the mode the engine and the
-    serving daemon use so per-domain warmup (DLS-cached experiment
-    contexts, lowered programs) survives from one batch to the next. *)
+    {!create} spawns the worker domains once; they park between batches
+    until {!shutdown}, so per-domain warmup (DLS-cached experiment
+    contexts, lowered programs) survives from one batch to the next.  A
+    pool of size 1 spawns no domain and runs its batches serially on the
+    calling domain. *)
 
 val default_size : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
 type t
-(** A resident pool: [size] worker domains pulling from one queue. *)
+(** [size] worker domains pulling from one queue, or the calling domain
+    alone when [size] is 1. *)
 
 val create : ?size:int -> unit -> t
-(** Spawn the worker domains (default {!default_size}, minimum 1). *)
+(** Spawn the worker domains (default {!default_size}, minimum 1; a
+    size of 1 spawns none). *)
 
 val size : t -> int
 
@@ -27,10 +29,16 @@ val map_results_on :
   ('a -> 'b) ->
   'a list ->
   ('b, exn * Printexc.raw_backtrace) result list
-(** Run one batch on a resident pool; same slot/ordering/error contract
-    as {!map_results}.  Thread-safe: batches submitted concurrently from
-    several domains interleave in the queue, and each caller blocks only
-    on its own completion count. *)
+(** [map_results_on t f xs] applies [f] to every element on the pool's
+    workers; the i-th slot holds the i-th element's result regardless of
+    completion order.  A raising job yields [Error (exn, backtrace)] in
+    its own slot and never discards the other slots — the property the
+    campaign supervisor builds on.  [f] must not share mutable state
+    across calls — in particular it must not touch a [Prog.t] built
+    outside itself (programs carry internal caches).  [progress] is
+    called after each completion.  Thread-safe: batches submitted
+    concurrently from several domains interleave in the queue, and each
+    caller blocks only on its own completion count. *)
 
 val map_on :
   t ->
@@ -38,32 +46,6 @@ val map_on :
   ('a -> 'b) ->
   'a list ->
   'b list
-(** {!map_results_on} with the raise-on-first-error contract of {!map}. *)
-
-val map_results :
-  ?progress:(done_:int -> total:int -> unit) ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a list ->
-  ('b, exn * Printexc.raw_backtrace) result list
-(** [map_results ~jobs f xs] applies [f] to every element using [jobs]
-    worker domains (clamped to [1 .. length xs]); the i-th slot holds
-    the i-th element's result regardless of completion order.  A raising
-    job yields [Error (exn, backtrace)] in its own slot and never
-    discards the other slots — the property the campaign supervisor
-    builds on.  [jobs <= 1] degenerates to a plain sequential map with
-    no domain spawned.  [f] must not share mutable state across calls —
-    in particular it must not touch a [Prog.t] built outside itself
-    (programs carry internal caches).  [progress] is called under the
-    pool lock after each completion. *)
-
-val map :
-  ?progress:(done_:int -> total:int -> unit) ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-(** [map_results] with the historical contract: after all workers
-    finish, the first error in input order is re-raised on the joining
-    domain with the worker's backtrace preserved
+(** {!map_results_on}, then the first error in input order is re-raised
+    on the calling domain with the worker's backtrace preserved
     ([Printexc.raise_with_backtrace]). *)

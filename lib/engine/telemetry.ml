@@ -62,10 +62,11 @@ let record_batch t ~wall =
       t.batches <- t.batches + 1;
       t.wall_seconds <- t.wall_seconds +. wall)
 
-(** Estimated speedup of the engine over running every executed job
-    back-to-back on one domain: busy time over batch wall time.  [None]
-    until enough signal exists to be meaningful. *)
-let speedup_estimate t =
+(** Pool occupancy: busy time over batch wall time, the mean number of
+    domains busy with a job.  Not a speedup: with several domains every
+    job's wall time also holds its share of the others' stop-the-world
+    collections.  [None] until enough signal exists to be meaningful. *)
+let occupancy t =
   if t.wall_seconds > 1e-6 && t.busy_seconds > 0. then Some (t.busy_seconds /. t.wall_seconds)
   else None
 
@@ -102,14 +103,22 @@ let summary_lines ?(tier = 0) ?dispatch t ~workers
           s.Cache.hits looked pct s.Cache.added s.Cache.evicted damage
   in
   let time_line =
-    let speed =
-      match speedup_estimate t with
-      | Some s when t.jobs_run + t.tasks_run > 0 ->
-          Printf.sprintf " (%.2fx vs serial estimate)" s
+    let occ =
+      match occupancy t with
+      | Some o when t.jobs_run + t.tasks_run > 0 ->
+          Printf.sprintf " (pool occupancy %.2f = busy/wall)" o
       | _ -> ""
     in
     Printf.sprintf "[engine] time: busy %.2fs, wall %.2fs over %d batch(es)%s; sim cost %Ld units"
-      t.busy_seconds t.wall_seconds t.batches speed t.cost_units
+      t.busy_seconds t.wall_seconds t.batches occ t.cost_units
+  in
+  let gc_line =
+    (* the process's counters now: on OCaml 5 [quick_stat] sums every
+       domain, joined ones included *)
+    let g = Gc.quick_stat () in
+    Printf.sprintf "[engine] gc: %d minor, %d major collection(s); %.1fM minor words, %.1fM promoted"
+      g.Gc.minor_collections g.Gc.major_collections (g.Gc.minor_words /. 1e6)
+      (g.Gc.promoted_words /. 1e6)
   in
   let tier_lines =
     if tier = 0 then []
@@ -122,7 +131,7 @@ let summary_lines ?(tier = 0) ?dispatch t ~workers
     | None -> []
     | Some d -> List.map (fun l -> "[engine] " ^ l) (Dispatch.summary_lines d)
   in
-  let base = [ first; cache_line; time_line ] @ tier_lines @ dispatch_lines in
+  let base = [ first; cache_line; time_line; gc_line ] @ tier_lines @ dispatch_lines in
   (* only surfaced when a trace sink actually recorded something, so
      untraced runs keep the historical summary shape *)
   let tr = t.trace in
@@ -156,9 +165,14 @@ let to_json ?(tier = 0) ?dispatch t ~workers
   add "  \"busy_seconds\": %.3f,\n" t.busy_seconds;
   add "  \"wall_seconds\": %.3f,\n" t.wall_seconds;
   add "  \"batches\": %d,\n" t.batches;
-  (match speedup_estimate t with
-  | Some s -> add "  \"speedup_estimate\": %.2f,\n" s
+  (* the key predates the occupancy reading and is kept for readers *)
+  (match occupancy t with
+  | Some o -> add "  \"speedup_estimate\": %.2f,\n" o
   | None -> add "  \"speedup_estimate\": null,\n");
+  (let g = Gc.quick_stat () in
+   add
+     "  \"gc\": { \"minor_collections\": %d, \"major_collections\": %d, \"minor_words\": %.0f, \"promoted_words\": %.0f },\n"
+     g.Gc.minor_collections g.Gc.major_collections g.Gc.minor_words g.Gc.promoted_words);
   (match cache with
   | None -> add "  \"cache\": null,\n"
   | Some c ->

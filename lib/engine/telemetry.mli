@@ -29,9 +29,12 @@ val record_trace : t -> Dpmr_trace.Trace.summary -> unit
     once per retired sink). *)
 val record_batch : t -> wall:float -> unit
 
-val speedup_estimate : t -> float option
-(** Busy time over batch wall time — the engine's advantage over running
-    every executed job back-to-back on one domain. *)
+val occupancy : t -> float option
+(** Pool occupancy: busy time over batch wall time, the mean number of
+    domains busy with a job.  Not a speedup: at several domains each
+    job's wall time also holds the others' stop-the-world collections.
+    [--telemetry-json] reports it under its older key
+    [speedup_estimate]. *)
 
 val summary_lines :
   ?tier:int ->
@@ -55,4 +58,6 @@ val to_json :
   cache:Cache.stats option ->
   string
 (** Machine-readable snapshot of the campaign (the [--telemetry-json]
-    payload): one JSON object with stable keys. *)
+    payload): one JSON object with stable keys.  Its [gc] object (like
+    the summary's [gc:] line) is the process's [Gc.quick_stat] at call
+    time, summed over every domain. *)

@@ -309,7 +309,7 @@ let in_tmp_dir f =
   Fun.protect ~finally:(fun () -> Sys.chdir cwd) (fun () -> f dir)
 
 let boot_server dir name =
-  let engine = Engine.create ~jobs:2 ~use_cache:false ~resident:true () in
+  let engine = Engine.create ~jobs:2 ~use_cache:false () in
   let sock = Filename.concat dir (name ^ ".sock") in
   let cfg = { Server.default_config with Server.listen = Server.Unix_sock sock } in
   let t = Server.create ~cfg engine in

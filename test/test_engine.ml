@@ -150,21 +150,40 @@ let test_classify_normal_correct () =
 
 (* ---- pool ---- *)
 
+let with_pool size f =
+  let p = Pool.create ~size () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
+
 let test_pool_order_and_exception () =
   let xs = List.init 64 Fun.id in
-  Alcotest.(check (list int)) "results in input order"
-    (List.map (fun x -> x * x) xs)
-    (Pool.map ~jobs:4 (fun x -> x * x) xs);
-  Alcotest.check_raises "exception re-raised" Exit (fun () ->
-      ignore (Pool.map ~jobs:3 (fun x -> if x = 5 then raise Exit else x) xs))
+  List.iter
+    (fun size ->
+      with_pool size (fun p ->
+          Alcotest.(check (list int)) "results in input order"
+            (List.map (fun x -> x * x) xs)
+            (Pool.map_on p (fun x -> x * x) xs);
+          Alcotest.check_raises "exception re-raised" Exit (fun () ->
+              ignore (Pool.map_on p (fun x -> if x = 5 then raise Exit else x) xs));
+          Alcotest.(check (list int)) "pool still serves after a raise" xs
+            (Pool.map_on p Fun.id xs)))
+    [ 1; 3; 4 ];
+  (* the serial path: a pool of one runs every job on the caller *)
+  with_pool 1 (fun p ->
+      let self = (Domain.self () :> int) in
+      Alcotest.(check (list int)) "size 1 runs on the calling domain"
+        (List.map (fun _ -> self) xs)
+        (Pool.map_on p (fun _ -> (Domain.self () :> int)) xs))
 
 let test_pool_map_results_per_slot () =
   (* one element failing keeps every other slot's result; the failing
      slot carries the exception instead of poisoning the batch *)
   List.iter
-    (fun jobs ->
+    (fun size ->
       let xs = List.init 16 Fun.id in
-      let rs = Pool.map_results ~jobs (fun x -> if x mod 5 = 3 then raise Exit else x * 2) xs in
+      let rs =
+        with_pool size (fun p ->
+            Pool.map_results_on p (fun x -> if x mod 5 = 3 then raise Exit else x * 2) xs)
+      in
       Alcotest.(check int) "one result per input" 16 (List.length rs);
       List.iteri
         (fun i r ->
@@ -183,14 +202,73 @@ let test_pool_map_results_per_slot () =
 let lines_of cs =
   List.map (fun c -> Job.entry_to_line { Job.key = ""; salt = ""; spec_repr = ""; snap = None; cls = c }) cs
 
+(* an engine with worker domains holds them until it is closed *)
+let with_engine ?snapshots ~jobs f =
+  let e = Engine.create ~jobs ~use_cache:false ?snapshots ~progress:false () in
+  Fun.protect ~finally:(fun () -> Engine.close e) (fun () -> f e)
+
 let test_parallel_determinism () =
   let specs = specs_fixture () in
   let serial = Engine.create ~jobs:1 ~use_cache:false ~progress:false () in
-  let parallel = Engine.create ~jobs:4 ~use_cache:false ~progress:false () in
   let a = Engine.run_specs serial specs in
-  let b = Engine.run_specs parallel specs in
+  let b = with_engine ~jobs:4 (fun parallel -> Engine.run_specs parallel specs) in
   Alcotest.(check (list string)) "serial and 4-domain runs byte-identical"
     (lines_of a) (lines_of b)
+
+(* ---- the engine's worker domains ---- *)
+
+(* One thunk per worker, each held until every worker has taken one, so
+   the answers come from [jobs] distinct domains (or, past the deadline,
+   show that they could not). *)
+let on_every_worker engine f =
+  let jobs = Engine.jobs engine in
+  let arrived = Atomic.make 0 in
+  Engine.run_tasks engine
+    (List.init jobs (fun _ () ->
+         Atomic.incr arrived;
+         let deadline = Unix.gettimeofday () +. 10. in
+         while Atomic.get arrived < jobs && Unix.gettimeofday () < deadline do
+           Domain.cpu_relax ()
+         done;
+         ((Domain.self () :> int), f ())))
+
+let distinct xs = List.length (List.sort_uniq compare xs)
+
+let test_pool_domains_persist () =
+  with_engine ~jobs:2 (fun e ->
+      let ids () = List.map fst (on_every_worker e ignore) in
+      let first = ids () in
+      let second = ids () in
+      Alcotest.(check int) "each batch reaches both workers" 2 (distinct first);
+      Alcotest.(check int) "the second batch runs on the same two domains" 2
+        (distinct (first @ second)))
+
+let minor_heap () = (Gc.get ()).Gc.minor_heap_size
+
+let test_nursery_follows_cells () =
+  let default = Domain.join (Domain.spawn minor_heap) in
+  let caller = minor_heap () in
+  let grown = max default (4 * 1024 * 1024 / 2) in
+  let e = Lazy.force exp_ctx in
+  let mk = Job.make e ~workload:app ~scale:1 ~run_seed:42L in
+  let kind = Inject.Heap_array_resize 50 in
+  let cell =
+    match Experiment.sites e kind with
+    | s0 :: s1 :: _ ->
+        List.map (fun site -> mk (Experiment.Fi_dpmr (Config.default, kind, site))) [ s0; s1 ]
+    | _ -> Alcotest.fail "fixture needs two injection sites"
+  in
+  with_engine ~snapshots:true ~jobs:2 (fun eng ->
+      let heaps () = List.map snd (on_every_worker eng minor_heap) in
+      (* a golden run and a fault-free DPMR run fall in different cells,
+         so this batch is two singles *)
+      ignore (Engine.run_specs eng [ mk Experiment.Golden; mk (Experiment.Nofi_dpmr Config.default) ]);
+      Alcotest.(check (list int)) "singles keep the default nursery" [ default; default ]
+        (heaps ());
+      ignore (Engine.run_specs eng cell);
+      Alcotest.(check bool) "the worker that ran the cell grew" true
+        (List.mem grown (heaps ()));
+      Alcotest.(check int) "the calling domain is untouched" caller (minor_heap ()))
 
 (* ---- content-addressed cache ---- *)
 
@@ -477,6 +555,9 @@ let suites =
           test_pool_map_results_per_slot;
         Alcotest.test_case "determinism: serial vs 4 domains" `Quick
           test_parallel_determinism;
+        Alcotest.test_case "pool domains persist across batches" `Quick
+          test_pool_domains_persist;
+        Alcotest.test_case "nursery follows cells" `Quick test_nursery_follows_cells;
         Alcotest.test_case "cache: second run all hits" `Quick test_cache_hits_second_run;
         Alcotest.test_case "cache: stale code-version salt misses" `Quick
           test_cache_stale_salt_misses;

@@ -313,8 +313,7 @@ let expect_verdict = function
 let test_daemon_end_to_end () =
   in_tmp_dir @@ fun dir ->
   let engine =
-    Engine.create ~jobs:2 ~use_cache:true ~cache_dir:(Filename.concat dir "cache")
-      ~resident:true ()
+    Engine.create ~jobs:2 ~use_cache:true ~cache_dir:(Filename.concat dir "cache") ()
   in
   let sock = Filename.concat dir "t.sock" in
   let cfg = { Server.default_config with Server.listen = Server.Unix_sock sock } in
@@ -399,7 +398,7 @@ let boot ?(cfg = Server.default_config) dir name =
   let engine =
     Engine.create ~jobs:2 ~use_cache:true
       ~cache_dir:(Filename.concat dir (name ^ ".cache"))
-      ~resident:true ()
+      ()
   in
   let sock = Filename.concat dir (name ^ ".sock") in
   let cfg = { cfg with Server.listen = Server.Unix_sock sock } in

@@ -175,6 +175,7 @@ let test_chaos_is_result_transparent () =
      the supervisor retries past them, so results must be byte-identical
      and no job may be lost *)
   let eng = Engine.create ~jobs:2 ~use_cache:false ~progress:false () in
+  Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
   let noisy =
     Chaos.with_chaos
       (Some (Chaos.make ~prob:1.0 ~seed:7L ()))
@@ -193,6 +194,7 @@ let test_fatal_spec_is_a_hole () =
       | good :: _ as specs ->
           let bad = { good with Job.workload = "no-such-workload" } in
           let eng = Engine.create ~jobs:2 ~use_cache:false ~progress:false () in
+          Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
           (match Engine.run_specs_r eng (bad :: specs) with
           | [] -> Alcotest.fail "no results"
           | hole :: rest ->

@@ -177,12 +177,21 @@ let test_telemetry_trace_line () =
   let lines = Telemetry.summary_lines t ~workers:1 ~cache:None in
   Alcotest.(check bool) "trace line present" true
     (List.exists (contains ~needle:"trace: 5 events") lines);
+  Alcotest.(check bool) "gc line present" true
+    (List.exists (contains ~needle:"[engine] gc: ") lines);
   let json = Telemetry.to_json t ~workers:1 ~cache:None in
   Alcotest.(check bool) "json parses" true (Result.is_ok (Json_check.parse json));
   List.iter
     (fun needle ->
       Alcotest.(check bool) (needle ^ " in json") true (contains ~needle json))
-    [ "dpmr-telemetry/1"; "\"comparisons\": 2"; "\"fi_marks\": 1"; "\"workers\": 1" ]
+    [
+      "dpmr-telemetry/1";
+      "\"comparisons\": 2";
+      "\"fi_marks\": 1";
+      "\"workers\": 1";
+      "\"minor_collections\": ";
+      "\"promoted_words\": ";
+    ]
 
 (* --- forensics: unit-level --- *)
 
