@@ -1,17 +1,16 @@
 (* Per-instruction-class allocation probe: tight IR loops of one
-   instruction class, run through the lowered engine, the compiled tier
-   and a watched baseline, bytes allocated per loop iteration printed
-   for each.
+   instruction class, run by default (compiled from entry) and as a
+   watched baseline, bytes allocated per loop iteration printed for
+   each.
 
-   Every column is asserted ~0.  The lowered loop keeps registers
-   unboxed in the frame's byte buffer.  Once a function's closures are
-   built (cached on the shared lowered program), the compiled loop is
-   allocation-free too: operand shapes are pre-bound, block and
-   terminator closures return immediate ints, and the frame is the same
-   unboxed lframe the lowered engine uses.  The watched column runs
+   Both columns are asserted ~0.  Once a function's closures are built
+   (cached on the shared lowered program), the compiled loop is
+   allocation-free: operand shapes are pre-bound, block and terminator
+   closures return immediate ints, and the frame is an unboxed lframe
+   whose registers live in a byte buffer.  The watched column runs
    {!Vm.run_watched} with a frontier that is never reached, so it is the
    lowered loop plus its frontier hook, and its [Wshared] outcome is the
-   member's whole run.  The simulated cost must agree across all three
+   member's whole run.  The simulated cost must agree across both
    exactly. *)
 open Dpmr_ir
 open Types
@@ -30,14 +29,9 @@ let mk_prog fill =
   B.ret b (Some (B.i32c 0));
   p
 
-let with_tier mode f =
-  let old = Vm.tier_mode () in
-  Vm.set_tier_mode mode;
-  Fun.protect ~finally:(fun () -> Vm.set_tier_mode old) f
-
 (* steady-state bytes/iteration of [run]: one warmup run (which also
-   compiles, under the compiled tier — the closures cache on [lowered]),
-   then one measured run *)
+   compiles, by default — the closures cache on [lowered]), then one
+   measured run *)
 let steady_state run =
   let r0 = run () in
   assert (r0.Dpmr_vm.Outcome.outcome = Dpmr_vm.Outcome.Normal);
@@ -48,7 +42,7 @@ let steady_state run =
 
 (* a watched baseline whose only frontier row (main's, one limit per
    block) is never reached: the hook compares every position and never
-   fires, and under the default tier promotion is refused *)
+   fires, and the run stays on the lowered loop *)
 let run_watched lowered p () =
   let limits = Hashtbl.create 1 in
   let main = Hashtbl.find lowered.Dpmr_vm.Lower.funcs "main" in
@@ -62,19 +56,13 @@ let probe label fill =
   let p = mk_prog fill in
   let lowered = Dpmr_vm.Lower.lower_prog p in
   let run () = Dpmr.run_plain ~lowered p in
-  let low, cost = with_tier Vm.Tier_lowered (fun () -> steady_state run) in
-  let comp, cost' = with_tier Vm.Tier_compiled (fun () -> steady_state run) in
-  let watched, cost'' =
-    with_tier Vm.Tier_auto (fun () -> steady_state (run_watched lowered p))
-  in
-  Printf.printf
-    "%-12s lowered %6.1f   compiled %6.1f   watched %6.1f B/loop-iter  (cost %Ld)\n%!"
-    label low comp watched cost;
+  let default, cost = steady_state run in
+  let watched, cost' = steady_state (run_watched lowered p) in
+  Printf.printf "%-12s default %6.1f   watched %6.1f B/loop-iter  (cost %Ld)\n%!"
+    label default watched cost;
   assert (Int64.equal cost cost');
-  assert (Int64.equal cost cost'');
   (* allocation-free modulo per-run VM setup amortized over [n] iters *)
-  assert (low < 0.5);
-  assert (comp < 0.5);
+  assert (default < 0.5);
   assert (watched < 0.5)
 
 let () =

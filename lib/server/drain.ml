@@ -5,7 +5,7 @@
 
     - {!graceful_exit} — for batch commands: on the first signal, run
       the registered cleanups (flush cache frames, dump telemetry) and
-      exit with the conventional [128 + signo]; a second signal during
+      exit with the conventional {!exit_status}; a second signal during
       cleanup exits immediately, so a wedged flush cannot make the
       process unkillable.
     - {!notify} — for the daemon: the handler only invokes the given
@@ -17,6 +17,14 @@
     still be idempotent and quick. *)
 
 let default_signals = [ Sys.sigint; Sys.sigterm ]
+
+(** The shell's status for a process ended by signal [s]: [128 + n]
+    for POSIX number [n].  OCaml names signals by its own negative
+    constants ([Sys.sigint] is [-6]); the two {!default_signals} map to
+    SIGINT 2 and SIGTERM 15, and a number OCaml does not name is
+    already the system's. *)
+let exit_status s =
+  128 + if s = Sys.sigint then 2 else if s = Sys.sigterm then 15 else s
 
 let cleanups : (unit -> unit) list ref = ref []
 let cleaning = Atomic.make false
@@ -34,10 +42,10 @@ let graceful_exit ?(signals = default_signals) () =
         Sys.set_signal signo
           (Sys.Signal_handle
              (fun s ->
-               if Atomic.get cleaning then exit (128 + s)
+               if Atomic.get cleaning then exit (exit_status s)
                else begin
                  run_cleanups ();
-                 exit (128 + s)
+                 exit (exit_status s)
                end))
       with Invalid_argument _ | Sys_error _ -> ())
     signals

@@ -64,9 +64,6 @@ let chrome_json ?(pid = 1) ?(tid = 1) (records : Trace.record array) =
           ev ~name:"detect" ~cat:"dpmr" ~ph:"i" ~ts:r.cost args
       | Trace.Fi_mark -> ev ~name:"fi_mark" ~cat:"fi" ~ph:"i" ~ts:r.cost []
       | Trace.Phase p -> ev ~name:p ~cat:"phase" ~ph:"i" ~ts:r.cost []
-      | Trace.Tier_refused fn ->
-          ev ~name:"tier" ~cat:"tier" ~ph:"i" ~ts:r.cost
-            [ ("fn", Printf.sprintf "\"%s\"" fn); ("transition", "\"refused\"") ]
       | Trace.Block _ | Trace.Store _ | Trace.Write _ | Trace.Mirror _
       | Trace.Compare _ ->
           (* too dense for a span view; represented by profiles instead *)

@@ -27,7 +27,6 @@ let k_compare = 9
 let k_detect = 10
 let k_fi_mark = 11
 let k_phase = 12
-let k_tier = 13
 
 type t = {
   buf : Bytes.t;
@@ -146,11 +145,6 @@ let[@inline] emit_fi_mark t ~cost =
 let emit_phase t ~label =
   put t k_phase (t.clock ()) (Int64.of_int (intern t label)) 0L 0L
 
-(* payload: the interned function name, then 0 — the refusal code of
-   the ring format *)
-let emit_tier_refused t ~cost ~fname =
-  put t k_tier cost (Int64.of_int (intern t fname)) 0L 0L
-
 (* ---- domain-local installation --------------------------------------- *)
 
 let key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
@@ -177,7 +171,6 @@ type event =
   | Detect of { what : string; addr : int64; off : int }
   | Fi_mark
   | Phase of string
-  | Tier_refused of string
 
 type record = { cost : int; ev : event }
 
@@ -203,7 +196,6 @@ let decode t kind a b c =
     Detect { what = name_of t (i64 a); addr = b; off = i64 c }
   else if kind = k_fi_mark then Fi_mark
   else if kind = k_phase then Phase (name_of t (i64 a))
-  else if kind = k_tier then Tier_refused (name_of t (i64 a))
   else Phase (Printf.sprintf "?kind=%d" kind)
 
 let snapshot t =
@@ -268,6 +260,5 @@ let pp_event ppf ev =
       else Fmt.pf ppf "DETECT %s at 0x%Lx+%d" what addr off
   | Fi_mark -> Fmt.pf ppf "fi-mark"
   | Phase p -> Fmt.pf ppf "phase %s" p
-  | Tier_refused fn -> Fmt.pf ppf "tier refused %s" fn
 
 let pp_record ppf r = Fmt.pf ppf "[%10d] %a" r.cost pp_event r.ev

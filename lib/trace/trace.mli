@@ -64,11 +64,6 @@ val emit_detect : t -> cost:int -> what:string -> addr:int64 -> off:int -> unit
 val emit_fi_mark : t -> cost:int -> unit
 val emit_phase : t -> label:string -> unit
 
-val emit_tier_refused : t -> cost:int -> fname:string -> unit
-(** A hot function crossed the promotion threshold but stays on the
-    lowered interpreter — the one tier transition a sink can observe,
-    since a sink itself refuses promotion. *)
-
 (** {1 Decoding} *)
 
 type event =
@@ -84,7 +79,6 @@ type event =
   | Detect of { what : string; addr : int64; off : int }
   | Fi_mark
   | Phase of string
-  | Tier_refused of string
 
 type record = { cost : int; ev : event }
 

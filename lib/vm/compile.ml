@@ -1,13 +1,14 @@
-(** Closure-compiled top tier for hot lowered functions.
+(** Closure-compiled top tier for lowered functions.
 
     The lowered engine ({!Vm}) already executes pre-resolved arrays, but
     every instruction still pays a dispatch: fetch, a 20-way match, and
     re-interpretation of operand shapes that were fixed at lowering time.
     This module removes that residue by compiling each {!Lower.lfunc}
-    once — when its telemetry says it is hot — into a tree of pre-bound
-    OCaml closures: one closure per basic block, with straight-line runs
-    of instructions fused into superinstruction chains and the operand
-    shapes ([Lreg]/[Lconst]) burned into each closure's body.
+    once — the first time an untraced, unwatched call enters it — into a
+    tree of pre-bound OCaml closures: one closure per basic block, with
+    straight-line runs of instructions fused into superinstruction chains
+    and the operand shapes ([Lreg]/[Lconst]) burned into each closure's
+    body.
 
     Fidelity contract: the compiled tier charges the {!Cost} model at the
     same program points, evaluates operands in the same order, raises the
@@ -16,7 +17,7 @@
     three-tier differential suite.  Two deliberate structural deviations,
     both invisible to behaviour:
 
-    - trace emission is absent: {!Vm} only promotes when no sink is
+    - trace emission is absent: {!Vm} only compiles when no sink is
       installed (and a sink cannot appear mid-run — it is captured at
       [Vm.create]), so the omitted events could never have fired;
     - the step-poll hook is captured once per tier entry instead of read
@@ -44,11 +45,11 @@ open Dpmr_ir
 open Dpmr_memsim
 module L = Lower
 
-(* Process-wide tier telemetry.  An atomic, not a per-VM field:
-   promotion mutates shared [lfunc] state under the lowering table's
-   publication discipline, and report jobs run one VM per domain — a
-   global counter is race-free to read and keeps [cstate] free of
-   accounting. *)
+(* Process-wide tier telemetry: functions compiled.  An atomic, not a
+   per-VM field: compilation mutates shared [lfunc] state under the
+   lowering table's publication discipline, and report jobs run one VM
+   per domain — a global counter is race-free to read and keeps [cstate]
+   free of accounting. *)
 let promotions = Atomic.make 0
 let n_promotions () = Atomic.get promotions
 
@@ -69,8 +70,8 @@ module type RUNTIME = sig
   val fun_address : t -> string -> int64
 
   val call_lfun : t -> L.lfunc -> L.value array -> L.value option
-  (** call a lowered function (the callee runs on whatever tier its own
-      telemetry selects) *)
+  (** call a lowered function (the callee enters the compiled tier at its
+      first block) *)
 
   val call_extern_slot : t -> int -> string -> L.value array -> L.value option
   (** direct extern call through the per-VM slot cache, with the lowered

@@ -34,13 +34,6 @@ let malloc_cost bytes = 40 + (bytes / 32)
 let free_cost = 25
 let alloca_cost bytes = 2 + (bytes / 64)
 
-(** Tier-3 promotion threshold, in executed lowered blocks per function:
-    beyond this the dispatch overhead already paid exceeds the one-time
-    price of closure-compiling the function, so {!Vm} promotes it.  Cost
-    units are untouched by tiering — the compiled tier charges this
-    model identically. *)
-let tier_promote_blocks = 500
-
 (** Cache-pressure model: every load/store pays an extra term that grows
     with the *live* heap working set (one unit per 32 KiB).  This is the
     §3.7 hypothesis — large pad-malloc variants "cross cache page

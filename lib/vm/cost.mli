@@ -34,7 +34,3 @@ val alloca_cost : int -> int
 (** Per-access surcharge for a given live heap size (one unit per
     32 KiB): the cache-pressure model. *)
 val heap_pressure : int -> int
-
-(** Tier-3 promotion threshold, in executed lowered blocks per function.
-    Heuristic only: cost units charged are identical on every tier. *)
-val tier_promote_blocks : int

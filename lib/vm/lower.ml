@@ -83,10 +83,7 @@ type lfunc = {
   lparams : int array;  (** parameter register indices *)
   lnregs : int;
   mutable lblocks : lblock array;  (** entry block at index 0 *)
-  mutable lhot : int;
-      (** lowered blocks executed in this function (promotion counter);
-          heuristic state only — never part of program identity *)
-  mutable ltier3 : tier3;  (** compiled code, once promoted *)
+  mutable ltier3 : tier3;  (** compiled code, once first entered *)
 }
 
 and lblock = {
@@ -262,7 +259,6 @@ let shell (f : Func.t) =
     lparams = Array.of_list (List.map fst f.Func.params);
     lnregs = f.Func.next_reg;
     lblocks = [||];
-    lhot = 0;
     ltier3 = Tier3_none;
   }
 

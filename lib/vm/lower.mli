@@ -53,10 +53,7 @@ type lfunc = {
   lparams : int array;  (** parameter register indices *)
   lnregs : int;
   mutable lblocks : lblock array;  (** entry block at index 0 *)
-  mutable lhot : int;
-      (** lowered blocks executed in this function (the tier-promotion
-          counter); heuristic state, never part of program identity *)
-  mutable ltier3 : tier3;  (** compiled code, once promoted *)
+  mutable ltier3 : tier3;  (** compiled code, once first entered *)
 }
 
 and lblock = {

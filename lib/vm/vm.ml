@@ -6,7 +6,11 @@
 
     - the {b lowered} engine (default, used by {!run}) executes the
       pre-resolved threaded form produced by {!Lower} — block ids instead
-      of label lookups, baked layouts and cast widths, pre-bound callees;
+      of label lookups, baked layouts and cast widths, pre-bound callees.
+      Every untraced, unwatched call runs it closure-compiled
+      ({!Compile}) from its first block; the threaded loop below runs
+      traced runs, watched baselines and a resumed activation's partial
+      block;
     - the {b reference} engine ({!run_reference}) is the original
       tree-walking interpreter over {!Func.t}, kept as the executable
       specification the differential tests compare against.
@@ -39,40 +43,13 @@ exception Cancelled = Machine.Cancelled
 
 let set_poll_hook = Machine.set_poll_hook
 
-(* ------------------------------------------------------------------ *)
-(* Execution tiers                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(** Which engine executes a run.  [Tier_auto] (default) starts every
-    function on the lowered interpreter and promotes it to the compiled
-    closure tier once hot; the other modes pin one engine, for
-    differential testing and paired benchmarking.  Process-global: set
-    it before spawning worker domains. *)
-type tier_mode = Tier_auto | Tier_ref | Tier_lowered | Tier_compiled
-
-let tier_mode_ref = ref Tier_auto
-
-(* promotion threshold in executed lowered blocks per function;
-   [max_int] disables promotion, [0] promotes on first entry *)
-let tier_threshold = ref Cost.tier_promote_blocks
-
-let set_tier_mode m =
-  tier_mode_ref := m;
-  tier_threshold :=
-    (match m with
-    | Tier_auto -> Cost.tier_promote_blocks
-    | Tier_compiled -> 0
-    | Tier_ref | Tier_lowered -> max_int)
-
-let tier_mode () = !tier_mode_ref
-
-let () =
+(* [DPMR_TIER=ref] runs {!run} on the reference tree-walker and makes
+   every watch infeasible, so a whole report runs on the executable
+   specification.  Read once, at module initialization. *)
+let force_reference =
   match Sys.getenv_opt "DPMR_TIER" with
-  | None | Some "" -> ()
-  | Some "auto" -> set_tier_mode Tier_auto
-  | Some "ref" -> set_tier_mode Tier_ref
-  | Some "lowered" -> set_tier_mode Tier_lowered
-  | Some "compiled" -> set_tier_mode Tier_compiled
+  | None | Some "" -> false
+  | Some "ref" -> true
   | Some s -> invalid_arg (Printf.sprintf "DPMR_TIER: unknown tier %S" s)
 
 (* ------------------------------------------------------------------ *)
@@ -588,12 +565,11 @@ and exec_lfunc t (lf : L.lfunc) (args : value array) =
    [i0] — 0, 0 for a normal call; a mid-block position when [resume]
    re-enters a snapshotted activation.
 
-   Every block boundary ([i0 = 0]) is also a tier-promotion point: once
-   the function has executed [!tier_threshold] lowered blocks it enters
-   the compiled tier — at call granularity for short hot functions, and
-   mid-run (on-stack replacement: same frame, same block index) for a
-   long-running loop that never returns — and stays there until the
-   activation returns.  Promotion is refused in exactly two cases: a
+   Every block boundary ([i0 = 0]) enters the compiled tier, which runs
+   the activation from that block (same frame, same block index) until
+   it returns: a call compiles at its first block, and a resumed
+   activation runs its partial block here and promotes at its next
+   boundary.  The activation stays on this loop in exactly two cases: a
    trace sink needs per-block samples and per-check compare events, and
    a watched baseline's frontier limits are lowered-instruction
    positions.  Fault activation is no reason: the injected code's only
@@ -607,23 +583,8 @@ and exec_lfunc t (lf : L.lfunc) (args : value array) =
 and exec_lblocks_at t (lf : L.lfunc) frame idx0 i0 =
   let blocks = lf.L.lblocks in
   let rec go idx i0 =
-    if i0 = 0 then begin
-      let h = lf.L.lhot + 1 in
-      lf.L.lhot <- h;
-      if h >= !tier_threshold then
-        if t.trace == None && t.watched == None then !tier_enter t lf frame idx
-        else begin
-          (* the only tier transition observable under a sink: record
-             the refusal once, at the exact threshold crossing *)
-          (if h = !tier_threshold then
-             match t.trace with
-             | Some s ->
-                 Trace.emit_tier_refused s ~cost:(!(t.cost)) ~fname:lf.L.lname
-             | None -> ());
-          exec_block idx 0
-        end
-      else exec_block idx 0
-    end
+    if i0 = 0 && t.trace == None && t.watched == None then
+      !tier_enter t lf frame idx
     else exec_block idx i0
   and exec_block idx i0 =
     let (b : L.lblock) = blocks.(idx) in
@@ -1170,8 +1131,7 @@ module Tier = Compile.Make (Tier_rt)
 
 let () = tier_enter := Tier.enter
 
-(** Cumulative (process-wide) count of functions promoted to the
-    compiled tier. *)
+(** Cumulative (process-wide) count of functions compiled. *)
 let tier_stats () = Compile.n_promotions ()
 
 (* ------------------------------------------------------------------ *)
@@ -1217,8 +1177,9 @@ let classify_exit r =
   let code = match r with Some (I v) -> Int64.to_int v | _ -> 0 in
   if code = 0 then Outcome.Normal else Outcome.App_exit code
 
-(** [run]'s entry protocol on the lowered (and, when hot, compiled)
-    engine; {!run_watched} enters through it too. *)
+(** [run]'s entry protocol on the lowered form: compiled from the entry
+    block, or on the lowered loop while a trace sink is installed or a
+    baseline is watched; {!run_watched} enters through it too. *)
 let run_lowered ?(entry = "main") ?(args = [ "prog" ]) t =
   t.use_lowered <- true;
   classify_run t (fun () ->
@@ -1252,13 +1213,12 @@ let run_reference ?(entry = "main") ?(args = [ "prog" ]) t =
       in
       classify_exit (exec_func t f argv_vals))
 
-(** Run [main] (or a named entry point) to completion and classify,
-    on the engine the tier mode selects: the lowered/compiled pair by
-    default, the tree-walker under {!Tier_ref}. *)
+(** Run [main] (or a named entry point) to completion and classify:
+    compiled from entry by default, on the tree-walker under
+    [DPMR_TIER=ref]. *)
 let run ?(entry = "main") ?(args = [ "prog" ]) t =
-  match !tier_mode_ref with
-  | Tier_ref -> run_reference ~entry ~args t
-  | Tier_auto | Tier_lowered | Tier_compiled -> run_lowered ~entry ~args t
+  if force_reference then run_reference ~entry ~args t
+  else run_lowered ~entry ~args t
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / fork drivers                                             *)
@@ -1289,7 +1249,7 @@ type watch_result =
 let run_watched ?(entry = "main") ?(args = [ "prog" ]) t limitss =
   (* infeasible under tracing (per-event fidelity) and under a forced
      reference tier (watch limits are lowered-block positions) *)
-  if t.trace <> None || !tier_mode_ref = Tier_ref then raise Watch_infeasible;
+  if t.trace <> None || force_reference then raise Watch_infeasible;
   let members =
     Array.map
       (fun lims -> { wm_limits = lims; wm_snap = None; wm_unsharable = false })

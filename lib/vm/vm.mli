@@ -3,10 +3,10 @@
     functions, and classifying the run per {!Outcome}.
 
     Two engines share all VM state and agree bit-for-bit: the default
-    {b lowered} engine ({!run}) executes the pre-resolved threaded form
-    produced by {!Lower}, and the {b reference} tree-walking engine
-    ({!run_reference}) is kept as the executable specification the
-    differential tests compare against. *)
+    {b lowered} engine ({!run}) executes the pre-resolved form produced
+    by {!Lower}, compiled from each call's first block, and the
+    {b reference} tree-walking engine ({!run_reference}) is kept as the
+    executable specification the differential tests compare against. *)
 
 open Dpmr_ir
 open Dpmr_memsim
@@ -98,7 +98,7 @@ val call_function : t -> string -> value list -> value option
 (** Run the entry point to completion and classify the result.  [main]
     may take [()] or [(argc, argv)]; in the latter case [args] is
     materialized as C strings in simulated memory.  Executes the lowered
-    threaded form. *)
+    form, compiled from each call's first block. *)
 val run : ?entry:string -> ?args:string list -> t -> Outcome.run
 
 (** Same protocol on the reference tree-walking engine (the original
@@ -110,30 +110,20 @@ val run_reference : ?entry:string -> ?args:string list -> t -> Outcome.run
     Three tiers, all charging the {!Cost} model identically and agreeing
     byte-for-byte on every outcome: the reference tree-walker, the
     lowered threaded interpreter, and a closure-compiled top tier
-    ({!Compile}) that hot functions are promoted into after
-    {!Cost.tier_promote_blocks} executed lowered blocks — with or
-    without an activated fault.  Promotion is refused only while a
-    trace sink is installed (per-event fidelity) or a baseline is
-    watched ({!run_watched}: frontier limits are lowered-instruction
-    positions).  A promoted activation stays compiled until it
-    returns. *)
+    ({!Compile}).  {!run} enters the compiled tier at every call's first
+    block, with or without an activated fault, and a compiled activation
+    stays compiled until it returns.  The lowered interpreter runs an
+    activation only while a trace sink is installed (per-event
+    fidelity) or a baseline is watched ({!run_watched}: frontier limits
+    are lowered-instruction positions), and for the partial block a
+    {!resume} re-enters; a resumed activation compiles at its next block
+    boundary.
 
-type tier_mode =
-  | Tier_auto  (** telemetry-driven promotion (the default) *)
-  | Tier_ref  (** force the reference tree-walker in {!run} *)
-  | Tier_lowered  (** disable promotion: lowered engine only *)
-  | Tier_compiled  (** promote at first entry (threshold 0) *)
+    [DPMR_TIER=ref], read once at module initialization, runs {!run} on
+    the reference tree-walker and makes every {!run_watched} raise
+    {!Watch_infeasible}; any other non-empty value fails at startup. *)
 
-(** Set the process-global tier policy.  Also settable through the
-    [DPMR_TIER] environment variable ([auto]/[ref]/[lowered]/[compiled]),
-    read once at module initialization — the one way to force a tier
-    from outside the process. *)
-val set_tier_mode : tier_mode -> unit
-
-val tier_mode : unit -> tier_mode
-
-(** Cumulative (process-wide) count of functions promoted to the
-    compiled tier. *)
+(** Cumulative (process-wide) count of functions compiled. *)
 val tier_stats : unit -> int
 
 (** {1 Copy-on-write snapshots (snapshot/fork campaign execution)}

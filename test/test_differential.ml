@@ -358,16 +358,10 @@ let test_fault_last_numbering () =
    snapshot is resumed on the same program, which must equal the
    from-zero [Vm.run] in outcome, output and cost; a member whose
    frontier is never reached inherits the baseline's run, which must
-   equal it too.  The tier is pinned to the default so the tests do not
-   depend on [DPMR_TIER]. *)
+   equal it too. *)
 module Vm = Dpmr_vm.Vm
 module Lower = Dpmr_vm.Lower
 module Progs = Dpmr_testprogs.Progs
-
-let with_tier mode f =
-  let old = Vm.tier_mode () in
-  Vm.set_tier_mode mode;
-  Fun.protect ~finally:(fun () -> Vm.set_tier_mode old) f
 
 let run_repr (r : Outcome.run) =
   Printf.sprintf "%s | %S | cost %Ld" (Outcome.to_string r.Outcome.outcome)
@@ -400,7 +394,6 @@ let watched_results p members =
   (from_zero, Array.to_list (Array.map resolve results))
 
 let test_watched_qsort () =
-  with_tier Vm.Tier_auto @@ fun () ->
   let p = Progs.qsort_prog () in
   (* a frontier inside the comparator is reached in an extern callback:
      no fork can resume there *)
@@ -425,14 +418,12 @@ let test_watched_qsort () =
     got
 
 let test_watched_call_in_flight () =
-  with_tier Vm.Tier_auto @@ fun () ->
   (* mid-block in [box], called directly from main's loop body: the
      capture holds main's frame with its [Lcall] in flight *)
   let z, got = watched_results (Progs.boxed ()) [ (fun l -> [ at l "box" 0 1 ]) ] in
   Alcotest.(check (list string)) "frontier below an in-flight call" [ "snap " ^ z ] got
 
 let test_watched_hot_loop () =
-  with_tier Vm.Tier_auto @@ fun () ->
   let p = Progs.fresh () in
   let b = Progs.main_b p in
   let acc = B.local b i64 (B.i64c 0) in
@@ -440,7 +431,7 @@ let test_watched_hot_loop () =
       B.set b i64 acc (B.add b W64 (B.get b i64 acc) i));
   B.call0 b (Direct "print_int") [ B.get b i64 acc ];
   Progs.finish b;
-  (* unwatched, the loop is hot enough to promote *)
+  (* unwatched, the loop runs compiled *)
   let promos = Vm.tier_stats () in
   ignore (Dpmr.run_plain p);
   Alcotest.(check bool) "the loop promotes when unwatched" true

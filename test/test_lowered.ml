@@ -1,11 +1,19 @@
-(* Differential tests: the lowered threaded-code engine ({!Vm.run}) must
-   be observationally identical to the reference tree-walking engine
+(* Differential tests: the default engine ({!Vm.run}, compiled from each
+   call's first block) and the lowered threaded loop must both be
+   observationally identical to the reference tree-walking engine
    ({!Vm.run_reference}) — same outcome, output, cost, memory footprint,
    and fault-detection point — across every workload, DPMR mode, and
    injected-fault variant.  The reference engine is the executable
-   specification; any divergence here is a lowering or interpreter bug,
-   and because every figure is computed from these fields, equality here
-   is what makes the fast engine safe to use for the experiments. *)
+   specification; any divergence here is a lowering, compiler or
+   interpreter bug, and because every figure is computed from these
+   fields, equality here is what makes the fast engines safe to use for
+   the experiments.
+
+   [Vm.run] never reaches the lowered loop, yet that loop decides
+   visible results: every forked member's state up to its frontier, and
+   the whole run of every member that inherits a [Wshared] outcome.  It
+   is driven here the way a campaign drives it, through
+   {!Vm.run_watched}, with one member whose frontier is never reached. *)
 
 module Config = Dpmr_core.Config
 module Dpmr = Dpmr_core.Dpmr
@@ -17,40 +25,54 @@ module Workloads = Dpmr_workloads.Workloads
 let sds = Config.default
 let mds = { Config.default with Config.mode = Config.Mds }
 
-(* Run [prog] on both engines, each in a fresh VM (a run mutates its VM's
-   memory, so sharing one would let the first run contaminate the second). *)
-let run_pair ?budget ~mode prog =
+(* A whole run of the lowered loop: a watched baseline whose one member
+   has an empty limit table, so its frontier is never reached and the
+   member inherits the baseline's outcome. *)
+let run_lowered_loop vm =
+  match Vm.run_watched vm [| Hashtbl.create 1 |] with
+  | [| Vm.Wshared r |] -> r
+  | _ -> Alcotest.fail "watched run: expected the baseline's whole run"
+
+(* Run [prog] on the three legs, each in a fresh VM (a run mutates its
+   VM's memory, so sharing one would let one run contaminate the next):
+   the default engine, the lowered loop and the reference. *)
+let run_legs ?budget ~mode prog =
   let mk () =
     match mode with
     | None -> Dpmr.vm_plain ?budget prog
     | Some m -> Dpmr.vm_dpmr ?budget ~mode:m prog
   in
-  (Vm.run (mk ()), Vm.run_reference (mk ()))
+  (Vm.run (mk ()), run_lowered_loop (mk ()), Vm.run_reference (mk ()))
 
-let check_equal name (lowered, reference) =
-  let chk sub fmt project =
-    Alcotest.check fmt (name ^ ": " ^ sub) (project reference) (project lowered)
-  in
-  chk "outcome" Alcotest.string (fun r -> Outcome.to_string r.Outcome.outcome);
-  chk "output" Alcotest.string (fun r -> r.Outcome.output);
-  chk "cost" Alcotest.int64 (fun r -> r.Outcome.cost);
-  chk "peak heap" Alcotest.int (fun r -> r.Outcome.peak_heap_bytes);
-  chk "mapped pages" Alcotest.int (fun r -> r.Outcome.mapped_pages);
-  chk "fi first cost"
-    Alcotest.(option int64)
-    (fun r -> r.Outcome.fi_first_cost)
+let check_equal name (default, lowered, reference) =
+  List.iter
+    (fun (leg, r) ->
+      let chk sub fmt project =
+        Alcotest.check fmt
+          (Printf.sprintf "%s: %s %s" name leg sub)
+          (project reference) (project r)
+      in
+      chk "outcome" Alcotest.string (fun r -> Outcome.to_string r.Outcome.outcome);
+      chk "output" Alcotest.string (fun r -> r.Outcome.output);
+      chk "cost" Alcotest.int64 (fun r -> r.Outcome.cost);
+      chk "peak heap" Alcotest.int (fun r -> r.Outcome.peak_heap_bytes);
+      chk "mapped pages" Alcotest.int (fun r -> r.Outcome.mapped_pages);
+      chk "fi first cost"
+        Alcotest.(option int64)
+        (fun r -> r.Outcome.fi_first_cost))
+    [ ("default", default); ("lowered", lowered) ]
 
 (* --- every workload, golden and both DPMR designs --- *)
 
 let test_workload wname () =
   let entry = Workloads.find wname in
   let base = entry.Workloads.build ~scale:1 () in
-  check_equal (wname ^ " golden") (run_pair ~mode:None base);
+  check_equal (wname ^ " golden") (run_legs ~mode:None base);
   List.iter
     (fun (label, cfg) ->
       let tp = Dpmr.transform cfg base in
       check_equal (wname ^ " " ^ label)
-        (run_pair ~mode:(Some cfg.Config.mode) tp))
+        (run_legs ~mode:(Some cfg.Config.mode) tp))
     [
       ("sds", sds);
       ("mds", mds);
@@ -59,14 +81,14 @@ let test_workload wname () =
       ("sds+temporal", { sds with Config.policy = Config.Temporal Config.temporal_mask_1_2 });
     ]
 
-(* --- injected faults: the engines must agree on crashes, detections,
+(* --- injected faults: the legs must agree on crashes, detections,
    and the exact detection point, not just on clean runs --- *)
 
 let test_injected () =
   let entry = Workloads.find "mcf" in
   let base = entry.Workloads.build ~scale:1 () in
   (* the experiment harness's ~20x-golden budget: without it, a fault
-     that silently loops runs to the 2e9-unit default on both engines *)
+     that silently loops runs to the 2e9-unit default on every leg *)
   let golden = Dpmr.run_plain base in
   let budget = Int64.mul 20L golden.Outcome.cost in
   List.iter
@@ -82,22 +104,22 @@ let test_injected () =
         (fun i site ->
           let faulty = Inject.apply base kind site in
           let name = Printf.sprintf "mcf fi site %d" i in
-          check_equal (name ^ " stdapp") (run_pair ~budget ~mode:None faulty);
+          check_equal (name ^ " stdapp") (run_legs ~budget ~mode:None faulty);
           let tp = Dpmr.transform sds faulty in
           check_equal (name ^ " sds")
-            (run_pair ~budget ~mode:(Some Config.Sds) tp))
+            (run_legs ~budget ~mode:(Some Config.Sds) tp))
         sites)
     [ Inject.Heap_array_resize 50; Inject.Immediate_free; Inject.Off_by_one; Inject.Wild_store 7 ]
 
-(* --- the budget check fires at the same instruction in both engines --- *)
+(* --- the budget check fires at the same instruction on every leg --- *)
 
 let test_timeout_agrees () =
   let entry = Workloads.find "mcf" in
   let base = entry.Workloads.build ~scale:1 () in
-  let pair = run_pair ~budget:5_000L ~mode:None base in
-  check_equal "mcf tiny budget" pair;
+  let ((default, _, _) as legs) = run_legs ~budget:5_000L ~mode:None base in
+  check_equal "mcf tiny budget" legs;
   Alcotest.(check string) "is a timeout" "timeout"
-    (Outcome.to_string (fst pair).Outcome.outcome)
+    (Outcome.to_string default.Outcome.outcome)
 
 let suites =
   [

@@ -560,6 +560,12 @@ let test_client_no_reconnect_fails_fast () =
   Client.close c;
   Domain.join srv
 
+(* a report stopped by SIGINT/SIGTERM exits like any signalled process
+   in a shell: 128 + the POSIX number, not + OCaml's negative constant *)
+let test_drain_exit_status () =
+  Alcotest.(check int) "SIGINT" 130 (Dpmr_server.Drain.exit_status Sys.sigint);
+  Alcotest.(check int) "SIGTERM" 143 (Dpmr_server.Drain.exit_status Sys.sigterm)
+
 let suites =
   [
     ( "server/protocol",
@@ -584,5 +590,6 @@ let suites =
           test_client_reconnect;
         Alcotest.test_case "client without budget fails fast" `Quick
           test_client_no_reconnect_fails_fast;
+        Alcotest.test_case "signal exit status" `Quick test_drain_exit_status;
       ] );
   ]

@@ -2,17 +2,17 @@
    Three groups of checks:
 
    1. differential — real workloads produce byte-identical outcomes
-      under the reference tree-walker, the lowered interpreter, and the
-      forced compiled tier;
+      under the reference tree-walker, the default engine (compiled from
+      each call's first block) and the lowered interpreter (a watched run
+      whose frontier is never reached), and each leg runs on its tier;
 
-   2. a fault-injection grid classifies identically whether members run
-      lowered or compiled, from zero or resumed from a copy-on-write
-      snapshot — and under the default policy the resumed members, whose
-      fault activates at once, still promote to the compiled tier;
+   2. a fault-injection grid classifies identically from zero and
+      resumed from a copy-on-write snapshot — and the resumed members,
+      whose fault activates at once, still run compiled;
 
    3. a [Vm.resume] edge: a member whose divergence frontier sits in a
-      block with calls resumes, lowered and compiled, exactly like its
-      from-zero run, and the resumed member runs compiled. *)
+      block with calls resumes exactly like its from-zero run, and the
+      resumed member runs compiled. *)
 
 open Dpmr_ir
 open Types
@@ -27,11 +27,6 @@ module Experiment = Dpmr_fi.Experiment
 module Inject = Dpmr_fi.Inject
 module Workloads = Dpmr_workloads.Workloads
 
-let with_tier mode f =
-  let old = Vm.tier_mode () in
-  Vm.set_tier_mode mode;
-  Fun.protect ~finally:(fun () -> Vm.set_tier_mode old) f
-
 let run_fp (r : Outcome.run) =
   Printf.sprintf "%s cost=%Ld heap=%d out=%S"
     (Outcome.to_string r.Outcome.outcome)
@@ -42,25 +37,30 @@ let run_fp (r : Outcome.run) =
 let test_three_tiers_agree () =
   List.iter
     (fun name ->
-      let entry = Workloads.find name in
-      let p = entry.Workloads.build ~scale:1 () in
-      let golden mode = with_tier mode (fun () -> run_fp (Dpmr.run_plain p)) in
-      let reference = golden Vm.Tier_ref in
-      Alcotest.(check string)
-        (name ^ ": lowered = reference") reference (golden Vm.Tier_lowered);
-      Alcotest.(check string)
-        (name ^ ": compiled = reference") reference (golden Vm.Tier_compiled);
-      Alcotest.(check string)
-        (name ^ ": auto = reference") reference (golden Vm.Tier_auto);
+      let p = (Workloads.find name).Workloads.build ~scale:1 () in
       let cfg = { Config.default with Config.diversity = Config.Rearrange_heap } in
-      let dpmr mode = with_tier mode (fun () -> run_fp (Dpmr.run_dpmr cfg p)) in
-      let lowered = dpmr Vm.Tier_lowered in
-      Alcotest.(check string)
-        (name ^ ": transformed compiled = lowered") lowered
-        (dpmr Vm.Tier_compiled))
+      let tp = Dpmr.transform cfg p in
+      List.iter
+        (fun (label, mk) ->
+          let label = name ^ " " ^ label in
+          let reference = run_fp (Vm.run_reference (mk ())) in
+          let promos = Vm.tier_stats () in
+          Alcotest.(check string)
+            (label ^ ": lowered = reference") reference
+            (run_fp (Test_lowered.run_lowered_loop (mk ())));
+          Alcotest.(check int)
+            (label ^ ": the watched run compiles nothing") promos (Vm.tier_stats ());
+          Alcotest.(check string)
+            (label ^ ": compiled = reference") reference (run_fp (Vm.run (mk ())));
+          Alcotest.(check bool)
+            (label ^ ": the default run compiles") true (Vm.tier_stats () > promos))
+        [
+          ("golden", fun () -> Dpmr.vm_plain p);
+          ("transformed", fun () -> Dpmr.vm_dpmr ~mode:cfg.Config.mode tp);
+        ])
     [ "equake"; "mcf" ]
 
-(* ---- 2. fault grid: lowered vs compiled, from zero vs resumed ------- *)
+(* ---- 2. fault grid: from zero vs resumed ---------------------------- *)
 
 let test_grid_tiers_agree () =
   let entry = Workloads.find "mcf" in
@@ -79,33 +79,18 @@ let test_grid_tiers_agree () =
   let variants =
     Array.of_list (List.map (fun s -> Experiment.Fi_dpmr (cfg, kind, s)) sites)
   in
-  let classify_all mode ~resume =
-    with_tier mode (fun () ->
-        if resume then begin
-          let g = Experiment.plan_group e variants in
-          Array.to_list (Array.mapi (fun i _ -> Experiment.run_member e g i) variants)
-        end
-        else Array.to_list (Array.map (Experiment.run_variant e) variants))
-  in
-  let baseline = classify_all Vm.Tier_lowered ~resume:false in
+  let from_zero = Array.to_list (Array.map (Experiment.run_variant e) variants) in
   Alcotest.(check bool)
     "at least one injection activated" true
-    (List.exists (fun c -> c.Experiment.sf) baseline);
-  Alcotest.(check bool)
-    "compiled from-zero grid = lowered" true
-    (classify_all Vm.Tier_compiled ~resume:false = baseline);
-  Alcotest.(check bool)
-    "lowered resumed grid = lowered from zero" true
-    (classify_all Vm.Tier_lowered ~resume:true = baseline);
-  Alcotest.(check bool)
-    "compiled resumed grid = lowered from zero" true
-    (classify_all Vm.Tier_compiled ~resume:true = baseline);
-  (* every resumed member activates its fault at once; the default
-     policy promotes it all the same *)
+    (List.exists (fun c -> c.Experiment.sf) from_zero);
+  (* every resumed member activates its fault at once; it compiles all
+     the same *)
   let promos = Vm.tier_stats () in
-  Alcotest.(check bool)
-    "auto resumed grid = lowered from zero" true
-    (classify_all Vm.Tier_auto ~resume:true = baseline);
+  let g = Experiment.plan_group e variants in
+  let resumed =
+    Array.to_list (Array.mapi (fun i _ -> Experiment.run_member e g i) variants)
+  in
+  Alcotest.(check bool) "resumed grid = from zero" true (resumed = from_zero);
   Alcotest.(check bool)
     "activated resumed members promote" true
     (Vm.tier_stats () > promos)
@@ -166,25 +151,20 @@ let test_resume_at_call_block () =
     | Some l -> l
     | None -> Alcotest.fail "expected a common structural prefix"
   in
-  let from_zero =
-    with_tier Vm.Tier_lowered (fun () ->
-        run_fp (Dpmr.run_plain ~lowered:lmemb memb))
+  (* from zero on its own lowering, so [lmemb] is still uncompiled when
+     the member resumes on it *)
+  let from_zero = run_fp (Dpmr.run_plain memb) in
+  let snap =
+    match Dpmr.watched_plain ~lowered:lbase base [| limits |] with
+    | [| Vm.Wsnap snap |] -> snap
+    | _ -> Alcotest.fail "expected the baseline to reach the frontier"
   in
-  let resumed mode =
-    with_tier mode (fun () ->
-        match Dpmr.watched_plain ~lowered:lbase base [| limits |] with
-        | [| Vm.Wsnap snap |] -> run_fp (Dpmr.resume_plain ~lowered:lmemb memb snap)
-        | _ -> Alcotest.fail "expected the baseline to reach the frontier")
-  in
-  Alcotest.(check string) "lowered resume = from zero" from_zero
-    (resumed Vm.Tier_lowered);
-  let promos_before = Vm.tier_stats () in
-  Alcotest.(check string) "compiled resume = from zero" from_zero
-    (resumed Vm.Tier_compiled);
-  let promos_after = Vm.tier_stats () in
+  let promos = Vm.tier_stats () in
+  Alcotest.(check string) "resume = from zero" from_zero
+    (run_fp (Dpmr.resume_plain ~lowered:lmemb memb snap));
   Alcotest.(check bool)
     "the resumed member actually ran compiled" true
-    (promos_after > promos_before)
+    (Vm.tier_stats () > promos)
 
 let suites =
   [
