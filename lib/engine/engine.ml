@@ -147,16 +147,14 @@ let partition_units t to_run =
           | None ->
               let members = ref [ (key, spec) ] in
               Hashtbl.replace cells ck members;
-              Some (`Cell members))
+              Some members)
         to_run
     in
     List.map
-      (function
-        | `One (k, s) -> Single (k, s)
-        | `Cell members -> (
-            match !members with
-            | [ (k, s) ] -> Single (k, s)
-            | ms -> Cell (Array.of_list (List.rev ms))))
+      (fun members ->
+        match !members with
+        | [ (k, s) ] -> Single (k, s)
+        | ms -> Cell (Array.of_list (List.rev ms)))
       order
   end
 

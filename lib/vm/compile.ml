@@ -4,25 +4,22 @@
     every instruction still pays a dispatch: fetch, a 20-way match, and
     re-interpretation of operand shapes that were fixed at lowering time.
     This module removes that residue by compiling each {!Lower.lfunc}
-    once — the first time an untraced, unwatched call enters it — into a
-    tree of pre-bound OCaml closures: one closure per basic block, with
+    once — the first time an unwatched call enters it — into a tree of
+    pre-bound OCaml closures: one closure per basic block, with
     straight-line runs of instructions fused into superinstruction chains
     and the operand shapes ([Lreg]/[Lconst]) burned into each closure's
-    body.
+    body.  Neither engine of the lowered form emits trace events: {!Vm}
+    runs a traced run on the reference engine.
 
     Fidelity contract: the compiled tier charges the {!Cost} model at the
     same program points, evaluates operands in the same order, raises the
     same exceptions from the same states and writes the same register
     bits as the lowered engine — byte-identical outcomes, enforced by the
-    three-tier differential suite.  Two deliberate structural deviations,
-    both invisible to behaviour:
-
-    - trace emission is absent: {!Vm} only compiles when no sink is
-      installed (and a sink cannot appear mid-run — it is captured at
-      [Vm.create]), so the omitted events could never have fired;
-    - the step-poll hook is captured once per tier entry instead of read
-      per block — the hook is installed by a supervisor before the run
-      and cannot change underneath a running domain.
+    three-tier differential suite.  One deliberate structural deviation,
+    invisible to behaviour: the step-poll hook is captured once per tier
+    entry instead of read per block — the hook is installed by a
+    supervisor before the run and cannot change underneath a running
+    domain.
 
     A compiled activation runs until it returns or raises; there is no
     exit back to the lowered engine.  The compiled code operates directly
@@ -45,11 +42,12 @@ open Dpmr_ir
 open Dpmr_memsim
 module L = Lower
 
-(* Process-wide tier telemetry: functions compiled.  An atomic, not a
-   per-VM field: compilation mutates shared [lfunc] state under the
-   lowering table's publication discipline, and report jobs run one VM
-   per domain — a global counter is race-free to read and keeps [cstate]
-   free of accounting. *)
+(* Process-wide tier telemetry: compilations.  An atomic, not a per-VM
+   field, so [cstate] stays free of accounting.  No [lfunc] crosses
+   domains (a lowering is built and run on one), so [code_for]'s
+   unsynchronized check-then-set compiles each lowered function once;
+   the count follows the number of lowerings, which grows with the
+   engine's per-domain experiment contexts. *)
 let promotions = Atomic.make 0
 let n_promotions () = Atomic.get promotions
 
@@ -734,41 +732,6 @@ module Make (R : RUNTIME) = struct
 
   let resolve = function L.Bidx i -> i | L.Braise e -> raise e
 
-  (* fused compare-and-branch, shared by [Lcmpbr] and [Lcmpcheck] (the
-     check's compare event only exists under a trace sink, which the
-     compiled tier never runs under) *)
-  let cmpbr r c w a b t1 t2 : cstate -> int =
-    match (a, b, t1, t2) with
-    | L.Lreg ra, L.Lreg rb, L.Bidx i1, L.Bidx i2 ->
-        fun st ->
-          st.cost := !(st.cost) + Cost.cmp;
-          let fr = st.fr in
-          let vb = Machine.reg_int fr rb in
-          let va = Machine.reg_int fr ra in
-          let v = Machine.exec_icmp c w va vb in
-          Machine.set_int fr r v;
-          st.cost := !(st.cost) + Cost.cond_branch;
-          if Int64.equal v 0L then i2 else i1
-    | L.Lreg ra, L.Lconst (L.I kb), L.Bidx i1, L.Bidx i2 ->
-        fun st ->
-          st.cost := !(st.cost) + Cost.cmp;
-          let fr = st.fr in
-          let va = Machine.reg_int fr ra in
-          let v = Machine.exec_icmp c w va kb in
-          Machine.set_int fr r v;
-          st.cost := !(st.cost) + Cost.cond_branch;
-          if Int64.equal v 0L then i2 else i1
-    | _ ->
-        let eb = op_int b and ea = op_int a in
-        fun st ->
-          st.cost := !(st.cost) + Cost.cmp;
-          let vb = eb st in
-          let va = ea st in
-          let v = Machine.exec_icmp c w va vb in
-          Machine.set_int st.fr r v;
-          st.cost := !(st.cost) + Cost.cond_branch;
-          resolve (if Int64.equal v 0L then t2 else t1)
-
   (* A terminator closure returns the next block index, or -1 for return
      (value parked in [cret]).  An [int] return stays immediate — the one
      closure-to-closure value the hot path is allowed to pass. *)
@@ -782,18 +745,44 @@ module Make (R : RUNTIME) = struct
         fun st ->
           st.cost := !(st.cost) + Cost.branch;
           raise e
-    | L.Lcbr (L.Lreg r, L.Bidx i1, L.Bidx i2)
-    | L.Lcheck (L.Lreg r, L.Bidx i1, L.Bidx i2, _, _) ->
+    | L.Lcbr (L.Lreg r, L.Bidx i1, L.Bidx i2) ->
         fun st ->
           st.cost := !(st.cost) + Cost.cond_branch;
           if Int64.equal (Machine.reg_int st.fr r) 0L then i2 else i1
-    | L.Lcbr (c, t1, t2) | L.Lcheck (c, t1, t2, _, _) ->
+    | L.Lcbr (c, t1, t2) ->
         let ec = op_int c in
         fun st ->
           st.cost := !(st.cost) + Cost.cond_branch;
           resolve (if Int64.equal (ec st) 0L then t2 else t1)
-    | L.Lcmpbr (r, c, w, a, b, t1, t2) -> cmpbr r c w a b t1 t2
-    | L.Lcmpcheck (r, c, w, a, b, t1, t2, _, _) -> cmpbr r c w a b t1 t2
+    | L.Lcmpbr (r, c, w, L.Lreg ra, L.Lreg rb, L.Bidx i1, L.Bidx i2) ->
+        fun st ->
+          st.cost := !(st.cost) + Cost.cmp;
+          let fr = st.fr in
+          let vb = Machine.reg_int fr rb in
+          let va = Machine.reg_int fr ra in
+          let v = Machine.exec_icmp c w va vb in
+          Machine.set_int fr r v;
+          st.cost := !(st.cost) + Cost.cond_branch;
+          if Int64.equal v 0L then i2 else i1
+    | L.Lcmpbr (r, c, w, L.Lreg ra, L.Lconst (L.I kb), L.Bidx i1, L.Bidx i2) ->
+        fun st ->
+          st.cost := !(st.cost) + Cost.cmp;
+          let fr = st.fr in
+          let va = Machine.reg_int fr ra in
+          let v = Machine.exec_icmp c w va kb in
+          Machine.set_int fr r v;
+          st.cost := !(st.cost) + Cost.cond_branch;
+          if Int64.equal v 0L then i2 else i1
+    | L.Lcmpbr (r, c, w, a, b, t1, t2) ->
+        let eb = op_int b and ea = op_int a in
+        fun st ->
+          st.cost := !(st.cost) + Cost.cmp;
+          let vb = eb st in
+          let va = ea st in
+          let v = Machine.exec_icmp c w va vb in
+          Machine.set_int st.fr r v;
+          st.cost := !(st.cost) + Cost.cond_branch;
+          resolve (if Int64.equal v 0L then t2 else t1)
     | L.Lret None ->
         fun st ->
           st.cost := !(st.cost) + Cost.ret;

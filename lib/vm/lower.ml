@@ -94,22 +94,12 @@ and lblock = {
 and lterm =
   | Lbr of starget
   | Lcbr of lop * starget * starget
-  | Lcheck of lop * starget * starget * bool * bool
-      (** a [Lcbr] with at least one detection-block target (a block whose
-          first instruction calls [__dpmr_detect]) — i.e. an inline replica
-          load-check compiled by the diversity transform.  The booleans say
-          which targets are detection blocks.  Executes exactly like
-          [Lcbr]; the lowered engine additionally reports a passed
-          comparison to an installed trace sink when the branch takes a
-          non-detection target. *)
   | Lcmpbr of int * Inst.icond * width * lop * lop * starget * starget
       (** fused [Licmp] + [Lcbr] on the compare's destination register:
           the single most common dynamic pair (every loop back edge).
           Still writes the compare result to the register, still charges
           [Cost.cmp] then [Cost.cond_branch] — byte-identical to the
           unfused sequence, one dispatch instead of two. *)
-  | Lcmpcheck of int * Inst.icond * width * lop * lop * starget * starget * bool * bool
-      (** fused [Licmp] + [Lcheck]; see {!Lcmpbr} and {!Lcheck} *)
   | Lret of lop option
   | Lunreachable of string  (** pre-formatted error message *)
 
@@ -265,8 +255,8 @@ let shell (f : Func.t) =
 (* Peephole superinstruction fusion.  Merges each [Lgep_index]/[Lgep_field]
    with an immediately following load/store through the address register it
    just wrote.  The fused opcodes replay the identical effect sequence, so
-   every observable — cost counter, register file, faults, trace events —
-   is unchanged; only the dynamic dispatch count drops. *)
+   every observable — cost counter, register file, faults — is unchanged;
+   only the dynamic dispatch count drops. *)
 let fuse_insts (insts : linst array) : linst array =
   let n = Array.length insts in
   let out = ref [] in
@@ -297,8 +287,7 @@ let fuse_insts (insts : linst array) : linst array =
   Array.of_list (List.rev !out)
 
 (* Fuse a trailing [Licmp] into a conditional terminator that branches on
-   its destination register — the hottest pair of all (loop back edges).
-   Runs after {!mark_checks} so both [Lcbr] and [Lcheck] shapes fuse. *)
+   its destination register — the hottest pair of all (loop back edges). *)
 let fuse_terms lf =
   lf.lblocks <-
     Array.map
@@ -312,37 +301,8 @@ let fuse_terms lf =
                 linsts = Array.sub b.linsts 0 (n - 1);
                 lterm = Lcmpbr (r, c, w, x, y, t1, t2);
               }
-          | Licmp (r, c, w, x, y), Lcheck (Lreg r', t1, t2, d1, d2) when r' = r ->
-              {
-                linsts = Array.sub b.linsts 0 (n - 1);
-                lterm = Lcmpcheck (r, c, w, x, y, t1, t2, d1, d2);
-              }
           | _ -> b)
       lf.lblocks
-
-(* Rewrite [Lcbr]s whose target is a detection block (first instruction
-   calls [__dpmr_detect]) into [Lcheck], so the VM can recognize inline
-   replica load-checks without any per-branch lookup at run time. *)
-let mark_checks lf =
-  let starts_detect (b : lblock) =
-    Array.length b.linsts > 0
-    &&
-    match b.linsts.(0) with
-    | Lcall (_, Lextern (_, "__dpmr_detect"), _, _) -> true
-    | _ -> false
-  in
-  let det = Array.map starts_detect lf.lblocks in
-  if Array.exists Fun.id det then begin
-    let is_det = function Bidx i -> det.(i) | Braise _ -> false in
-    lf.lblocks <-
-      Array.map
-        (fun b ->
-          match b.lterm with
-          | Lcbr (c, t1, t2) when is_det t1 || is_det t2 ->
-              { b with lterm = Lcheck (c, t1, t2, is_det t1, is_det t2) }
-          | _ -> b)
-        lf.lblocks
-  end
 
 let fill_body lp p (f : Func.t) lf =
   lf.lblocks <-
@@ -353,7 +313,6 @@ let fill_body lp p (f : Func.t) lf =
           lterm = lower_term f b.Func.term;
         })
       (Func.block_array f);
-  mark_checks lf;
   fuse_terms lf
 
 (* Two phases so mutually recursive call knots resolve: every function
@@ -471,14 +430,8 @@ let lterm_eq a b =
   | Lbr t1, Lbr t2 -> starget_eq t1 t2
   | Lcbr (c1, x1, y1), Lcbr (c2, x2, y2) ->
       lop_eq c1 c2 && starget_eq x1 x2 && starget_eq y1 y2
-  | Lcheck (c1, x1, y1, d1, e1), Lcheck (c2, x2, y2, d2, e2) ->
-      d1 = d2 && e1 = e2 && lop_eq c1 c2 && starget_eq x1 x2 && starget_eq y1 y2
   | Lcmpbr (r1, c1, w1, a1, b1, x1, y1), Lcmpbr (r2, c2, w2, a2, b2, x2, y2) ->
       r1 = r2 && c1 = c2 && w1 = w2 && lop_eq a1 a2 && lop_eq b1 b2
-      && starget_eq x1 x2 && starget_eq y1 y2
-  | Lcmpcheck (r1, c1, w1, a1, b1, x1, y1, d1, e1), Lcmpcheck (r2, c2, w2, a2, b2, x2, y2, d2, e2)
-    ->
-      r1 = r2 && c1 = c2 && w1 = w2 && d1 = d2 && e1 = e2 && lop_eq a1 a2 && lop_eq b1 b2
       && starget_eq x1 x2 && starget_eq y1 y2
   | Lret None, Lret None -> true
   | Lret (Some o1), Lret (Some o2) -> lop_eq o1 o2

@@ -4,8 +4,11 @@
     branch targets become block ids, {!Layout} sizes/alignments/offsets
     and cast source widths are baked into the opcodes, constants are
     pre-truncated and pre-boxed, and direct calls bind their lowered
-    callee (or a per-VM extern slot) and base cost once.  The {!Vm}
-    dispatch loop then executes with array indexing only.
+    callee (or a per-VM extern slot) and base cost once.  {!Compile}
+    compiles this form, and the {!Vm} dispatch loop executes it with
+    array indexing only for watched baselines and a resume's partial
+    block.  Nothing here serves tracing: a traced run executes the IR
+    itself on the reference engine.
 
     Static resolution errors (unknown label, bad field index, undefined
     aggregate) are captured as {!Lpoison}/{!Braise} and re-raised —
@@ -64,17 +67,9 @@ and lblock = {
 and lterm =
   | Lbr of starget
   | Lcbr of lop * starget * starget
-  | Lcheck of lop * starget * starget * bool * bool
-      (** an [Lcbr] with at least one detection-block target (a block whose
-          first instruction calls [__dpmr_detect]) — an inline replica
-          load-check compiled by the diversity transform.  The booleans say
-          which targets are detection blocks; execution is identical to
-          [Lcbr] apart from trace-sink reporting. *)
   | Lcmpbr of int * Inst.icond * width * lop * lop * starget * starget
       (** fused [Licmp] + [Lcbr] branching on the compare's destination
           register; still writes the register and charges both costs *)
-  | Lcmpcheck of int * Inst.icond * width * lop * lop * starget * starget * bool * bool
-      (** fused [Licmp] + [Lcheck] *)
   | Lret of lop option
   | Lunreachable of string  (** pre-formatted error message *)
 

@@ -7,13 +7,14 @@
     - the {b lowered} engine (default, used by {!run}) executes the
       pre-resolved threaded form produced by {!Lower} — block ids instead
       of label lookups, baked layouts and cast widths, pre-bound callees.
-      Every untraced, unwatched call runs it closure-compiled
+      Every call of an unwatched run executes closure-compiled
       ({!Compile}) from its first block; the threaded loop below runs
-      traced runs, watched baselines and a resumed activation's partial
-      block;
+      watched baselines and a resumed activation's partial block;
     - the {b reference} engine ({!run_reference}) is the original
       tree-walking interpreter over {!Func.t}, kept as the executable
-      specification the differential tests compare against.
+      specification the differential tests compare against.  It is also
+      the one engine that emits trace events: {!run} takes it whenever a
+      trace sink is installed.
 
     The [use_lowered] flag routes {!call_function}, so externs that
     re-enter the interpreter (e.g. the qsort comparator callback) stay on
@@ -318,6 +319,15 @@ let store_scalar t ty addr v =
   | Int _, F _ | Ptr _, F _ -> raise (Vm_error "store: float value into int slot")
   | _ -> raise (Vm_error "store of non-scalar")
 
+(* A detection block starts by calling [__dpmr_detect]: the target the
+   diversity transform gives each inline replica load-check.  A label
+   the function lacks names no detection block. *)
+let is_detect_block f label =
+  match Func.find_block f label with
+  | { Func.insts = Call (_, Direct "__dpmr_detect", _) :: _; _ } -> true
+  | _ -> false
+  | exception Invalid_argument _ -> false
+
 (* Entry point of the compiled tier, tied after the recursive execution
    knot below ({!Compile} needs the knot's call helpers, the knot needs
    this to promote).  Never read before the initializer at the bottom of
@@ -533,9 +543,6 @@ and exec_lfunc t (lf : L.lfunc) (args : value array) =
   done;
   if Array.length lf.L.lblocks = 0 then
     invalid_arg (Printf.sprintf "Func.entry: %s has no blocks" lf.L.lname);
-  (match t.trace with
-  | Some s -> Trace.emit_call_enter s ~cost:(!(t.cost)) ~fname:lf.L.lname
-  | None -> ());
   let result =
     match t.watched with
     | None -> exec_lblocks_at t lf frame 0 0
@@ -554,9 +561,6 @@ and exec_lfunc t (lf : L.lfunc) (args : value array) =
         w.w_stack <- List.tl w.w_stack;
         r
   in
-  (match t.trace with
-  | Some s -> Trace.emit_call_exit s ~cost:(!(t.cost)) ~fname:lf.L.lname
-  | None -> ());
   t.sp <- frame.lentry_sp;
   t.call_depth <- t.call_depth - 1;
   result
@@ -569,12 +573,12 @@ and exec_lfunc t (lf : L.lfunc) (args : value array) =
    the activation from that block (same frame, same block index) until
    it returns: a call compiles at its first block, and a resumed
    activation runs its partial block here and promotes at its next
-   boundary.  The activation stays on this loop in exactly two cases: a
-   trace sink needs per-block samples and per-check compare events, and
-   a watched baseline's frontier limits are lowered-instruction
-   positions.  Fault activation is no reason: the injected code's only
-   VM-visible effect is the [__fi_mark] extern, which the compiled tier
-   calls and charges like any other.
+   boundary.  The one exception is a watched baseline, whose frontier
+   limits are lowered-instruction positions.  Fault activation is no
+   reason: the injected code's only VM-visible effect is the [__fi_mark]
+   extern, which the compiled tier calls and charges like any other.  A
+   traced run never gets here: {!run} executes it on the reference
+   engine.
 
    A watched run (see {!run_watched}) executes each block through
    [exec_watched], which fires at the activation's frontier limit; the
@@ -583,15 +587,11 @@ and exec_lfunc t (lf : L.lfunc) (args : value array) =
 and exec_lblocks_at t (lf : L.lfunc) frame idx0 i0 =
   let blocks = lf.L.lblocks in
   let rec go idx i0 =
-    if i0 = 0 && t.trace == None && t.watched == None then
-      !tier_enter t lf frame idx
+    if i0 = 0 && t.watched == None then !tier_enter t lf frame idx
     else exec_block idx i0
   and exec_block idx i0 =
     let (b : L.lblock) = blocks.(idx) in
     check_budget t;
-    (match t.trace with
-    | Some s -> Trace.sample_block s ~cost:(!(t.cost)) ~fname:lf.L.lname ~blk:idx
-    | None -> ());
     let insts = b.L.linsts in
     (match t.watched with
     | None ->
@@ -610,17 +610,6 @@ and exec_lblocks_at t (lf : L.lfunc) frame idx0 i0 =
         add_cost t Cost.cond_branch;
         let v = leval_int t frame c in
         go (resolve_target (if not (Int64.equal v 0L) then t1 else t2)) 0
-    | L.Lcheck (c, t1, t2, d1, d2) ->
-        (* identical to Lcbr, plus: a branch away from the detection
-           block is a replica comparison that passed *)
-        add_cost t Cost.cond_branch;
-        let v = leval_int t frame c in
-        let tgt, to_det = if not (Int64.equal v 0L) then (t1, d1) else (t2, d2) in
-        (match t.trace with
-        | Some s when not to_det ->
-            Trace.emit_compare s ~cost:(!(t.cost)) ~app:(-1L) ~rep:(-1L) ~len:0
-        | _ -> ());
-        go (resolve_target tgt) 0
     | L.Lcmpbr (r, c, w, a, bb, t1, t2) ->
         (* fused [Licmp]+[Lcbr]: same costs, same register write *)
         add_cost t Cost.cmp;
@@ -630,19 +619,6 @@ and exec_lblocks_at t (lf : L.lfunc) frame idx0 i0 =
         set_int frame r v;
         add_cost t Cost.cond_branch;
         go (resolve_target (if not (Int64.equal v 0L) then t1 else t2)) 0
-    | L.Lcmpcheck (r, c, w, a, bb, t1, t2, d1, d2) ->
-        add_cost t Cost.cmp;
-        let vb = leval_int t frame bb in
-        let va = leval_int t frame a in
-        let v = exec_icmp c w va vb in
-        set_int frame r v;
-        add_cost t Cost.cond_branch;
-        let tgt, to_det = if not (Int64.equal v 0L) then (t1, d1) else (t2, d2) in
-        (match t.trace with
-        | Some s when not to_det ->
-            Trace.emit_compare s ~cost:(!(t.cost)) ~app:(-1L) ~rep:(-1L) ~len:0
-        | _ -> ());
-        go (resolve_target tgt) 0
     | L.Lret o ->
         add_cost t Cost.ret;
         Option.map (leval t frame) o
@@ -683,12 +659,6 @@ and exec_linst t frame (inst : L.linst) =
   | L.Lstore (k, v, p) ->
       add_cost t (Cost.store + Cost.heap_pressure (Allocator.live_bytes t.alloc));
       let addr = leval_int t frame p in
-      (match t.trace with
-      | Some s ->
-          (* before the write, so a faulting store is still on record *)
-          Trace.emit_store s ~cost:(!(t.cost)) ~addr
-            ~bytes:(match k with L.Kint n -> n | L.Kfloat -> 8 | L.Kbad -> 0)
-      | None -> ());
       (match k with
       | L.Kint n -> (
           match v with
@@ -835,15 +805,10 @@ and exec_linst t frame (inst : L.linst) =
       set_int frame rp addr;
       exec_store_at t frame k v addr
 
-(* the store half of [Lstore]/[Lstore_idx]/[Lstore_fld]: cost, trace
-   event, value evaluation and the write, in the original order *)
+(* the store half of [Lstore_idx]/[Lstore_fld]: cost, value evaluation
+   and the write, in the original order *)
 and exec_store_at t frame k (v : L.lop) addr =
   add_cost t (Cost.store + Cost.heap_pressure (Allocator.live_bytes t.alloc));
-  (match t.trace with
-  | Some s ->
-      Trace.emit_store s ~cost:(!(t.cost)) ~addr
-        ~bytes:(match k with L.Kint n -> n | L.Kfloat -> 8 | L.Kbad -> 0)
-  | None -> ());
   match k with
   | L.Kint n -> (
       match v with
@@ -953,7 +918,9 @@ and exec_blocks t f frame =
   let rec run (b : Func.block) =
     check_budget t;
     (match t.trace with
-    | Some s -> Trace.sample_block s ~cost:(!(t.cost)) ~fname:f.Func.name ~blk:(-1)
+    | Some s ->
+        Trace.sample_block s ~cost:(!(t.cost)) ~fname:f.Func.name
+          ~blk:(Func.block_index f b.label)
     | None -> ());
     List.iter (exec_inst t f frame) b.insts;
     match b.term with
@@ -963,7 +930,14 @@ and exec_blocks t f frame =
     | Cbr (c, l1, l2) ->
         add_cost t Cost.cond_branch;
         let v = as_int (eval t frame c) in
-        run (Func.find_block f (if not (Int64.equal v 0L) then l1 else l2))
+        let taken, other = if not (Int64.equal v 0L) then (l1, l2) else (l2, l1) in
+        (* a branch away from a detection block is an inline replica
+           load-check that passed *)
+        (match t.trace with
+        | Some s when is_detect_block f other && not (is_detect_block f taken) ->
+            Trace.emit_compare s ~cost:(!(t.cost)) ~app:(-1L) ~rep:(-1L) ~len:0
+        | _ -> ());
+        run (Func.find_block f taken)
     | Ret o ->
         add_cost t Cost.ret;
         Option.map (eval t frame) o
@@ -1178,8 +1152,8 @@ let classify_exit r =
   if code = 0 then Outcome.Normal else Outcome.App_exit code
 
 (** [run]'s entry protocol on the lowered form: compiled from the entry
-    block, or on the lowered loop while a trace sink is installed or a
-    baseline is watched; {!run_watched} enters through it too. *)
+    block, or on the lowered loop while a baseline is watched;
+    {!run_watched} enters through it too. *)
 let run_lowered ?(entry = "main") ?(args = [ "prog" ]) t =
   t.use_lowered <- true;
   classify_run t (fun () ->
@@ -1214,10 +1188,11 @@ let run_reference ?(entry = "main") ?(args = [ "prog" ]) t =
       classify_exit (exec_func t f argv_vals))
 
 (** Run [main] (or a named entry point) to completion and classify:
-    compiled from entry by default, on the tree-walker under
+    compiled from entry by default, on the tree-walker while a trace
+    sink is installed (the one engine that emits events) or under
     [DPMR_TIER=ref]. *)
 let run ?(entry = "main") ?(args = [ "prog" ]) t =
-  if force_reference then run_reference ~entry ~args t
+  if force_reference || t.trace <> None then run_reference ~entry ~args t
   else run_lowered ~entry ~args t
 
 (* ------------------------------------------------------------------ *)
@@ -1247,8 +1222,9 @@ type watch_result =
     is resolved.  Raises {!Watch_infeasible} when watching is impossible
     on this VM (tracing active). *)
 let run_watched ?(entry = "main") ?(args = [ "prog" ]) t limitss =
-  (* infeasible under tracing (per-event fidelity) and under a forced
-     reference tier (watch limits are lowered-block positions) *)
+  (* infeasible under tracing and under a forced reference tier: both
+     run on the reference engine, and watch limits are lowered-block
+     positions *)
   if t.trace <> None || force_reference then raise Watch_infeasible;
   let members =
     Array.map

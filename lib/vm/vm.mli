@@ -6,7 +6,9 @@
     {b lowered} engine ({!run}) executes the pre-resolved form produced
     by {!Lower}, compiled from each call's first block, and the
     {b reference} tree-walking engine ({!run_reference}) is kept as the
-    executable specification the differential tests compare against. *)
+    executable specification the differential tests compare against.
+    Only the reference engine emits the VM's own trace events (calls,
+    block samples, stores and passed inline checks). *)
 
 open Dpmr_ir
 open Dpmr_memsim
@@ -98,7 +100,9 @@ val call_function : t -> string -> value list -> value option
 (** Run the entry point to completion and classify the result.  [main]
     may take [()] or [(argc, argv)]; in the latter case [args] is
     materialized as C strings in simulated memory.  Executes the lowered
-    form, compiled from each call's first block. *)
+    form, compiled from each call's first block; while a trace sink is
+    installed, or under [DPMR_TIER=ref], executes {!run_reference}
+    instead. *)
 val run : ?entry:string -> ?args:string list -> t -> Outcome.run
 
 (** Same protocol on the reference tree-walking engine (the original
@@ -110,14 +114,14 @@ val run_reference : ?entry:string -> ?args:string list -> t -> Outcome.run
     Three tiers, all charging the {!Cost} model identically and agreeing
     byte-for-byte on every outcome: the reference tree-walker, the
     lowered threaded interpreter, and a closure-compiled top tier
-    ({!Compile}).  {!run} enters the compiled tier at every call's first
-    block, with or without an activated fault, and a compiled activation
-    stays compiled until it returns.  The lowered interpreter runs an
-    activation only while a trace sink is installed (per-event
-    fidelity) or a baseline is watched ({!run_watched}: frontier limits
-    are lowered-instruction positions), and for the partial block a
-    {!resume} re-enters; a resumed activation compiles at its next block
-    boundary.
+    ({!Compile}).  An untraced {!run} enters the compiled tier at every
+    call's first block, with or without an activated fault, and a
+    compiled activation stays compiled until it returns.  The lowered
+    interpreter runs an activation only while a baseline is watched
+    ({!run_watched}: frontier limits are lowered-instruction positions),
+    and for the partial block a {!resume} re-enters; a resumed activation
+    compiles at its next block boundary.  A traced {!run} executes on the
+    reference tree-walker.
 
     [DPMR_TIER=ref], read once at module initialization, runs {!run} on
     the reference tree-walker and makes every {!run_watched} raise

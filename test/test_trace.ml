@@ -227,10 +227,41 @@ let sample_sites sites =
       let n = List.length sites in
       List.sort_uniq compare [ 0; n / 2; n - 1 ] |> List.map (List.nth sites)
 
+(* one experiment context per workload, shared by the grid and the
+   pinned counts *)
+let experiments =
+  lazy
+    (List.map
+       (fun app ->
+         let entry = Workloads.find app in
+         ( app,
+           Experiment.make
+             (Experiment.workload app (fun () -> entry.Workloads.build ?scale:None ())) ))
+       Workloads.names)
+
+let experiment app = List.assoc app (Lazy.force experiments)
+
+(* A traced run must be the run it traces: same classification as the
+   untraced run of the same variant, and every block sample names a
+   real block. *)
+let check_traced_run name e variant (tr : Forensics.traced) =
+  Alcotest.(check bool)
+    (name ^ ": classification = untraced run")
+    true
+    (tr.Forensics.classification = Experiment.run_variant e variant);
+  Alcotest.(check bool)
+    (name ^ ": every block sample has an index")
+    true
+    (Array.for_all
+       (fun (r : Trace.record) ->
+         match r.Trace.ev with Trace.Block { blk; _ } -> blk >= 0 | _ -> true)
+       tr.Forensics.records)
+
 let check_grid_run ~kind ~app ~site (tr : Forensics.traced) =
   let name = Printf.sprintf "%s %s" app (Inject.site_name site) in
   let c = tr.Forensics.classification in
   let rep = tr.Forensics.report in
+  check_traced_run name (experiment app) (Experiment.Fi_dpmr (sds, kind, site)) tr;
   Alcotest.(check bool)
     (name ^ ": trace distance agrees with t2d")
     true tr.Forensics.consistent;
@@ -263,11 +294,7 @@ let check_grid_run ~kind ~app ~site (tr : Forensics.traced) =
 let test_forensics_grid () =
   List.iter
     (fun app ->
-      let entry = Workloads.find app in
-      let wk =
-        Experiment.workload app (fun () -> entry.Workloads.build ?scale:None ())
-      in
-      let e = Experiment.make wk in
+      let e = experiment app in
       List.iter
         (fun kind ->
           List.iter
@@ -279,6 +306,31 @@ let test_forensics_grid () =
             (sample_sites (Experiment.sites e kind)))
         [ Inject.Heap_array_resize 50; Inject.Immediate_free ])
     Workloads.names
+
+(* The grid accepts a miss explained either way, so it cannot see a lost
+   compare event; these counts can. *)
+let test_pinned_counts () =
+  List.iter
+    (fun (app, comparisons) ->
+      let e = experiment app in
+      let variant = Experiment.Nofi_dpmr sds in
+      let tr = Forensics.run_variant e variant in
+      check_traced_run (app ^ " fault-free") e variant tr;
+      Alcotest.(check int)
+        (app ^ " fault-free: comparisons")
+        comparisons tr.Forensics.summary.Trace.s_comparisons)
+    [ ("art", 53839); ("bzip2", 77097); ("equake", 33490); ("mcf", 50109) ];
+  let e = experiment "art" in
+  let kind = Inject.Heap_array_resize 50 in
+  let tr =
+    Forensics.run_variant e
+      (Experiment.Fi_dpmr (sds, kind, List.hd (Experiment.sites e kind)))
+  in
+  let s = tr.Forensics.summary in
+  Alcotest.(check int) "art resize site 0: events" 7202 s.Trace.s_emitted;
+  Alcotest.(check int) "art resize site 0: comparisons" 2183 s.Trace.s_comparisons;
+  Alcotest.(check (option int)) "art resize site 0: distance" (Some 50058)
+    tr.Forensics.distance
 
 let suites =
   [
@@ -317,5 +369,6 @@ let suites =
         Alcotest.test_case "store classification" `Quick test_forensics_classify;
         Alcotest.test_case "acceptance grid (4 workloads)" `Slow
           test_forensics_grid;
+        Alcotest.test_case "pinned event counts" `Slow test_pinned_counts;
       ] );
   ]
