@@ -348,7 +348,9 @@ let jobs_t =
     value
     & opt int 0
     & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for experiment runs (0 = one per recommended core).")
+        ~doc:
+          "Domains that execute experiment runs: the calling domain and N - 1 workers \
+           (0 = one per recommended core).")
 
 let no_cache_t =
   Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the on-disk result cache.")

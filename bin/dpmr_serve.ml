@@ -32,7 +32,9 @@ let workers_t =
     value
     & opt int 0
     & info [ "workers"; "j" ] ~docv:"N"
-        ~doc:"Worker domains in the resident pool (0 = one per recommended core).")
+        ~doc:
+          "Size of the resident pool: N - 1 worker domains, and the connection handler \
+           that holds the pool's caller slot (0 = one per recommended core).")
 
 let retries_t =
   Arg.(

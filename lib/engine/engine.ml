@@ -6,9 +6,10 @@
     - deduplicates identical specs inside a batch and serves previously
       seen specs from the content-addressed result [Cache];
     - executes the remaining jobs on a fixed pool of OCaml 5 domains
-      ([Pool]) that lives as long as the engine, each worker holding its
-      own experiment contexts (programs carry internal caches, so a
-      [Prog.t] must never cross domains);
+      ([Pool]) that lives as long as the engine, beside the calling
+      domain, each executor holding its own experiment contexts
+      (programs carry internal caches, so a [Prog.t] must never cross
+      domains);
     - returns classifications keyed by input position, so output is
       byte-identical to the serial engine regardless of completion order
       or worker count;
@@ -26,8 +27,10 @@ type t = {
   supervisor : Supervisor.t;
   progress : bool;
   pool : Pool.t;
-      (** [jobs] worker domains spawned at {!create} and joined at
-          {!close}; at [jobs = 1] batches run on the calling domain *)
+      (** [jobs - 1] worker domains spawned at {!create} and joined at
+          {!close}, plus the calling domain as the [jobs]-th executor of
+          its own batches; at [jobs = 1] batches run on the calling
+          domain alone *)
   snapshots : bool;
       (** snapshot/fork campaign execution: run each fault-injection
           cell's warmup once as a watched baseline and fork the members
@@ -159,19 +162,20 @@ let partition_units t to_run =
   end
 
 (* The minor heap of a domain that runs cells, in words: one 32 MB
-   nursery budget split over the engine's workers.  A cell keeps all of
-   its prepared members (transformed and lowered programs) live across
-   the watched baseline and every resume; on the runtime's 2 MB default
-   they are promoted and then swept by the major GC.  [Gc.set] reaches
-   only the calling domain, and every minor collection stops and
-   promotes all domains, so only domains that run cells grow: singles,
-   tasks and idle domains keep the default and their peak RSS. *)
+   nursery budget split over the engine's [jobs] executors.  A cell
+   keeps all of its prepared members (transformed and lowered programs)
+   live across the watched baseline and every resume; on the runtime's
+   2 MB default they are promoted and then swept by the major GC.
+   [Gc.set] reaches only the domain that runs it, and every minor
+   collection stops and promotes all domains, so only domains that run
+   cells grow — a worker or a batch's caller alike: singles, tasks and
+   idle domains keep the default and their peak RSS. *)
 let grow_nursery t =
   let g = Gc.get () in
   let words = 4 * 1024 * 1024 / t.jobs in
   if g.Gc.minor_heap_size < words then Gc.set { g with Gc.minor_heap_size = words }
 
-(* Run a whole cell on one worker: plan the shared baseline once, then
+(* Run a whole cell on one executor: plan the shared baseline once, then
    run each member under its own supervision.  Any planning failure
    degrades every member to the ordinary from-zero path — never worse
    than ungrouped execution.  Returns one result per member, tagged with
@@ -257,7 +261,7 @@ let run_specs_r t specs =
       (* every job runs under supervision: deadline, retry-with-backoff
          for transient failures, quarantine for deterministic ones — a
          failure fills its own slots and cannot abort the batch.  A
-         [Cell] runs whole on one worker: its members share a watched
+         [Cell] runs whole on one executor: its members share a watched
          baseline, but each member is still supervised individually. *)
       let exec_unit = function
         | Single (key, spec) ->

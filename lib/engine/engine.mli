@@ -33,15 +33,19 @@ val create :
     [Job.default_salt]; [policy] is the supervision policy (deadline /
     retry / backoff, default [Supervisor.default_policy]); [progress]
     prints batch progress to stderr on long grids.  With [jobs > 1] the
-    engine spawns its worker domains here and keeps them until {!close},
-    so per-domain warmup (experiment contexts, lowered programs) is paid
-    once per engine; such an engine must be {!close}d, or its domains
-    park forever.  With [jobs = 1] every batch runs on the calling
-    domain.  A domain that runs a multi-member snapshot cell raises its
-    own minor heap to [4M / jobs] words.  [dispatcher] scatters cache
-    misses to remote workers ([report all --workers]) with the local
-    pool as the degradation path; the engine's cache, figures, and
-    result ordering are unchanged. *)
+    engine spawns [jobs - 1] worker domains here and keeps them until
+    {!close}, so per-domain warmup (experiment contexts, lowered
+    programs) is paid once per engine; such an engine must be
+    {!close}d, or its domains park forever.  The [jobs]-th executor is
+    the domain that submits a batch: it runs that batch's jobs beside
+    the workers while it holds the pool's one caller slot ({!Pool}), so
+    at most [jobs] jobs run at once.  With [jobs = 1] every batch runs
+    on the calling domain.  A domain that runs a multi-member snapshot
+    cell, caller or worker, raises its own minor heap to [4M / jobs]
+    words.  [dispatcher] scatters cache misses to remote workers
+    ([report all --workers]) with the local pool as the degradation
+    path; the engine's cache, figures, and result ordering are
+    unchanged. *)
 
 val jobs : t -> int
 

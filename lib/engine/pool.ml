@@ -1,43 +1,73 @@
 (** Fixed-size domain worker pool with deterministic result ordering.
 
-    A pool's worker domains are spawned once by {!create} and park on a
-    condition variable between batches until {!shutdown}, so repeated
-    batches — an engine reused across figures, or a daemon serving
-    requests — pay domain spawn and per-domain warmup (DLS-cached
-    experiment contexts, lowered programs) once.  A pool of size 1
-    spawns no domain: its batches run serially on the calling domain.
+    A pool of size J has J executors: J − 1 worker domains spawned once
+    by {!create}, and the domain that submits a batch.  The workers park
+    on a condition variable between batches until {!shutdown}, so
+    repeated batches — an engine reused across figures, or a daemon
+    serving requests — pay domain spawn and per-domain warmup
+    (DLS-cached experiment contexts, lowered programs) once.  A
+    submitting domain runs its own batch beside the workers while it
+    holds the pool's one caller slot, instead of parking while they run:
+    a parked domain still joins every stop-the-world collection, so a
+    batch would otherwise have one more participant than executors.  A
+    pool of size 1 spawns no domain: its batches run serially on the
+    calling domain.
 
-    Workers pull tasks from a mutex-protected queue and write results
-    into per-index slots, so the returned list is ordered by input
-    position regardless of completion order — the property that keeps
-    parallel engine output byte-identical to serial output. *)
+    A batch is one queue entry whose tasks are claimed by index from an
+    atomic counter, and each task writes its result into its own slot,
+    so the returned list is ordered by input position regardless of
+    which domain ran what, or when — the property that keeps parallel
+    engine output byte-identical to serial output. *)
 
 let default_size () = Domain.recommended_domain_count ()
 
+type batch = {
+  n : int;
+  next : int Atomic.t;  (** the next unclaimed index; [>= n] once all are claimed *)
+  run : int -> unit;  (** run task [i] and record its result; never raises *)
+}
+
 type t = {
   size : int;
-  queue : (unit -> unit) Queue.t;
+  queue : batch Queue.t;  (** batches with indices that may be unclaimed *)
   mu : Mutex.t;
-  work : Condition.t;  (** signalled when a task is queued or on shutdown *)
+  work : Condition.t;  (** signalled when a batch is queued or on shutdown *)
+  caller : bool Atomic.t;
+      (** the caller slot: held while a submitting domain runs its own
+          batch, so at most [size] tasks run at once *)
   mutable stopping : bool;
   mutable domains : unit Domain.t list;
 }
 
 let size t = t.size
 
+(* Claim indices of [b] until none is left. *)
+let rec claim b =
+  let i = Atomic.fetch_and_add b.next 1 in
+  if i < b.n then begin
+    b.run i;
+    claim b
+  end
+
 let worker_loop t =
   let rec loop () =
-    let task =
+    let batch =
       Mutex.protect t.mu (fun () ->
           while Queue.is_empty t.queue && not t.stopping do
             Condition.wait t.work t.mu
           done;
-          if Queue.is_empty t.queue then None else Some (Queue.pop t.queue))
+          Queue.peek_opt t.queue)
     in
-    match task with
+    match batch with
     | None -> () (* stopping and drained *)
-    | Some task ->
-        task ();
+    | Some b ->
+        claim b;
+        (* no index is left to claim: the batch leaves the queue, unless
+           another worker dropped it first *)
+        Mutex.protect t.mu (fun () ->
+            match Queue.peek_opt t.queue with
+            | Some head when head == b -> ignore (Queue.pop t.queue)
+            | _ -> ());
         loop ()
   in
   loop ()
@@ -49,12 +79,12 @@ let create ?(size = default_size ()) () =
       queue = Queue.create ();
       mu = Mutex.create ();
       work = Condition.create ();
+      caller = Atomic.make false;
       stopping = false;
       domains = [];
     }
   in
-  if t.size > 1 then
-    t.domains <- List.init t.size (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  t.domains <- List.init (t.size - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let shutdown t =
@@ -76,7 +106,7 @@ let run_batch t ?progress f xs =
   let completed = ref 0 in
   let done_mu = Mutex.create () in
   let done_cond = Condition.create () in
-  let task i () =
+  let run i =
     let r =
       try Ok (f input.(i))
       with e ->
@@ -90,11 +120,15 @@ let run_batch t ?progress f xs =
         (match progress with Some p -> p ~done_:!completed ~total:n | None -> ());
         Condition.signal done_cond)
   in
-  Mutex.protect t.mu (fun () ->
-      for i = 0 to n - 1 do
-        Queue.push (task i) t.queue
-      done;
-      Condition.broadcast t.work);
+  let b = { n; next = Atomic.make 0; run } in
+  let runs_own = Atomic.compare_and_set t.caller false true in
+  (* a slot holder runs a one-task batch without waking a worker *)
+  if n > 1 || not runs_own then
+    Mutex.protect t.mu (fun () ->
+        Queue.push b t.queue;
+        Condition.broadcast t.work);
+  if runs_own then
+    Fun.protect ~finally:(fun () -> Atomic.set t.caller false) (fun () -> claim b);
   Mutex.protect done_mu (fun () ->
       while !completed < n do
         Condition.wait done_cond done_mu
@@ -118,8 +152,10 @@ let serial_batch ?progress f xs =
       r)
     xs
 
-(** Safe to call from several domains at once: tasks interleave in one
-    queue and each batch waits only on its own completion counter. *)
+(** Safe to call from several domains at once: batches queue in
+    submission order, the caller slot lets at most one caller execute
+    (its own batch only), and each batch waits only on its own
+    completion counter. *)
 let map_results_on t ?progress f xs =
   if xs = [] then []
   else if t.size = 1 then serial_batch ?progress f xs

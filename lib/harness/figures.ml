@@ -26,9 +26,6 @@ type ctx = {
       (** N-version override applied to every figure configuration
           ([--replicas]/[--families]); identity at the defaults,
           so the byte-stable [report all] contract is untouched *)
-  experiments : (string, Experiment.t) Hashtbl.t;
-      (** main-domain contexts, for site enumeration and golden baselines
-          (worker domains build their own — see [Engine]) *)
   class_cache : (string, Experiment.run_result list) Hashtbl.t;
   snad_cache : (string, bool list) Hashtbl.t;  (** StdNotAllDet per site *)
 }
@@ -48,22 +45,24 @@ let create ?(scale = 1) ?(seed = 42L) ?(reps = 1) ?(replicas = 1) ?(families = [
     reps = max 1 reps;
     engine;
     nv = (fun cfg -> { cfg with Config.replicas; families });
-    experiments = Hashtbl.create 8;
     class_cache = Hashtbl.create 64;
     snad_cache = Hashtbl.create 16;
   }
 
+(* The calling domain's context for site enumeration and golden
+   baselines: the engine's own per-domain one, which the same domain
+   also executes jobs against.  Only the workload, scale and seed pick
+   the context. *)
 let experiment ctx name =
-  match Hashtbl.find_opt ctx.experiments name with
-  | Some e -> e
-  | None ->
-      let entry = Workloads.find name in
-      let wk =
-        Experiment.workload name (fun () -> entry.Workloads.build ~scale:ctx.scale ())
-      in
-      let e = Experiment.make ~seed:ctx.seed wk in
-      Hashtbl.replace ctx.experiments name e;
-      e
+  Engine.experiment_for
+    {
+      Job.workload = name;
+      scale = ctx.scale;
+      exp_seed = ctx.seed;
+      run_seed = ctx.seed;
+      budget = 0L;
+      variant = Experiment.Golden;
+    }
 
 (* ---------------- variant sets ---------------- *)
 

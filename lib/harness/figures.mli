@@ -5,8 +5,9 @@
     quantities are the shapes (see EXPERIMENTS.md). *)
 
 type ctx
-(** Caches experiments (golden runs) and per-variant classifications so
-    overlapping figures share work. *)
+(** Caches per-variant classifications so overlapping figures share
+    work; experiment contexts (golden runs) come from the engine's
+    per-domain table ({!Dpmr_engine.Engine.experiment_for}). *)
 
 (** [reps] repeats every fault-injection run with distinct seeds — the
     run-number dimension RN of the §3.6 experiment tuple.  [engine] runs

@@ -83,8 +83,11 @@ let header_bytes = 16L
 
 (* Chunk map: payload base -> (granted payload bytes, live?).  Freed
    chunks stay in the map marked dead so use-after-free stores can be
-   attributed; reallocation flips them live again. *)
-let classify chunks ~heap_base ~addr ~bytes =
+   attributed; reallocation flips them live again.  A [truncated] map
+   lacks every chunk allocated before the ring's window, so a store
+   outside the chunks it knows may land in one it does not: no header
+   or wilderness is named then, only stores against known chunks. *)
+let classify chunks ~truncated ~heap_base ~addr ~bytes =
   if Int64.unsigned_compare addr heap_base < 0 then None
   else
     let last = Int64.add addr (Int64.of_int (max 1 bytes - 1)) in
@@ -95,6 +98,7 @@ let classify chunks ~heap_base ~addr ~bytes =
         else if Int64.unsigned_compare last (Int64.add base (Int64.of_int granted)) >= 0 then
           Some (Overflow base)
         else None (* inside a live payload: legitimate *)
+    | _ when truncated -> None
     | _ -> (
         (* not inside any payload: allocator metadata or wilderness *)
         match I64Map.find_first_opt (fun base -> Int64.unsigned_compare base addr > 0) chunks with
@@ -104,6 +108,7 @@ let classify chunks ~heap_base ~addr ~bytes =
 
 let analyze ~heap_base ?(dropped = 0) (records : Trace.record array) : report =
   let n = Array.length records in
+  let truncated = dropped > 0 in
   (* first injection mark *)
   let fi_idx = ref (-1) in
   (try
@@ -145,7 +150,7 @@ let analyze ~heap_base ?(dropped = 0) (records : Trace.record array) : report =
             (function Some (g, _) -> Some (g, false) | None -> Some (0, false))
             !chunks
     | Trace.Store { addr; bytes } when after && !first_bad = None -> (
-        match classify !chunks ~heap_base ~addr ~bytes with
+        match classify !chunks ~truncated ~heap_base ~addr ~bytes with
         | Some target ->
             first_bad := Some (r.cost, Displaced_store { addr; bytes; target })
         | None -> ())
@@ -168,7 +173,7 @@ let analyze ~heap_base ?(dropped = 0) (records : Trace.record array) : report =
                 first_malloc := Some (Undersized_malloc { addr; requested; granted })
           | Trace.Free { addr; _ } -> if !freed = None then freed := Some addr
           | Trace.Store { addr; bytes } when !first_store = None -> (
-              match classify !chunks ~heap_base ~addr ~bytes with
+              match classify !chunks ~truncated ~heap_base ~addr ~bytes with
               (* chunk map here reflects the END state; only use it as a
                  hint — a displaced store is named even if it can't be
                  classified against the final map. *)
@@ -201,7 +206,7 @@ let analyze ~heap_base ?(dropped = 0) (records : Trace.record array) : report =
     distance;
     compares_after = !compares_after;
     verdict;
-    truncated = dropped > 0;
+    truncated;
   }
 
 let pp_report ppf (r : report) =

@@ -166,13 +166,32 @@ let test_pool_order_and_exception () =
               ignore (Pool.map_on p (fun x -> if x = 5 then raise Exit else x) xs));
           Alcotest.(check (list int)) "pool still serves after a raise" xs
             (Pool.map_on p Fun.id xs)))
-    [ 1; 3; 4 ];
+    [ 1; 2; 3; 4 ];
   (* the serial path: a pool of one runs every job on the caller *)
   with_pool 1 (fun p ->
       let self = (Domain.self () :> int) in
       Alcotest.(check (list int)) "size 1 runs on the calling domain"
         (List.map (fun _ -> self) xs)
-        (Pool.map_on p (fun _ -> (Domain.self () :> int)) xs))
+        (Pool.map_on p (fun _ -> (Domain.self () :> int)) xs));
+  (* a pool of two is the caller plus one worker: each task waits until
+     two tasks have started, so both executors take part *)
+  with_pool 2 (fun p ->
+      let self = (Domain.self () :> int) in
+      let started = Atomic.make 0 in
+      let ran =
+        Pool.map_on p
+          (fun _ ->
+            Atomic.incr started;
+            let deadline = Unix.gettimeofday () +. 10. in
+            while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+              Domain.cpu_relax ()
+            done;
+            (Domain.self () :> int))
+          (List.init 16 Fun.id)
+      in
+      Alcotest.(check bool) "size 2 runs on the calling domain" true (List.mem self ran);
+      Alcotest.(check int) "and on one other domain, never a third" 2
+        (List.length (List.sort_uniq compare ran)))
 
 let test_pool_map_results_per_slot () =
   (* one element failing keeps every other slot's result; the failing
@@ -195,7 +214,51 @@ let test_pool_map_results_per_slot () =
               Alcotest.(check bool) "slot should have succeeded" true (i mod 5 = 3);
               Alcotest.(check bool) "original exception kept" true (e = Exit))
         rs)
-    [ 1; 4 ]
+    [ 1; 2; 4 ]
+
+(* Two domains submit a 16-task batch each to one pool at the same
+   moment; every task sleeps briefly, so the batches overlap.  Returns
+   each submitter's domain, the domains that ran its batch, and the most
+   tasks that were ever running at once. *)
+let concurrent_batches p =
+  let ready = Atomic.make 0 and running = Atomic.make 0 and peak = Atomic.make 0 in
+  let task _ =
+    let now = Atomic.fetch_and_add running 1 + 1 in
+    let rec raise_peak () =
+      let seen = Atomic.get peak in
+      if now > seen && not (Atomic.compare_and_set peak seen now) then raise_peak ()
+    in
+    raise_peak ();
+    Unix.sleepf 0.001;
+    Atomic.decr running;
+    (Domain.self () :> int)
+  in
+  let submit () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    ((Domain.self () :> int), Pool.map_on p task (List.init 16 Fun.id))
+  in
+  let a = Domain.spawn submit and b = Domain.spawn submit in
+  let a = Domain.join a and b = Domain.join b in
+  (a, b, Atomic.get peak)
+
+let test_pool_concurrent_callers () =
+  with_pool 2 (fun p ->
+      let (a, ran_a), (b, ran_b), peak = concurrent_batches p in
+      Alcotest.(check bool) "no task of the first batch on the second caller" false
+        (List.mem b ran_a);
+      Alcotest.(check bool) "no task of the second batch on the first caller" false
+        (List.mem a ran_b);
+      Alcotest.(check bool) "at most 2 tasks at once" true (peak <= 2));
+  (* a pool of one has no slot to contend for: each caller runs its own *)
+  with_pool 1 (fun p ->
+      let (a, ran_a), (b, ran_b), _ = concurrent_batches p in
+      Alcotest.(check (list int)) "size 1: the first batch ran on its caller"
+        (List.map (fun _ -> a) ran_a) ran_a;
+      Alcotest.(check (list int)) "size 1: the second batch ran on its caller"
+        (List.map (fun _ -> b) ran_b) ran_b)
 
 (* ---- determinism guard: serial vs multi-domain ---- *)
 
@@ -215,12 +278,13 @@ let test_parallel_determinism () =
   Alcotest.(check (list string)) "serial and 4-domain runs byte-identical"
     (lines_of a) (lines_of b)
 
-(* ---- the engine's worker domains ---- *)
+(* ---- the engine's executing domains ---- *)
 
-(* One thunk per worker, each held until every worker has taken one, so
-   the answers come from [jobs] distinct domains (or, past the deadline,
-   show that they could not). *)
-let on_every_worker engine f =
+(* One thunk per executor, each held until every executor has taken
+   one, so the answers come from [jobs] distinct domains — the calling
+   domain and each worker (or, past the deadline, show that they could
+   not). *)
+let on_every_executor engine f =
   let jobs = Engine.jobs engine in
   let arrived = Atomic.make 0 in
   Engine.run_tasks engine
@@ -236,19 +300,17 @@ let distinct xs = List.length (List.sort_uniq compare xs)
 
 let test_pool_domains_persist () =
   with_engine ~jobs:2 (fun e ->
-      let ids () = List.map fst (on_every_worker e ignore) in
+      let ids () = List.map fst (on_every_executor e ignore) in
       let first = ids () in
       let second = ids () in
-      Alcotest.(check int) "each batch reaches both workers" 2 (distinct first);
+      Alcotest.(check int) "each batch reaches both executors" 2 (distinct first);
       Alcotest.(check int) "the second batch runs on the same two domains" 2
         (distinct (first @ second)))
 
 let minor_heap () = (Gc.get ()).Gc.minor_heap_size
 
 let test_nursery_follows_cells () =
-  let default = Domain.join (Domain.spawn minor_heap) in
-  let caller = minor_heap () in
-  let grown = max default (4 * 1024 * 1024 / 2) in
+  let grown = 4 * 1024 * 1024 / 2 in
   let e = Lazy.force exp_ctx in
   let mk = Job.make e ~workload:app ~scale:1 ~run_seed:42L in
   let kind = Inject.Heap_array_resize 50 in
@@ -258,17 +320,31 @@ let test_nursery_follows_cells () =
         List.map (fun site -> mk (Experiment.Fi_dpmr (Config.default, kind, site))) [ s0; s1 ]
     | _ -> Alcotest.fail "fixture needs two injection sites"
   in
+  (* earlier engines may have grown the calling domain, one of this
+     engine's two executors: start it on a fresh domain's nursery so
+     that the executor running the cell grows visibly *)
+  let caller = minor_heap () in
+  let default = Domain.join (Domain.spawn minor_heap) in
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = default };
+  Fun.protect ~finally:(fun () -> Gc.set { (Gc.get ()) with Gc.minor_heap_size = caller })
+  @@ fun () ->
   with_engine ~snapshots:true ~jobs:2 (fun eng ->
-      let heaps () = List.map snd (on_every_worker eng minor_heap) in
+      (* each executor's (domain, minor heap): the calling domain and the worker *)
+      let heaps () = List.sort compare (on_every_executor eng minor_heap) in
+      let before = heaps () in
+      Alcotest.(check int) "the caller and one worker execute" 2 (distinct (List.map fst before));
       (* a golden run and a fault-free DPMR run fall in different cells,
          so this batch is two singles *)
       ignore (Engine.run_specs eng [ mk Experiment.Golden; mk (Experiment.Nofi_dpmr Config.default) ]);
-      Alcotest.(check (list int)) "singles keep the default nursery" [ default; default ]
-        (heaps ());
+      Alcotest.(check (list (pair int int))) "singles change no nursery" before (heaps ());
       ignore (Engine.run_specs eng cell);
-      Alcotest.(check bool) "the worker that ran the cell grew" true
-        (List.mem grown (heaps ()));
-      Alcotest.(check int) "the calling domain is untouched" caller (minor_heap ()))
+      match List.filter (fun h -> not (List.mem h before)) (heaps ()) with
+      | [ (_, words) ] ->
+          Alcotest.(check bool) "the executor that ran the cell grew to 4M / 2 words" true
+            (words >= grown)
+      | changed ->
+          Alcotest.failf "expected exactly one executor's nursery to change, %d did"
+            (List.length changed))
 
 (* ---- content-addressed cache ---- *)
 
@@ -553,6 +629,7 @@ let suites =
           test_pool_order_and_exception;
         Alcotest.test_case "pool: per-slot results survive a failing slot" `Quick
           test_pool_map_results_per_slot;
+        Alcotest.test_case "pool: concurrent callers" `Quick test_pool_concurrent_callers;
         Alcotest.test_case "determinism: serial vs 4 domains" `Quick
           test_parallel_determinism;
         Alcotest.test_case "pool domains persist across batches" `Quick

@@ -201,7 +201,9 @@ let test_forensics_classify () =
     Analysis.I64Map.of_seq
       (List.to_seq [ (0x80000010L, (32, true)); (0x80000100L, (16, false)) ])
   in
-  let cl addr bytes = Analysis.classify chunks ~heap_base ~addr ~bytes in
+  let cl ?(truncated = false) addr bytes =
+    Analysis.classify chunks ~truncated ~heap_base ~addr ~bytes
+  in
   Alcotest.(check bool) "below heap: not heap traffic" true (cl 0x1000L 8 = None);
   Alcotest.(check bool) "inside live payload: fine" true (cl 0x80000018L 8 = None);
   Alcotest.(check bool) "running past the end: overflow" true
@@ -211,7 +213,31 @@ let test_forensics_classify () =
   Alcotest.(check bool) "header below a payload" true
     (cl 0x80000000L 8 = Some (Analysis.Chunk_header 0x80000010L));
   Alcotest.(check bool) "far off: wilderness" true
-    (cl 0x90000000L 8 = Some Analysis.Wilderness)
+    (cl 0x90000000L 8 = Some Analysis.Wilderness);
+  (* a wrapped ring lost the chunks allocated before its window: only
+     stores against chunks the map knows are named *)
+  let cl = cl ~truncated:true in
+  Alcotest.(check bool) "truncated: overflow kept" true
+    (cl 0x8000002cL 8 = Some (Analysis.Overflow 0x80000010L));
+  Alcotest.(check bool) "truncated: freed chunk kept" true
+    (cl 0x80000104L 4 = Some (Analysis.In_freed 0x80000100L));
+  Alcotest.(check bool) "truncated: no header named" true (cl 0x80000000L 8 = None);
+  Alcotest.(check bool) "truncated: no wilderness named" true (cl 0x90000000L 8 = None);
+  (* the same through [analyze]: a dropped event truncates the map *)
+  let records =
+    [|
+      { Trace.cost = 1; ev = Trace.Malloc { addr = 0x80000010L; requested = 32; granted = 32; live = 1 } };
+      { Trace.cost = 2; ev = Trace.Fi_mark };
+      { Trace.cost = 3; ev = Trace.Store { addr = 0x90000000L; bytes = 8 } };
+    |]
+  in
+  let first_bad dropped =
+    Option.map snd (Analysis.analyze ~heap_base ~dropped records).Analysis.first_bad_store
+  in
+  Alcotest.(check bool) "analyze: wilderness store named" true
+    (first_bad 0
+    = Some (Analysis.Displaced_store { addr = 0x90000000L; bytes = 8; target = Analysis.Wilderness }));
+  Alcotest.(check bool) "analyze ~dropped:1: not named" true (first_bad 1 = None)
 
 (* --- the acceptance grid ---
 
