@@ -233,3 +233,20 @@ let int_to_ptr_prog () =
   Builder.store b i64 (Builder.i64c 1) x2;
   finish b;
   p
+
+(* One object accessed through a manufactured pointer (DSA excludes it:
+   no checks) beside one replicated normally; prints 42. *)
+let dsa_mixed () =
+  let p = fresh () in
+  let b = main_b p in
+  let a = Builder.malloc b i64 in
+  Builder.store b i64 (Builder.i64c 11) a;
+  let addr = Builder.ptr_to_int b a in
+  let a2 = Builder.int_to_ptr b (Ptr i64) addr in
+  let v1 = Builder.load b i64 a2 in
+  let c = Builder.malloc b i64 in
+  Builder.store b i64 (Builder.i64c 31) c;
+  let v2 = Builder.load b i64 c in
+  Builder.call0 b (Direct "print_int") [ Builder.add b W64 v1 v2 ];
+  finish b;
+  p

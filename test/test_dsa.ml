@@ -219,18 +219,7 @@ let test_dsa_keeps_detection_on_included_memory () =
 let test_dsa_mixed_program () =
   (* one object accessed through a manufactured pointer (excluded, no
      checks) and one replicated normally; semantics preserved *)
-  let p = Progs.fresh () in
-  let b = Builder.create p ~name:"main" ~params:[] ~ret:i32 () in
-  let a = Builder.malloc b i64 in
-  Builder.store b i64 (Builder.i64c 11) a;
-  let addr = Builder.ptr_to_int b a in
-  let a2 = Builder.int_to_ptr b (Ptr i64) addr in
-  let v1 = Builder.load b i64 a2 in
-  let c = Builder.malloc b i64 in
-  Builder.store b i64 (Builder.i64c 31) c;
-  let v2 = Builder.load b i64 c in
-  Builder.call0 b (Direct "print_int") [ Builder.add b W64 v1 v2 ];
-  Builder.ret b (Some (Builder.i32c 0));
+  let p = Progs.dsa_mixed () in
   let cfg = { Config.default with Config.mode = Config.Mds } in
   let tp, scope = Dpmr_dsa.Dsa_dpmr.transform_with_scope cfg p in
   Verifier.check_prog tp;
