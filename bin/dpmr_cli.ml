@@ -100,21 +100,6 @@ let policy_t =
 let plain_t =
   Arg.(value & flag & info [ "plain" ] ~doc:"Run without the DPMR transformation.")
 
-(* ---- N-version options ---- *)
-
-let replicas_t =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "replica count must be >= 1 (got %d)" n))
-    | None -> Error (`Msg (Printf.sprintf "replica count must be an integer (got %S)" s))
-  in
-  Arg.(
-    value
-    & opt (conv (parse, Fmt.int)) 1
-    & info [ "replicas" ] ~docv:"N"
-        ~doc:"Number of diverse replicas (N-version replication; 1 = the paper's design).")
-
 let families_t =
   let parse s =
     let fs =
@@ -136,11 +121,11 @@ let families_t =
     value
     & opt (conv (parse, print)) []
     & info [ "families" ] ~docv:"F1,F2"
-        ~doc:"Comma-separated diversity-transform families applied per replica \
+        ~doc:"Comma-separated diversity-transform families applied to the replica \
               (see 'dpmr list' for the registry).")
 
-(** Configs built by commands that do not expose the N-version axes keep
-    the single-replica defaults. *)
+(** Configs built by commands that do not expose [--families] keep the
+    paper's (no families). *)
 let cfg_of mode diversity policy seed =
   { Config.default with Config.mode; diversity; policy; seed }
 
@@ -164,12 +149,12 @@ let report_run (r : Outcome.run) =
 (* ---- commands ---- *)
 
 let run_cmd =
-  let go name scale seed mode diversity policy plain replicas families =
+  let go name scale seed mode diversity policy plain families =
     let prog = build_workload name scale in
     let r =
       if plain then Dpmr.run_plain ~seed prog
       else
-        let cfg = { (cfg_of mode diversity policy seed) with Config.replicas; families } in
+        let cfg = { (cfg_of mode diversity policy seed) with Config.families } in
         Dpmr.run_dpmr ~seed cfg prog
     in
     report_run r
@@ -177,19 +162,18 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run a workload, optionally under DPMR.")
     Term.(
       const go $ workload_t $ scale_t $ seed_t $ mode_t $ diversity_t $ policy_t $ plain_t
-      $ replicas_t $ families_t)
+      $ families_t)
 
 let transform_cmd =
-  let go name scale mode diversity policy replicas families =
+  let go name scale mode diversity policy families =
     let prog = build_workload name scale in
-    let cfg = { Config.default with Config.mode; diversity; policy; replicas; families } in
+    let cfg = { Config.default with Config.mode; diversity; policy; families } in
     let tp = Dpmr.transform cfg prog in
     print_string (Dpmr_ir.Printer.prog_to_string tp)
   in
   Cmd.v (Cmd.info "transform" ~doc:"Print the DPMR-transformed IR of a workload.")
     Term.(
-      const go $ workload_t $ scale_t $ mode_t $ diversity_t $ policy_t $ replicas_t
-      $ families_t)
+      const go $ workload_t $ scale_t $ mode_t $ diversity_t $ policy_t $ families_t)
 
 let sites_cmd =
   let go name scale =
@@ -461,7 +445,7 @@ let report_cmd =
           ~doc:"Duplicate a straggling chunk onto a second healthy worker \
                 after $(docv) milliseconds; first result wins (0 disables).")
   in
-  let go id fig scale seed reps replicas families jobs no_cache no_snapshot
+  let go id fig scale seed reps families jobs no_cache no_snapshot
       chaos deadline retries backoff_ms telemetry_json remote_workers
       min_workers window chunk hedge_ms =
     (match chaos with
@@ -539,7 +523,7 @@ let report_cmd =
         Engine.drain engine;
         write_telemetry ());
     Drain.graceful_exit ();
-    let ctx = Figures.create ~scale ~seed ~reps ~replicas ~families ~engine () in
+    let ctx = Figures.create ~scale ~seed ~reps ~families ~engine () in
     (if id = "all" then Figures.run_all ctx
      else if id = "forensics" then
        Figures.forensics ctx (Option.value fig ~default:"fig-3.6")
@@ -555,7 +539,7 @@ let report_cmd =
        ~doc:"Regenerate a paper table/figure ('all' for everything; 'forensics \
              FIG' for a traced fault grid).")
     Term.(
-      const go $ id_t $ fig_t $ scale_t $ seed_t $ reps_t $ replicas_t
+      const go $ id_t $ fig_t $ scale_t $ seed_t $ reps_t
       $ families_t $ jobs_t $ no_cache_t $ no_snapshot_t $ chaos_t
       $ deadline_t $ retries_t $ backoff_ms_t $ telemetry_json_t
       $ remote_workers_t $ min_workers_t $ window_t $ chunk_t $ hedge_ms_t)
@@ -770,7 +754,7 @@ let list_cmd =
       (fun (id, desc, _) -> Printf.printf "  %-12s %s\n" id desc)
       Figures.all;
     Printf.printf "  %-12s %s\n" "nversion-surface"
-      "N-version detection surface over (N, family set, fault model)";
+      "diversity-family detection surface over (family set, fault model)";
     print_endline "diversity families (--families):";
     List.iter
       (fun n ->

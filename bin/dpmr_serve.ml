@@ -197,6 +197,6 @@ let cmd =
 
 let () =
   (* populate the diversity-family registry before any request can name
-     a family; without this every N-version request would be rejected *)
+     a family; without this every family request would be rejected *)
   Dpmr_nversion.Families.ensure ();
   exit (Cmd.eval cmd)

@@ -34,10 +34,10 @@ type t = {
   diversity : diversity;
   policy : policy;
   seed : int64;  (** drives static-policy coin flips and rearrange-heap *)
-  replicas : int;  (** N >= 1 diverse replicas; 1 is the paper's design *)
   families : string list;
       (** diversity-family names ({!Diversity_family} registry), applied
-          to every replica with per-replica deterministic seeding *)
+          to the replica's allocations with per-site deterministic
+          seeding *)
 }
 
 let default =
@@ -46,7 +46,6 @@ let default =
     diversity = No_diversity;
     policy = All_loads;
     seed = 42L;
-    replicas = 1;
     families = [];
   }
 
@@ -75,13 +74,11 @@ let policy_name = function
       Printf.sprintf "temporal-%d/64" !bits
   | Static f -> Printf.sprintf "static-%d%%" (int_of_float (f *. 100.))
 
-(* The N-version axes render only when non-default, so every display
-   label of the paper's single-replica grid is unchanged. *)
+(* The families render only when present, as "/n1/F1+F2": the "n1"
+   keeps every family build's display label unchanged, and the paper
+   grid's labels carry no suffix at all. *)
 let nversion_suffix c =
-  if c.replicas = 1 && c.families = [] then ""
-  else
-    Printf.sprintf "/n%d%s" c.replicas
-      (match c.families with [] -> "" | fs -> "/" ^ String.concat "+" fs)
+  match c.families with [] -> "" | fs -> "/n1/" ^ String.concat "+" fs
 
 let name c =
   Printf.sprintf "%s/%s/%s%s" (mode_name c.mode) (diversity_name c.diversity)

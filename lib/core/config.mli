@@ -35,13 +35,13 @@ type t = {
   diversity : diversity;
   policy : policy;
   seed : int64;  (** drives static-policy coin flips and rearrange-heap *)
-  replicas : int;  (** N >= 1 diverse replicas; 1 is the paper's design *)
   families : string list;
       (** diversity-family names ({!Diversity_family} registry), applied
-          to every replica with per-replica deterministic seeding *)
+          to the replica's allocations with per-site deterministic
+          seeding *)
 }
 
-(** SDS, no diversity, all loads, seed 42, one replica, no families —
+(** SDS, no diversity, all loads, seed 42, no families —
     the paper's configuration. *)
 val default : t
 
@@ -55,8 +55,8 @@ val mode_name : mode -> string
 val diversity_name : diversity -> string
 val policy_name : policy -> string
 
-(** Display rendering of the N-version axes; [""] for the single-replica
-    default, so the paper grid's labels are unchanged. *)
+(** Display rendering of the diversity families, ["/n1/F1+F2"]; [""]
+    without families, so the paper grid's labels are unchanged. *)
 val nversion_suffix : t -> string
 
 val name : t -> string

@@ -32,9 +32,9 @@ let prepare (d : Config.diversity) (dst : Prog.t) =
 
 (** Emit the replica heap allocation for an application allocation of
     [count] objects of (augmented) type [aug_ty].  Returns an operand of
-    type [Ptr aug_ty].  [extra_pad] is the N-version diversity-family
-    request growth for this (replica, site); 0 preserves the paper's
-    emission byte for byte. *)
+    type [Ptr aug_ty].  [extra_pad] is the diversity-family request
+    growth for this site; 0 preserves the paper's emission byte for
+    byte. *)
 let emit_replica_malloc state (d : Config.diversity) ?(extra_pad = 0)
     (b : Builder.t) aug_ty count =
   let padded_request ~label pad =

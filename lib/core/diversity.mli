@@ -19,8 +19,8 @@ val prepare : Config.diversity -> Prog.t -> state
 
 (** Emit the replica heap allocation for [count] objects of (augmented)
     type [aug_ty]; returns an operand of type [Ptr aug_ty].  [extra_pad]
-    (default 0) adds the N-version diversity-family request growth for
-    this (replica, site). *)
+    (default 0) adds the diversity-family request growth for this
+    site. *)
 val emit_replica_malloc :
   state -> Config.diversity -> ?extra_pad:int -> Builder.t -> ty -> operand -> operand
 

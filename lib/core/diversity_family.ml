@@ -1,18 +1,17 @@
-(** Pluggable diversity-transform families for N-version replication.
+(** Pluggable diversity-transform families.
 
-    The paper evaluates one replica under one diversity transformation
-    (Table 2.8); the N-version extension generalizes this to a registry
-    of *families*, each a module implementing {!S}.  A family observes
-    every replica heap-allocation site and may (a) grow the request by a
-    per-(replica, site) pad, (b) emit dummy allocations before/after the
-    replica allocation to permute its placement, (c) permute the order
-    in which the N replica allocations of one site are emitted, and (d)
-    emit one-time startup code in the synthesized [main].
+    The paper evaluates its replica under one diversity transformation
+    (Table 2.8); the families are a registry of further transformations,
+    each a module implementing {!S}, that stack on top of it.  A family
+    observes every replica heap-allocation site and may (a) grow the
+    request by a per-site pad, (b) emit dummy allocations before/after
+    the replica allocation to displace its placement, and (c) emit
+    one-time startup code in the synthesized [main].
 
     All family randomness is *compile-time* and derived purely from
-    [(config seed, family name, replica index, site index)], so the
-    transformed program — and therefore every cached verdict — is a
-    deterministic function of the {!Config.t}.
+    [(config seed, family name, site index)], so the transformed
+    program — and therefore every cached verdict — is a deterministic
+    function of the {!Config.t}.
 
     Implementations live in [lib/nversion] (the subsystem proper) and
     self-register here; the transform engine resolves names through
@@ -27,32 +26,21 @@ module type S = sig
 
   type state
 
-  val prepare : Prog.t -> seed:int64 -> replicas:int -> state
+  val prepare : Prog.t -> seed:int64 -> state
 
-  (** Extra bytes appended to replica [replica]'s request at allocation
-      site [site] (0 = no pad). *)
-  val alloc_pad : state -> replica:int -> site:int -> int
+  (** Extra bytes appended to the replica request at allocation site
+      [site] (0 = no pad). *)
+  val alloc_pad : state -> site:int -> int
 
-  (** Emitted immediately before replica [replica]'s allocation at
-      [site]; returns the dummy pointers [post_alloc] must release.
+  (** Emitted immediately before the replica allocation at [site];
+      returns the dummy pointers [post_alloc] must release.
       [aug_ty]/[count] describe the application request. *)
   val pre_alloc :
-    state ->
-    replica:int ->
-    site:int ->
-    Builder.t ->
-    Types.ty ->
-    Inst.operand ->
-    Inst.operand list
+    state -> site:int -> Builder.t -> Types.ty -> Inst.operand -> Inst.operand list
 
   (** Emitted immediately after the replica allocation, receiving
       [pre_alloc]'s dummies. *)
-  val post_alloc :
-    state -> replica:int -> site:int -> Builder.t -> Inst.operand list -> unit
-
-  (** Emission-order permutation of the [n] replica allocations at
-      [site]: a permutation of [0 .. n-1]. *)
-  val order : state -> site:int -> n:int -> int array
+  val post_alloc : state -> site:int -> Builder.t -> Inst.operand list -> unit
 
   (** One-time startup emission in the synthesized [main], before
       [mainAug] is called. *)
@@ -60,9 +48,8 @@ module type S = sig
 
   (** Application-side Rx environment change: rewrite the (untransformed)
       program the way this family displaces replica objects, so a
-      re-execution after detection can absorb the fault ([Rx]).  [None]
-      when the family has no application-side analog. *)
-  val rx_rewrite : Prog.t -> seed:int64 -> Prog.t option
+      re-execution after detection can absorb the fault ([Rx]). *)
+  val rx_rewrite : Prog.t -> seed:int64 -> Prog.t
 end
 
 type family = (module S)
@@ -72,22 +59,19 @@ type family = (module S)
     per call. *)
 type instance = {
   i_name : string;
-  i_alloc_pad : replica:int -> site:int -> int;
-  i_pre_alloc :
-    replica:int -> site:int -> Builder.t -> Types.ty -> Inst.operand -> Inst.operand list;
-  i_post_alloc : replica:int -> site:int -> Builder.t -> Inst.operand list -> unit;
-  i_order : site:int -> n:int -> int array;
+  i_alloc_pad : site:int -> int;
+  i_pre_alloc : site:int -> Builder.t -> Types.ty -> Inst.operand -> Inst.operand list;
+  i_post_alloc : site:int -> Builder.t -> Inst.operand list -> unit;
   i_startup : Builder.t -> unit;
 }
 
-let instantiate (module F : S) prog ~seed ~replicas =
-  let st = F.prepare prog ~seed ~replicas in
+let instantiate (module F : S) prog ~seed =
+  let st = F.prepare prog ~seed in
   {
     i_name = F.name;
     i_alloc_pad = F.alloc_pad st;
     i_pre_alloc = F.pre_alloc st;
     i_post_alloc = F.post_alloc st;
-    i_order = F.order st;
     i_startup = F.startup st;
   }
 
@@ -112,7 +96,7 @@ let resolve names =
   in
   go [] names
 
-(* ---------------- deterministic per-(replica, site) randomness ------- *)
+(* ---------------- deterministic per-site randomness ---------------- *)
 
 (** splitmix64 finalizer: a pure 64-bit mix, so family decisions depend
     only on the derivation inputs and never on hook call order. *)
@@ -130,14 +114,15 @@ let fnv1a64 str =
     str;
   !h
 
-(** [derive ~seed ~tag ~replica ~site] — the family's random word for one
-    (replica, site) decision. *)
-let derive ~seed ~tag ~replica ~site =
+(** [derive ~seed ~tag ~site] — the family's random word for one site
+    decision.  The constant golden-ratio term is part of the derivation:
+    family words, and through them every family build's IR and cache key,
+    are pinned by test/golden/transform-digests.txt. *)
+let derive ~seed ~tag ~site =
   mix64
     (Int64.logxor
        (Int64.add seed (fnv1a64 tag))
-       (Int64.add
-          (Int64.mul (Int64.of_int (replica + 1)) 0x9e3779b97f4a7c15L)
+       (Int64.add 0x9e3779b97f4a7c15L
           (Int64.mul (Int64.of_int (site + 1)) 0xd1b54a32d192ed03L)))
 
 (** Map a random word into [lo, hi] inclusive. *)

@@ -21,10 +21,10 @@ let vm_plain ?seed ?budget ?lowered prog =
 
 (** Create a VM for a *transformed* program: base externs plus the
     external function wrappers for the given design. *)
-let vm_dpmr ?seed ?budget ?lowered ~mode ?replicas prog =
+let vm_dpmr ?seed ?budget ?lowered ~mode prog =
   let vm = Vm.create ?seed ?budget ?lowered prog in
   Extern.register_base vm;
-  Ext_wrappers.register ~mode ?replicas vm;
+  Ext_wrappers.register ~mode vm;
   vm
 
 (** Convenience: run [prog] untransformed. *)
@@ -34,13 +34,12 @@ let run_plain ?seed ?budget ?args ?lowered prog =
 (** Run an {e already-transformed} program with the design's wrappers —
     the repeat-run path: callers transform (and lower) once, then run per
     seed. *)
-let run_transformed ?seed ?budget ?args ?lowered ~mode ?replicas tp =
-  Vm.run ?args (vm_dpmr ?seed ?budget ?lowered ~mode ?replicas tp)
+let run_transformed ?seed ?budget ?args ?lowered ~mode tp =
+  Vm.run ?args (vm_dpmr ?seed ?budget ?lowered ~mode tp)
 
 (** Convenience: transform [prog] under [cfg] and run it. *)
 let run_dpmr ?seed ?budget ?args (cfg : Config.t) prog =
-  run_transformed ?seed ?budget ?args ~mode:cfg.Config.mode
-    ~replicas:cfg.Config.replicas (transform cfg prog)
+  run_transformed ?seed ?budget ?args ~mode:cfg.Config.mode (transform cfg prog)
 
 (** {1 Snapshot/fork campaign execution} *)
 
@@ -51,8 +50,8 @@ let watched_plain ?seed ?budget ?args ?lowered prog limitss =
   Vm.run_watched ?args (vm_plain ?seed ?budget ?lowered prog) limitss
 
 (** Same for an already-transformed program. *)
-let watched_transformed ?seed ?budget ?args ?lowered ~mode ?replicas tp limitss =
-  Vm.run_watched ?args (vm_dpmr ?seed ?budget ?lowered ~mode ?replicas tp) limitss
+let watched_transformed ?seed ?budget ?args ?lowered ~mode tp limitss =
+  Vm.run_watched ?args (vm_dpmr ?seed ?budget ?lowered ~mode tp) limitss
 
 (** Fork an untransformed program from a snapshot: build its VM, swap in
     the captured state, run to completion.  Bit-identical to
@@ -61,5 +60,5 @@ let resume_plain ?seed ?budget ?lowered prog snap =
   Vm.resume (vm_plain ?seed ?budget ?lowered prog) snap
 
 (** Same for an already-transformed program vs {!run_transformed}. *)
-let resume_transformed ?seed ?budget ?lowered ~mode ?replicas tp snap =
-  Vm.resume (vm_dpmr ?seed ?budget ?lowered ~mode ?replicas tp) snap
+let resume_transformed ?seed ?budget ?lowered ~mode tp snap =
+  Vm.resume (vm_dpmr ?seed ?budget ?lowered ~mode tp) snap

@@ -30,7 +30,6 @@ val vm_dpmr :
   ?budget:int64 ->
   ?lowered:Dpmr_vm.Lower.prog ->
   mode:Config.mode ->
-  ?replicas:int ->
   Prog.t ->
   Vm.t
 
@@ -52,7 +51,6 @@ val run_transformed :
   ?args:string list ->
   ?lowered:Dpmr_vm.Lower.prog ->
   mode:Config.mode ->
-  ?replicas:int ->
   Prog.t ->
   Outcome.run
 
@@ -81,7 +79,6 @@ val watched_transformed :
   ?args:string list ->
   ?lowered:Dpmr_vm.Lower.prog ->
   mode:Config.mode ->
-  ?replicas:int ->
   Prog.t ->
   (string, int array) Hashtbl.t array ->
   Vm.watch_result array
@@ -99,7 +96,6 @@ val resume_transformed :
   ?budget:int64 ->
   ?lowered:Dpmr_vm.Lower.prog ->
   mode:Config.mode ->
-  ?replicas:int ->
   Prog.t ->
   Vm.snapshot ->
   Outcome.run

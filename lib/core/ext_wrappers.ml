@@ -7,13 +7,7 @@
     and the rvSop/rvRopPtr return channel.  The wrappers are the
     "external code support library" of §2.8, implemented as runtime
     (OCaml) functions — exactly the role libDpmrSupport plays for the C
-    tool.
-
-    Under N-version replication every pointer parameter group carries N
-    replica pointers; the wrappers mirror stores into and load-check
-    against every replica.  At N=1 each loop degenerates to the single
-    historical operation, byte- and cost-identical to the pre-N-version
-    wrappers. *)
+    tool. *)
 
 open Dpmr_memsim
 module Vm = Dpmr_vm.Vm
@@ -34,9 +28,9 @@ let detect_at vm what ~app ~off =
 
 (* --- argument stream: wrappers consume the γ()-expanded argument list --- *)
 
-type stream = { mutable rest : Vm.value list; mode : Config.mode; nrep : int }
+type stream = { mutable rest : Vm.value list; mode : Config.mode }
 
-let mk mode nrep args = { rest = args; mode; nrep }
+let mk mode args = { rest = args; mode }
 
 let next s =
   match s.rest with
@@ -47,25 +41,21 @@ let next s =
 
 let scalar s = Vm.as_int (next s)
 
-(** Consume a pointer parameter group: (app, rop_1..rop_N[, nsop]). *)
+(** Consume a pointer parameter group: (app, rop[, nsop]). *)
 let pointer s =
   let app = Vm.as_int (next s) in
-  let rops = Array.init s.nrep (fun _ -> Vm.as_int (next s)) in
+  let rop = Vm.as_int (next s) in
   let nsop = match s.mode with Config.Sds -> Vm.as_int (next s) | Config.Mds -> 0L in
-  (app, rops, nsop)
+  (app, rop, nsop)
 
 (** Consume the return-value channel parameter (π()). *)
 let rv_channel s = Vm.as_int (next s)
 
-(** Store the return ROPs (slots 0..N-1) and, under SDS, the NSOP (slot
-    N) through the channel. *)
-let set_rv vm s chan ~rops ~nsop =
-  Array.iteri
-    (fun k rop -> Mem.write_int vm.Vm.mem (Int64.add chan (Int64.of_int (8 * k))) 8 rop)
-    rops;
+(** Store the return ROP and, under SDS, the NSOP through the channel. *)
+let set_rv vm s chan ~rop ~nsop =
+  Mem.write_int vm.Vm.mem chan 8 rop;
   match s.mode with
-  | Config.Sds ->
-      Mem.write_int vm.Vm.mem (Int64.add chan (Int64.of_int (8 * Array.length rops))) 8 nsop
+  | Config.Sds -> Mem.write_int vm.Vm.mem (Int64.add chan 8L) 8 nsop
   | Config.Mds -> ()
 
 (* --- load-check helpers --- *)
@@ -85,15 +75,11 @@ let check_bytes vm what a b n =
   | Some s -> Trace.emit_compare s ~cost:!(vm.Vm.cost) ~app:a ~rep:b ~len:n
   | None -> ()
 
-(** Load-check [n] bytes of application memory against every replica. *)
-let check_bytes_r vm what a rops n =
-  Array.iter (fun b -> check_bytes vm what a b n) rops
-
-(** Check the NUL-terminated string at [a] against every replica (the
+(** Check the NUL-terminated string at [a] against its replica (the
     Figure 2.11 [assert(strcmp(src, src_r) == 0)]). *)
-let check_cstr_r vm what a rops =
+let check_cstr vm what a a_r =
   let n = Extern.cstring_len vm a in
-  check_bytes_r vm what a rops (n + 1)
+  check_bytes vm what a a_r (n + 1)
 
 (** Copy [n] application bytes to replica memory (a mimicked store: under
     both designs non-pointer bytes are stored identically; under SDS even
@@ -105,77 +91,74 @@ let mirror vm ~app ~rep n =
   | None -> ());
   Mem.move vm.Vm.mem ~dst:rep ~src:app n
 
-(** Mimicked store into every replica. *)
-let mirror_r vm ~app ~rops n = Array.iter (fun rep -> mirror vm ~app ~rep n) rops
-
 (* ------------------------------------------------------------------ *)
 (* Individual wrappers                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let w_print_int _c vm args =
+let w_print_int _mode vm args =
   Extern.out vm (Int64.to_string (Vm.as_int (List.hd args)));
   None
 
-let w_print_float _c vm args =
+let w_print_float _mode vm args =
   Extern.out vm (Printf.sprintf "%.6g" (Vm.as_float (List.hd args)));
   None
 
-let w_putchar _c vm args =
+let w_putchar _mode vm args =
   Extern.out vm (String.make 1 (Char.chr (Int64.to_int (Vm.as_int (List.hd args)) land 0xFF)));
   None
 
-let w_print_newline _c vm _args =
+let w_print_newline _mode vm _args =
   Extern.out vm "\n";
   None
 
-let w_exit _c _vm args = raise (Vm.Exit_program (Int64.to_int (Vm.as_int (List.hd args))))
-let w_abort _c _vm _args = raise (Vm.Exit_program 134)
+let w_exit _mode _vm args = raise (Vm.Exit_program (Int64.to_int (Vm.as_int (List.hd args))))
+let w_abort _mode _vm _args = raise (Vm.Exit_program 134)
 
-let w_print_str (mode, nrep) vm args =
-  let s = mk mode nrep args in
-  let p, p_rs, _ = pointer s in
-  check_cstr_r vm "print_str" p p_rs;
+let w_print_str mode vm args =
+  let s = mk mode args in
+  let p, p_r, _ = pointer s in
+  check_cstr vm "print_str" p p_r;
   Extern.out vm (Extern.read_cstring vm p);
   None
 
-let w_strlen (mode, nrep) vm args =
-  let s = mk mode nrep args in
-  let p, p_rs, _ = pointer s in
-  check_cstr_r vm "strlen" p p_rs;
+let w_strlen mode vm args =
+  let s = mk mode args in
+  let p, p_r, _ = pointer s in
+  check_cstr vm "strlen" p p_r;
   Some (Vm.I (Int64.of_int (Extern.cstring_len vm p)))
 
 (* Figure 2.11's wrapper, faithfully: check src, run strcpy, mimic the
-   write to every dest_r, return the ROPs/NSOP of dest through rvSop. *)
-let w_strcpy (mode, nrep) vm args =
-  let s = mk mode nrep args in
+   write to dest_r, return the ROP/NSOP of dest through rvSop. *)
+let w_strcpy mode vm args =
+  let s = mk mode args in
   let chan = rv_channel s in
-  let dest, dest_rs, dest_s = pointer s in
-  let src, src_rs, _src_s = pointer s in
-  check_cstr_r vm "strcpy:src" src src_rs;
+  let dest, dest_r, dest_s = pointer s in
+  let src, src_r, _src_s = pointer s in
+  check_cstr vm "strcpy:src" src src_r;
   let len = Extern.impl_strcpy vm ~dst:dest ~src in
-  mirror_r vm ~app:dest ~rops:dest_rs (len + 1);
-  set_rv vm s chan ~rops:dest_rs ~nsop:dest_s;
+  mirror vm ~app:dest ~rep:dest_r (len + 1);
+  set_rv vm s chan ~rop:dest_r ~nsop:dest_s;
   Some (Vm.I dest)
 
 (* strcmp emulates the comparison itself so it knows exactly how many
    bytes of each input were read (§3.1.5) — there is no guarantee the
    strings are NUL-terminated past the first difference. *)
-let w_strcmp (mode, nrep) vm args =
-  let s = mk mode nrep args in
-  let a, a_rs, _ = pointer s in
-  let b, b_rs, _ = pointer s in
+let w_strcmp mode vm args =
+  let s = mk mode args in
+  let a, a_r, _ = pointer s in
+  let b, b_r, _ = pointer s in
   let r, read = Extern.impl_strcmp vm a b in
-  check_bytes_r vm "strcmp:a" a a_rs read;
-  check_bytes_r vm "strcmp:b" b b_rs read;
+  check_bytes vm "strcmp:a" a a_r read;
+  check_bytes vm "strcmp:b" b b_r read;
   Some (Vm.I (Int64.logand (Int64.of_int r) 0xFFFFFFFFL))
 
 (* atoi compares only as much of the input string as its parse consumed
    (§3.1.5's atof discussion). *)
-let w_atoi (mode, nrep) vm args =
-  let s = mk mode nrep args in
-  let p, p_rs, _ = pointer s in
+let w_atoi mode vm args =
+  let s = mk mode args in
+  let p, p_r, _ = pointer s in
   let v, consumed = Extern.impl_atoi vm p in
-  check_bytes_r vm "atoi" p p_rs consumed;
+  check_bytes vm "atoi" p p_r consumed;
   Some (Vm.I (Int64.logand v 0xFFFFFFFFL))
 
 (** Unpack the memcpy/memmove sdwSize parameter: (shadow elem size << 16)
@@ -187,54 +170,51 @@ let sdw_scale packed n =
     let esz = Int64.to_int (Int64.logand packed 0xFFFFL) in
     if esz = 0 then 0 else n / esz * ssz
 
-let w_memcpy (mode, nrep) vm args =
-  let s = mk mode nrep args in
+let w_memcpy mode vm args =
+  let s = mk mode args in
   let packed = match mode with Config.Sds -> scalar s | Config.Mds -> 0L in
   let chan = rv_channel s in
-  let dest, dest_rs, dest_s = pointer s in
-  let src, src_rs, src_s = pointer s in
+  let dest, dest_r, dest_s = pointer s in
+  let src, src_r, src_s = pointer s in
   let n = Int64.to_int (scalar s) in
   (match mode with
   | Config.Sds ->
       (* under SDS all bytes are comparable, pointers included *)
-      check_bytes_r vm "memcpy:src" src src_rs n;
+      check_bytes vm "memcpy:src" src src_r n;
       Extern.impl_memcpy vm ~dst:dest ~src n;
-      mirror_r vm ~app:dest ~rops:dest_rs n;
+      mirror vm ~app:dest ~rep:dest_r n;
       let sn = sdw_scale packed n in
       if sn > 0 then Mem.move vm.Vm.mem ~dst:dest_s ~src:src_s sn
   | Config.Mds ->
-      (* replica k mirrors replica k: pointer cells hold that replica's
-         ROPs (§4.3) *)
+      (* replica mirrors replica: pointer cells hold ROPs there (§4.3) *)
       Extern.impl_memcpy vm ~dst:dest ~src n;
-      Array.iteri
-        (fun k dst_r -> Extern.impl_memcpy vm ~dst:dst_r ~src:src_rs.(k) n)
-        dest_rs);
-  set_rv vm s chan ~rops:dest_rs ~nsop:dest_s;
+      Extern.impl_memcpy vm ~dst:dest_r ~src:src_r n);
+  set_rv vm s chan ~rop:dest_r ~nsop:dest_s;
   Some (Vm.I dest)
 
-let w_memset (mode, nrep) vm args =
-  let s = mk mode nrep args in
+let w_memset mode vm args =
+  let s = mk mode args in
   let chan = rv_channel s in
-  let dest, dest_rs, dest_s = pointer s in
+  let dest, dest_r, dest_s = pointer s in
   let byte = Int64.to_int (scalar s) in
   let n = Int64.to_int (scalar s) in
   Extern.impl_memset vm dest byte n;
-  Array.iter (fun dest_r -> Extern.impl_memset vm dest_r byte n) dest_rs;
-  set_rv vm s chan ~rops:dest_rs ~nsop:dest_s;
+  Extern.impl_memset vm dest_r byte n;
+  set_rv vm s chan ~rop:dest_r ~nsop:dest_s;
   Some (Vm.I dest)
 
-(* qsort: sort application, every replica and shadow region with the same
+(* qsort: sort application, replica and shadow regions with the same
    permutation; the comparator is the *transformed* comparison function,
-   so it is called with the augmented (a, a_r1..a_rN[, a_s], b, ...)
+   so it is called with the augmented (a, a_r[, a_s], b, b_r[, b_s])
    argument list of Figure 3.3, and its own load checks fire on the
    scratch copies we pass it. *)
-let w_qsort (mode, nrep) vm args =
-  let s = mk mode nrep args in
+let w_qsort mode vm args =
+  let s = mk mode args in
   let sdw_elem = match mode with Config.Sds -> Int64.to_int (scalar s) | Config.Mds -> 0 in
-  let base, base_rs, base_s = pointer s in
+  let base, base_r, base_s = pointer s in
   let nmemb = Int64.to_int (scalar s) in
   let size = Int64.to_int (scalar s) in
-  let cmp, _cmp_rs, _cmp_s = pointer s in
+  let cmp, _cmp_r, _cmp_s = pointer s in
   let cmp_name =
     match Hashtbl.find_opt vm.Vm.addr_fun cmp with
     | Some n -> n
@@ -242,17 +222,15 @@ let w_qsort (mode, nrep) vm args =
   in
   let read_at region i sz = Mem.read_bytes vm.Vm.mem (Int64.add region (Int64.of_int (i * sz))) sz in
   let app = Array.init nmemb (fun i -> read_at base i size) in
-  let reps =
-    Array.map (fun base_r -> Array.init nmemb (fun i -> read_at base_r i size)) base_rs
-  in
+  let rep = Array.init nmemb (fun i -> read_at base_r i size) in
   let shd =
     if sdw_elem > 0 then Some (Array.init nmemb (fun i -> read_at base_s i sdw_elem))
     else None
   in
   (* scratch element copies the comparator dereferences *)
   let sa = Allocator.malloc vm.Vm.alloc size and sb = Allocator.malloc vm.Vm.alloc size in
-  let ras = Array.init nrep (fun _ -> Allocator.malloc vm.Vm.alloc size) in
-  let rbs = Array.init nrep (fun _ -> Allocator.malloc vm.Vm.alloc size) in
+  let ra = Allocator.malloc vm.Vm.alloc size in
+  let rb = Allocator.malloc vm.Vm.alloc size in
   let ha, hb =
     if sdw_elem > 0 then
       (Allocator.malloc vm.Vm.alloc sdw_elem, Allocator.malloc vm.Vm.alloc sdw_elem)
@@ -263,22 +241,18 @@ let w_qsort (mode, nrep) vm args =
     Vm.add_cost vm 10;
     Mem.write_bytes vm.Vm.mem sa app.(i) 0 size;
     Mem.write_bytes vm.Vm.mem sb app.(j) 0 size;
-    Array.iteri
-      (fun k ra ->
-        Mem.write_bytes vm.Vm.mem ra reps.(k).(i) 0 size;
-        Mem.write_bytes vm.Vm.mem rbs.(k) reps.(k).(j) 0 size)
-      ras;
+    Mem.write_bytes vm.Vm.mem ra rep.(i) 0 size;
+    Mem.write_bytes vm.Vm.mem rb rep.(j) 0 size;
     (match shd with
     | Some sh ->
         Mem.write_bytes vm.Vm.mem ha sh.(i) 0 sdw_elem;
         Mem.write_bytes vm.Vm.mem hb sh.(j) 0 sdw_elem
     | None -> ());
-    let group p rs h =
+    let cargs =
       match mode with
-      | Config.Sds -> (Vm.I p :: Array.to_list (Array.map (fun r -> Vm.I r) rs)) @ [ Vm.I h ]
-      | Config.Mds -> Vm.I p :: Array.to_list (Array.map (fun r -> Vm.I r) rs)
+      | Config.Sds -> [ Vm.I sa; Vm.I ra; Vm.I ha; Vm.I sb; Vm.I rb; Vm.I hb ]
+      | Config.Mds -> [ Vm.I sa; Vm.I ra; Vm.I sb; Vm.I rb ]
     in
-    let cargs = group sa ras ha @ group sb rbs hb in
     match Vm.call_function vm cmp_name cargs with
     | Some (Vm.I r) -> Int64.to_int (Vm.sign_extend Dpmr_ir.Types.W32 r)
     | _ -> raise (Vm.Vm_error "qsort comparator did not return an int")
@@ -287,12 +261,7 @@ let w_qsort (mode, nrep) vm args =
   List.iteri
     (fun newpos oldpos ->
       Mem.write_bytes vm.Vm.mem (Int64.add base (Int64.of_int (newpos * size))) app.(oldpos) 0 size;
-      Array.iteri
-        (fun k base_r ->
-          Mem.write_bytes vm.Vm.mem
-            (Int64.add base_r (Int64.of_int (newpos * size)))
-            reps.(k).(oldpos) 0 size)
-        base_rs;
+      Mem.write_bytes vm.Vm.mem (Int64.add base_r (Int64.of_int (newpos * size))) rep.(oldpos) 0 size;
       match shd with
       | Some sh ->
           Mem.write_bytes vm.Vm.mem
@@ -301,9 +270,7 @@ let w_qsort (mode, nrep) vm args =
       | None -> ())
     sorted;
   List.iter (Allocator.free vm.Vm.alloc)
-    (List.filter
-       (fun a -> not (Int64.equal a 0L))
-       ([ sa; sb ] @ Array.to_list ras @ Array.to_list rbs @ [ ha; hb ]));
+    (List.filter (fun a -> not (Int64.equal a 0L)) [ sa; sb; ra; rb; ha; hb ]);
   Vm.add_cost vm (nmemb * (size / 8) * 4);
   None
 
@@ -311,63 +278,56 @@ let w_qsort (mode, nrep) vm args =
    allocate and maintain replica memory; the allocated memory is typed as
    bytes, so its shadow is null (storing pointers into it falls under the
    §2.9 typing restrictions, or the Chapter 5 scope expansion). *)
-let w_calloc (mode, nrep) vm args =
-  let s = mk mode nrep args in
+let w_calloc mode vm args =
+  let s = mk mode args in
   let chan = rv_channel s in
   let n = Int64.to_int (scalar s) in
   let size = Int64.to_int (scalar s) in
   let bytes = max 1 (n * size) in
-  Vm.add_cost vm ((1 + nrep) * Extern.dpmr_vm_cost_calloc bytes);
+  Vm.add_cost vm (2 * Extern.dpmr_vm_cost_calloc bytes);
   let p = Allocator.malloc vm.Vm.alloc bytes in
   Mem.fill vm.Vm.mem p bytes 0;
-  let p_rs =
-    Array.init nrep (fun _ ->
-        let p_r = Allocator.malloc vm.Vm.alloc bytes in
-        Mem.fill vm.Vm.mem p_r bytes 0;
-        p_r)
-  in
-  set_rv vm s chan ~rops:p_rs ~nsop:0L;
+  let p_r = Allocator.malloc vm.Vm.alloc bytes in
+  Mem.fill vm.Vm.mem p_r bytes 0;
+  set_rv vm s chan ~rop:p_r ~nsop:0L;
   Some (Vm.I p)
 
-let w_realloc (mode, nrep) vm args =
-  let s = mk mode nrep args in
+let w_realloc mode vm args =
+  let s = mk mode args in
   let chan = rv_channel s in
-  let p, p_rs, _p_s = pointer s in
+  let p, p_r, _p_s = pointer s in
   let n = Int64.to_int (scalar s) in
   (* load check: the preserved prefix is read by realloc *)
   if not (Int64.equal p 0L) then begin
     let keep = min (Allocator.usable_size vm.Vm.alloc p) (max 1 n) in
-    check_bytes_r vm "realloc:prefix" p p_rs keep
+    check_bytes vm "realloc:prefix" p p_r keep
   end;
   (* each copy preserves its own prefix — replica content mirrors by
      construction (and under MDS may legitimately differ at pointer
      cells, which byte-typed memory must not contain anyway) *)
   let q = Extern.impl_realloc vm p n in
-  let q_rs = Array.map (fun p_r -> Extern.impl_realloc vm p_r n) p_rs in
-  set_rv vm s chan ~rops:q_rs ~nsop:0L;
+  let q_r = Extern.impl_realloc vm p_r n in
+  set_rv vm s chan ~rop:q_r ~nsop:0L;
   Some (Vm.I q)
 
 (* printf: the variable-length argument list arrives with original values
-   in place and (ROP_1..ROP_N[, NSOP]) groups appended at the end
-   (§3.1.2).  The wrapper parses the format string to find which variadic
-   arguments are dereferenced pointers, and load-checks exactly those
-   against every replica (§3.1.5). *)
-let w_printf (mode, nrep) vm args =
-  let s = mk mode nrep args in
-  let fmt, fmt_rs, _ = pointer s in
-  check_cstr_r vm "printf:fmt" fmt fmt_rs;
+   in place and (ROP[, NSOP]) groups appended at the end (§3.1.2).  The
+   wrapper parses the format string to find which variadic arguments are
+   dereferenced pointers, and load-checks exactly those (§3.1.5). *)
+let w_printf mode vm args =
+  let s = mk mode args in
+  let fmt, fmt_r, _ = pointer s in
+  check_cstr vm "printf:fmt" fmt fmt_r;
   let rest = Array.of_list s.rest in
   (* appended group width per variadic argument *)
-  let g = match mode with Config.Sds -> nrep + 1 | Config.Mds -> nrep in
+  let g = match mode with Config.Sds -> 2 | Config.Mds -> 1 in
   let n_var = Array.length rest / (1 + g) in
   let vapp = Array.sub rest 0 n_var in
   let rendered, string_reads = Extern.impl_printf vm fmt vapp in
   List.iter
     (fun (idx, addr, len) ->
-      for k = 0 to nrep - 1 do
-        let rop = Vm.as_int rest.(n_var + (idx * g) + k) in
-        check_bytes vm "printf:%s-arg" addr rop len
-      done)
+      let rop = Vm.as_int rest.(n_var + (idx * g)) in
+      check_bytes vm "printf:%s-arg" addr rop len)
     string_reads;
   Extern.out vm rendered;
   Some (Vm.I (Int64.of_int (String.length rendered)))
@@ -385,8 +345,6 @@ let replicate_string vm p =
   Mem.move vm.Vm.mem ~dst:r ~src:p n;
   r
 
-(* Called once per replica by the synthesized main, so it needs no
-   replica count of its own. *)
 let w_argv_r mode vm args =
   let argc = Int64.to_int (Vm.as_int (List.hd args)) in
   let argv = Vm.as_int (List.nth args 1) in
@@ -403,21 +361,18 @@ let w_argv_r mode vm args =
     ptrs;
   Some (Vm.I arr)
 
-let w_argv_s nrep vm args =
+let w_argv_s vm args =
   let argc = Int64.to_int (Vm.as_int (List.hd args)) in
   let argv = Vm.as_int (List.nth args 1) in
   let ptrs = read_argv vm argc argv in
-  (* array of {ROP_1..ROP_N; NSOP} groups: each ROP -> its own replica of
-     the i-th argument, NSOP -> null (char data has no shadow) *)
-  let gsz = 8 * (nrep + 1) in
-  let arr = Allocator.malloc vm.Vm.alloc (max gsz (gsz * argc)) in
+  (* array of {ROP; NSOP} pairs: ROP -> a replica of the i-th argument,
+     NSOP -> null (char data has no shadow) *)
+  let arr = Allocator.malloc vm.Vm.alloc (max 16 (16 * argc)) in
   List.iteri
     (fun i p ->
-      for k = 0 to nrep - 1 do
-        let rep = replicate_string vm p in
-        Mem.write_int vm.Vm.mem (Int64.add arr (Int64.of_int ((gsz * i) + (8 * k)))) 8 rep
-      done;
-      Mem.write_int vm.Vm.mem (Int64.add arr (Int64.of_int ((gsz * i) + (8 * nrep)))) 8 0L)
+      let rep = replicate_string vm p in
+      Mem.write_int vm.Vm.mem (Int64.add arr (Int64.of_int (16 * i))) 8 rep;
+      Mem.write_int vm.Vm.mem (Int64.add arr (Int64.of_int ((16 * i) + 8))) 8 0L)
     ptrs;
   Some (Vm.I arr)
 
@@ -425,10 +380,9 @@ let w_argv_s nrep vm args =
 (* Registration                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Register every wrapper into [vm] for the given design and replica
-    count. *)
-let register ~mode ?(replicas = 1) vm =
-  let reg name f = Vm.register_extern vm (name ^ "_efw") (f (mode, replicas)) in
+(** Register every wrapper into [vm] for the given design. *)
+let register ~mode vm =
+  let reg name f = Vm.register_extern vm (name ^ "_efw") (f mode) in
   reg "print_int" w_print_int;
   reg "print_float" w_print_float;
   reg "putchar" w_putchar;
@@ -448,4 +402,4 @@ let register ~mode ?(replicas = 1) vm =
   reg "calloc" w_calloc;
   reg "realloc" w_realloc;
   Vm.register_extern vm "__dpmr_argv_r" (w_argv_r mode);
-  Vm.register_extern vm "__dpmr_argv_s" (w_argv_s replicas)
+  Vm.register_extern vm "__dpmr_argv_s" w_argv_s

@@ -10,6 +10,5 @@
     Also provides the argv replication runtime of §3.1.1
     ([__dpmr_argv_r], [__dpmr_argv_s]). *)
 
-(** Register every wrapper into a VM for the given design and replica
-    count (default 1, the historical single-replica wrappers). *)
-val register : mode:Config.mode -> ?replicas:int -> Dpmr_vm.Vm.t -> unit
+(** Register every wrapper into a VM for the given design. *)
+val register : mode:Config.mode -> Dpmr_vm.Vm.t -> unit

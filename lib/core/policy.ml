@@ -48,40 +48,32 @@ let emit_compare (b : Builder.t) ty app_val rep_addr detect_label =
   Builder.cbr b eq cont.Func.label detect_label;
   Builder.position b cont
 
-(** Emit the (possibly gated) load check for one load site across the N
-    replica addresses: one compare per replica, each mismatch branching
-    straight to detection, so any disagreeing replica detects (a single
-    replica emits exactly the dissertation's compare-and-branch).
-    Returns [true] if any check code was emitted (used by tests and
-    statistics). *)
-let emit_check state (p : Config.policy) (b : Builder.t) ty app_val rep_addrs
+(** Emit the (possibly gated) load check for one load site.  Returns
+    [true] if any check code was emitted (used by tests and statistics). *)
+let emit_check state (p : Config.policy) (b : Builder.t) ty app_val rep_addr
     detect_label =
-  let emit_compares () =
-    List.iter (fun a -> emit_compare b ty app_val a detect_label) rep_addrs
-  in
+  let compare () = emit_compare b ty app_val rep_addr detect_label in
   match p with
   | Config.All_loads ->
-      emit_compares ();
+      compare ();
       true
   | Config.Static fraction ->
       if Rng.float state.rng < fraction then begin
-        emit_compares ();
+        compare ();
         true
       end
       else false
   | Config.Temporal mask ->
       (* Table 2.9: the check runs iff bit [maskCounter] of [mask] is set
          [mask shifted left by 64 - c - 1, then logically right by 63],
-         and maskCounter advances to [maskCounter + 1 mod 64].  The mask
-         gates all N compares together, so each site still advances the
-         counter exactly once regardless of N. *)
+         and maskCounter advances to [maskCounter + 1 mod 64]. *)
       let counter = Global (Option.get state.mask_counter) in
       let c = Builder.load b ~name:"mc" i32 counter in
       let c64 = Builder.int_cast b ~signed:false W64 c in
       let shift = Builder.sub b W64 (Builder.i64c 63) c64 in
       let shifted = Builder.binop b Shl W64 (Cint (W64, mask)) shift in
       let bit = Builder.binop b Lshr W64 shifted (Builder.i64c 63) in
-      Builder.if_ b bit emit_compares;
+      Builder.if_ b bit compare;
       let c1 = Builder.add b W32 c (Builder.i32c 1) in
       let cm = Builder.srem b W32 c1 (Builder.i32c 64) in
       Builder.store b i32 cm counter;

@@ -20,15 +20,8 @@ val prepare : Config.policy -> int64 -> Prog.t -> state
     the detect label on mismatch. *)
 val emit_compare : Builder.t -> ty -> operand -> operand -> string -> unit
 
-(** Emit the (policy-gated) load check for one site across the N replica
-    addresses: one {!emit_compare} per replica, so any mismatch detects.
-    Returns whether any check code was emitted. *)
+(** Emit the (policy-gated) load check for one site: an {!emit_compare}
+    of the application value against the replica address.  Returns
+    whether any check code was emitted. *)
 val emit_check :
-  state ->
-  Config.policy ->
-  Builder.t ->
-  ty ->
-  operand ->
-  operand list ->
-  string ->
-  bool
+  state -> Config.policy -> Builder.t -> ty -> operand -> operand -> string -> bool

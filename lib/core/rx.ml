@@ -45,23 +45,22 @@ let pad_heap_requests (prog : Prog.t) extra_bytes =
   q
 
 (** An Rx environment change: program-wide heap padding (the classic Rx
-    buffer-overflow response) or one of the registered N-version
-    diversity families, applied as a whole-program rewrite. *)
+    buffer-overflow response) or one of the registered diversity
+    families, applied as a whole-program rewrite. *)
 type env_change = Pad of int | Family of string
 
 let env_change_name = function
   | Pad n -> Printf.sprintf "pad %d" n
   | Family f -> Printf.sprintf "family %s" f
 
-(** Apply an environment change to a program; [None] when the change is
-    inapplicable (unregistered family, or the family has no whole-program
-    rewrite), in which case the escalation step is skipped. *)
+(** Apply an environment change to a program; [None] for an unregistered
+    family, in which case the escalation step is skipped. *)
 let apply_env_change (prog : Prog.t) ~seed = function
   | Pad n -> Some (pad_heap_requests prog n)
-  | Family f -> (
-      match Diversity_family.find f with
-      | None -> None
-      | Some (module F : Diversity_family.S) -> F.rx_rewrite prog ~seed)
+  | Family f ->
+      Option.map
+        (fun (module F : Diversity_family.S) -> F.rx_rewrite prog ~seed)
+        (Diversity_family.find f)
 
 type recovery_result = {
   first : Dpmr_vm.Outcome.run;  (** the original (detecting) run *)

@@ -10,15 +10,14 @@ open Dpmr_ir
 val pad_heap_requests : Prog.t -> int -> Prog.t
 
 (** An Rx environment change: program-wide heap padding, or a registered
-    N-version diversity family applied as a whole-program rewrite. *)
+    diversity family applied as a whole-program rewrite. *)
 type env_change = Pad of int | Family of string
 
 val env_change_name : env_change -> string
 
-(** Apply an environment change to a (cloned) program; [None] when the
-    change is inapplicable — unregistered family, or a family with no
-    whole-program rewrite.  Inapplicable escalation steps are skipped
-    by {!run_with_recovery} without counting as attempts. *)
+(** Apply an environment change to a (cloned) program; [None] for an
+    unregistered family.  Such escalation steps are skipped by
+    {!run_with_recovery} without counting as attempts. *)
 val apply_env_change : Prog.t -> seed:int64 -> env_change -> Prog.t option
 
 type recovery_result = {

@@ -25,22 +25,16 @@ let void_ptr = Ptr i8
 type t = {
   tenv : Tenv.t;
   mode : Config.mode;
-  replicas : int;
-      (** N-version extension: pointer-cell shadows carry one ROP per
-          replica, [{ROP_1 .. ROP_N; NSOP}]; N = 1 is the dissertation's
-          [{ROP; NSOP}] pair exactly *)
   st_cache : (ty, ty option) Hashtbl.t;
   at_cache : (ty, ty) Hashtbl.t;
   sat_cache : (ty, ty option) Hashtbl.t;
   fun_free : (string, bool) Hashtbl.t;  (** struct name -> contains fun type *)
 }
 
-let create ?(replicas = 1) tenv mode =
-  if replicas < 1 then invalid_arg "Shadow_type.create: replicas must be >= 1";
+let create tenv mode =
   {
     tenv;
     mode;
-    replicas;
     st_cache = Hashtbl.create 64;
     at_cache = Hashtbl.create 64;
     sat_cache = Hashtbl.create 64;
@@ -138,10 +132,7 @@ let rec sat ctx t =
               match sat ctx tau with None -> void_ptr | Some s -> Ptr s
             in
             let rop = at ctx t in
-            (* one ROP field per replica, NSOP last: field k holds
-               replica k's object pointer, field N the shadow pointer *)
-            Tenv.define_struct ctx.tenv name
-              (List.init ctx.replicas (fun _ -> rop) @ [ nsop ]);
+            Tenv.define_struct ctx.tenv name [ rop; nsop ];
             Some (Struct name)
         | Arr (e, n) ->
             let r =
@@ -239,11 +230,8 @@ and at_fun ctx (ft : fun_ty) =
   let param_group p =
     let base = at ctx p in
     match (p, ctx.mode) with
-    | Ptr _, Config.Sds ->
-        (base :: List.init ctx.replicas (fun _ -> Option.get (rpt ctx p)))
-        @ [ Option.get (spt ctx p) ]
-    | Ptr _, Config.Mds ->
-        base :: List.init ctx.replicas (fun _ -> Option.get (rpt ctx p))
+    | Ptr _, Config.Sds -> [ base; Option.get (rpt ctx p); Option.get (spt ctx p) ]
+    | Ptr _, Config.Mds -> [ base; Option.get (rpt ctx p) ]
     | _ -> [ base ]
   in
   {

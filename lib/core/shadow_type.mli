@@ -22,10 +22,7 @@ type t
 (** A computation context: memo tables over a (mutable) type environment
     that receives the generated shadow/augmented struct definitions. *)
 
-(** [replicas] (default 1) sets the N-version arity: pointer-cell
-    shadows become [{ROP_1 .. ROP_N; NSOP}] structs and pointer
-    parameters expand to one replica parameter per replica. *)
-val create : ?replicas:int -> Tenv.t -> Config.mode -> t
+val create : Tenv.t -> Config.mode -> t
 
 (** Does the type transitively mention a function type?  ([at] is the
     identity on types that do not.) *)

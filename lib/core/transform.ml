@@ -25,11 +25,10 @@ let is_intrinsic name =
   && (String.sub name 0 (min 7 (String.length name)) = "__dpmr_"
      || String.sub name 0 (min 5 (String.length name)) = "__fi_")
 
-(** New-register group for an original register: the application register
-    plus one replica register per replica ([reps] is empty for
-    non-pointers) and the SDS shadow register.  With N = 1 this is the
-    dissertation's (x, xr, xs) triple. *)
-type triple = { app : reg; reps : reg array; shd : reg option }
+(** New-register triple for an original register: the dissertation's
+    (x, xr, xs) — application, replica ([None] for non-pointers) and
+    SDS shadow register. *)
+type triple = { app : reg; rep : reg option; shd : reg option }
 
 (** Where an injected fault (§3.4) sits in the source program: its
     function and block, and the positions within that block of the
@@ -44,9 +43,8 @@ type env = {
   dst : Prog.t;
   pol : Policy.state;
   div : Diversity.state;
-  nrep : int;  (** replica count N (>= 1) *)
   fams : Diversity_family.instance list;
-      (** resolved N-version diversity families, hook order = config order *)
+      (** resolved diversity families, hook order = config order *)
   asite : int ref;  (** global heap-allocation-site counter (family seeding) *)
   excluded : string -> reg -> bool;
       (** Chapter 5 scope refinement: accesses through excluded registers
@@ -56,16 +54,7 @@ type env = {
 }
 
 let rep_global g = g ^ ".rep"
-
-(** Replica [k]'s global name: replica 0 keeps the paper's [".rep"]
-    suffix; extras are numbered from 2. *)
-let rep_global_k g k =
-  if k = 0 then rep_global g else Printf.sprintf "%s.rep%d" g (k + 1)
-
 let shd_global g = g ^ ".sdw"
-
-(** Replica [k]'s register suffix for parameter/register names. *)
-let rep_suffix k = if k = 0 then "_r" else Printf.sprintf "_r%d" (k + 1)
 
 let efw_name n = n ^ "_efw"
 
@@ -80,14 +69,11 @@ let map_fun_name env n =
 (* ------------------------------------------------------------------ *)
 
 (** Shadow initializer for a global of type [ty] with initializer [g]:
-    keeps only pointer positions, each becoming an {ROP_1..ROP_N; NSOP}
-    group ({ROP; NSOP} pair at N = 1; §2.8: replica/shadow memory for
-    globals is statically initialized). *)
+    keeps only pointer positions, each becoming an {ROP; NSOP} pair
+    (§2.8: replica/shadow memory for globals is statically initialized). *)
 let rec shadow_ginit env ty (g : Prog.ginit) : Prog.ginit option =
   let tenv = env.dst.Prog.tenv in
-  let pair rop nsop =
-    Prog.Gagg (List.init env.nrep (fun _ -> rop) @ [ nsop ])
-  in
+  let pair rop nsop = Prog.Gagg [ rop; nsop ] in
   match ty with
   | Int _ | Float | Void | Fun _ -> None
   | Ptr _ -> (
@@ -140,35 +126,33 @@ let rec shadow_ginit env ty (g : Prog.ginit) : Prog.ginit option =
 
 (** SDS replica initializer: identical to the application initializer —
     stored pointer values are the same in both (Figure 2.3).  MDS replica
-    [k]'s pointers point at replica [k]'s objects instead (Figure 2.2). *)
-let rec replica_ginit env k ty (g : Prog.ginit) : Prog.ginit =
+    pointers point at replica objects instead (Figure 2.2). *)
+let rec replica_ginit env ty (g : Prog.ginit) : Prog.ginit =
   match env.cfg.Config.mode with
   | Config.Sds -> g
   | Config.Mds -> (
       match (ty, g) with
       | Ptr _, Prog.Gptr_global target ->
           if Prog.has_global env.src target then
-            Prog.Gptr_global (rep_global_k target k)
+            Prog.Gptr_global (rep_global target)
           else g
       | (Arr (e, _) | Ptr e), Prog.Gagg elems ->
-          Prog.Gagg (List.map (replica_ginit env k e) elems)
+          Prog.Gagg (List.map (replica_ginit env e) elems)
       | (Struct sname | Union sname), Prog.Gagg elems ->
           let fields = Tenv.fields env.dst.Prog.tenv sname in
-          Prog.Gagg (List.map2 (replica_ginit env k) fields elems)
+          Prog.Gagg (List.map2 (replica_ginit env) fields elems)
       | _ -> g)
 
 let transform_globals env =
   Prog.iter_globals env.src (fun g ->
       let aug_ty = Shadow_type.at env.stx g.Prog.gty in
       Prog.add_global env.dst { Prog.gname = g.Prog.gname; gty = aug_ty; ginit = g.Prog.ginit };
-      for k = 0 to env.nrep - 1 do
-        Prog.add_global env.dst
-          {
-            Prog.gname = rep_global_k g.Prog.gname k;
-            gty = aug_ty;
-            ginit = replica_ginit env k g.Prog.gty g.Prog.ginit;
-          }
-      done;
+      Prog.add_global env.dst
+        {
+          Prog.gname = rep_global g.Prog.gname;
+          gty = aug_ty;
+          ginit = replica_ginit env g.Prog.gty g.Prog.ginit;
+        };
       if env.cfg.Config.mode = Config.Sds then
         match Shadow_type.sat env.stx g.Prog.gty with
         | Some sdw_ty ->
@@ -199,10 +183,7 @@ let augment_params env (f : Func.t) =
     match ty with
     | Ptr pointee ->
         let aug = Shadow_type.at env.stx ty in
-        let base =
-          (name, aug)
-          :: List.init env.nrep (fun k -> (name ^ rep_suffix k, aug))
-        in
+        let base = [ (name, aug); (name ^ "_r", aug) ] in
         if env.cfg.Config.mode = Config.Sds then
           base @ [ (name ^ "_s", Shadow_type.shadow_reg_ty env.stx pointee) ]
         else base
@@ -232,16 +213,13 @@ type fn_ctx = {
 }
 
 (** A stack slot for a call-site return channel, allocated once per
-    function in the entry block and reused across call sites.  [count]
-    (default 1) sizes the slot: MDS with N > 1 returns N ROPs through
-    an N-element rvRopPtr buffer. *)
-let rv_slot c ?(count = 1) ty =
+    function in the entry block and reused across call sites. *)
+let rv_slot c ty =
   match Hashtbl.find_opt c.rv_slots ty with
   | Some r -> Reg r
   | None ->
       let r = Func.fresh_reg c.df ~name:"rvslot" (Ptr ty) in
-      c.entry_allocas <-
-        Alloca (r, ty, Cint (W64, Int64.of_int count)) :: c.entry_allocas;
+      c.entry_allocas <- Alloca (r, ty, Cint (W64, 1L)) :: c.entry_allocas;
       Hashtbl.replace c.rv_slots ty r;
       Reg r
 
@@ -260,18 +238,15 @@ let make_triples env (sf : Func.t) (df : Func.t) rv_param_count =
       match ty with
       | Ptr _ ->
           let app = dparams.(!cursor) in
-          let reps = Array.init env.nrep (fun k -> dparams.(!cursor + 1 + k)) in
+          let rep = dparams.(!cursor + 1) in
           let shd =
-            if env.cfg.Config.mode = Config.Sds then
-              Some dparams.(!cursor + 1 + env.nrep)
+            if env.cfg.Config.mode = Config.Sds then Some dparams.(!cursor + 2)
             else None
           in
-          cursor :=
-            !cursor + 1 + env.nrep
-            + (if env.cfg.Config.mode = Config.Sds then 1 else 0);
-          Hashtbl.replace triples r { app; reps; shd }
+          cursor := !cursor + (if env.cfg.Config.mode = Config.Sds then 3 else 2);
+          Hashtbl.replace triples r { app; rep = Some rep; shd }
       | _ ->
-          Hashtbl.replace triples r { app = dparams.(!cursor); reps = [||]; shd = None };
+          Hashtbl.replace triples r { app = dparams.(!cursor); rep = None; shd = None };
           incr cursor)
     sf.Func.params;
   (* remaining registers *)
@@ -284,10 +259,7 @@ let make_triples env (sf : Func.t) (df : Func.t) rv_param_count =
         | Ptr pointee ->
             let aug = Shadow_type.at env.stx ty in
             let app = Func.fresh_reg df ~name aug in
-            let reps =
-              Array.init env.nrep (fun k ->
-                  Func.fresh_reg df ~name:(name ^ rep_suffix k) aug)
-            in
+            let rep = Func.fresh_reg df ~name:(name ^ "_r") aug in
             let shd =
               if env.cfg.Config.mode = Config.Sds then
                 Some
@@ -295,10 +267,10 @@ let make_triples env (sf : Func.t) (df : Func.t) rv_param_count =
                      (Shadow_type.shadow_reg_ty env.stx pointee))
               else None
             in
-            Hashtbl.replace triples r { app; reps; shd }
+            Hashtbl.replace triples r { app; rep = Some rep; shd }
         | _ ->
             let app = Func.fresh_reg df ~name (Shadow_type.at env.stx ty) in
-            Hashtbl.replace triples r { app; reps = [||]; shd = None })
+            Hashtbl.replace triples r { app; rep = None; shd = None })
     (List.sort (fun (a, _) (b, _) -> Int.compare a b) regs);
   triples
 
@@ -311,54 +283,48 @@ let triple_of c r =
 let excl c (o : operand) =
   match o with Reg r -> c.env.excluded c.sf.Func.name r | _ -> false
 
-(** Mark a pointer definition as unreplicated: its replica register takes
+(** Leave a pointer definition out of replication: its replica register takes
     the application value (and its shadow, if any, goes null).  Values
     flowing out of excluded memory stay consistent this way: replica
     stores of them write the application pointer, and dereferences of them
     are themselves excluded by the DSA reachability closure. *)
-let set_unreplicated c b dst_reg =
+let set_not_replicated c b dst_reg =
   let t = triple_of c dst_reg in
-  Array.iter
+  Option.iter
     (fun r -> Builder.emit b (Bitcast (r, Func.reg_ty c.df r, Reg t.app)))
-    t.reps;
+    t.rep;
   match t.shd with
   | Some s -> Builder.emit b (Bitcast (s, Func.reg_ty c.df s, Null i8))
   | None -> ()
 
-(** Map an operand to its (application, replicas, shadow) destination
-    operands.  For non-pointer operands every replica = application
-    (non-memory computation is not replicated, §2.1) and shadow is
-    unused. *)
+(** Map an operand to its (application, replica, shadow) destination
+    operands.  For non-pointer operands replica = application (non-memory
+    computation is not replicated, §2.1) and shadow is unused. *)
 let map_operand c (o : operand) =
-  let n = c.env.nrep in
   match o with
   | Reg r ->
       let t = triple_of c r in
-      let reps =
-        if Array.length t.reps = 0 then Array.make n (Reg t.app)
-        else Array.map (fun r' -> Reg r') t.reps
-      in
+      let rep = match t.rep with Some r' -> Reg r' | None -> Reg t.app in
       let shd = match t.shd with Some s -> Reg s | None -> Null i8 in
-      (Reg t.app, reps, shd)
-  | Cint _ | Cfloat _ -> (o, Array.make n o, Null i8)
+      (Reg t.app, rep, shd)
+  | Cint _ | Cfloat _ -> (o, o, Null i8)
   | Null t ->
       let aug = Shadow_type.at c.env.stx t in
-      (Null aug, Array.make n (Null aug), Null i8)
+      (Null aug, Null aug, Null i8)
   | Global g ->
-      let reps = Array.init n (fun k -> Global (rep_global_k g k)) in
       let shd =
         if sds c && Prog.has_global c.env.dst (shd_global g) then
           Global (shd_global g)
         else Null i8
       in
-      (Global g, reps, shd)
+      (Global g, Global (rep_global g), shd)
   | Fun_addr fn ->
       (* address-of-function rule: ROP = same value, NSOP = null *)
       let fn' = map_fun_name c.env fn in
-      (Fun_addr fn', Array.make n (Fun_addr fn'), Null i8)
+      (Fun_addr fn', Fun_addr fn', Null i8)
 
 let app_op c o = let a, _, _ = map_operand c o in a
-let rep_ops c o = let _, r, _ = map_operand c o in r
+let rep_op c o = let _, r, _ = map_operand c o in r
 let shd_op c o = let _, _, s = map_operand c o in s
 
 (** The per-function detection block: [call __dpmr_detect(id); unreachable]. *)
@@ -391,23 +357,11 @@ let src_pointee c o =
   | t -> unsupported "%s: expected pointer operand, got %a" c.sf.Func.name Types.pp t
 
 (** Shadow struct name for pointer cells of (source) pointee type [t]:
-    sat(Ptr t) is always an {ROP_1..ROP_N; NSOP} struct (a two-field
-    {ROP; NSOP} pair at N = 1). *)
+    sat(Ptr t) is always a two-field {ROP; NSOP} struct. *)
 let pair_struct c cell_ty =
   match Shadow_type.sat c.env.stx (Ptr cell_ty) with
   | Some (Struct s) -> s
   | _ -> assert false
-
-(** Compose the diversity families' per-site permutations of the replica
-    emission order into one permutation of [0 .. n-1]. *)
-let replica_order c ~site =
-  let n = c.env.nrep in
-  let order = Array.init n (fun i -> i) in
-  List.fold_left
-    (fun acc fam ->
-      let p = fam.Diversity_family.i_order ~site ~n in
-      Array.init n (fun i -> acc.(p.(i))))
-    order c.env.fams
 
 (* --- the per-instruction transformation (Tables 2.6/2.7, 4.3/4.4) --- *)
 
@@ -419,32 +373,28 @@ let transform_alloc c b ~heap dst_reg src_ty count =
     Builder.emit b (Malloc (t.app, aug, n_app));
     let site = !(c.env.asite) in
     c.env.asite := site + 1;
-    (* replica allocations in the (family-permuted) emission order; each
-       family may pad the request and surround it with dummy allocations *)
-    Array.iter
-      (fun k ->
-        let extra =
-          List.fold_left
-            (fun acc f -> acc + f.Diversity_family.i_alloc_pad ~replica:k ~site)
-            0 c.env.fams
-        in
-        let pres =
-          List.map
-            (fun f ->
-              (f, f.Diversity_family.i_pre_alloc ~replica:k ~site b aug n_app))
-            c.env.fams
-        in
-        let rep_val =
-          Diversity.emit_replica_malloc c.env.div c.env.cfg.Config.diversity
-            ~extra_pad:extra b aug n_app
-        in
-        List.iter
-          (fun (f, ds) -> f.Diversity_family.i_post_alloc ~replica:k ~site b ds)
-          (List.rev pres);
-        match rep_val with
-        | Reg src -> Builder.emit b (Bitcast (t.reps.(k), Ptr aug, Reg src))
-        | _ -> assert false)
-      (replica_order c ~site);
+    (* each family may pad the replica request and surround it with
+       dummy allocations *)
+    let extra =
+      List.fold_left
+        (fun acc f -> acc + f.Diversity_family.i_alloc_pad ~site)
+        0 c.env.fams
+    in
+    let pres =
+      List.map
+        (fun f -> (f, f.Diversity_family.i_pre_alloc ~site b aug n_app))
+        c.env.fams
+    in
+    let rep_val =
+      Diversity.emit_replica_malloc c.env.div c.env.cfg.Config.diversity
+        ~extra_pad:extra b aug n_app
+    in
+    List.iter
+      (fun (f, ds) -> f.Diversity_family.i_post_alloc ~site b ds)
+      (List.rev pres);
+    (match (rep_val, t.rep) with
+    | Reg src, Some dstr -> Builder.emit b (Bitcast (dstr, Ptr aug, Reg src))
+    | _ -> assert false);
     if sds c then
       match (Shadow_type.sat c.env.stx src_ty, t.shd) with
       | Some sdw, Some s -> Builder.emit b (Malloc (s, sdw, n_app))
@@ -453,16 +403,12 @@ let transform_alloc c b ~heap dst_reg src_ty count =
   end
   else begin
     Builder.emit b (Alloca (t.app, aug, n_app));
-    Array.iter
-      (fun rk ->
-        let rep_val =
-          Diversity.emit_replica_alloca c.env.div c.env.cfg.Config.diversity b
-            aug n_app
-        in
-        match rep_val with
-        | Reg src -> Builder.emit b (Bitcast (rk, Ptr aug, Reg src))
-        | _ -> assert false)
-      t.reps;
+    let rep_val =
+      Diversity.emit_replica_alloca c.env.div c.env.cfg.Config.diversity b aug n_app
+    in
+    (match (rep_val, t.rep) with
+    | Reg src, Some dstr -> Builder.emit b (Bitcast (dstr, Ptr aug, Reg src))
+    | _ -> assert false);
     if sds c then
       match (Shadow_type.sat c.env.stx src_ty, t.shd) with
       | Some sdw, Some s -> Builder.emit b (Alloca (s, sdw, n_app))
@@ -472,10 +418,7 @@ let transform_alloc c b ~heap dst_reg src_ty count =
 
 let transform_free c b p =
   Builder.free b (app_op c p);
-  Array.iter
-    (fun rp ->
-      Diversity.emit_replica_free c.env.div c.env.cfg.Config.diversity b rp)
-    (rep_ops c p);
+  Diversity.emit_replica_free c.env.div c.env.cfg.Config.diversity b (rep_op c p);
   if sds c then begin
     (* if (ps != null) { free(ps) } — runtime check, in case the static
        type is not precise enough (Table 2.6) *)
@@ -503,11 +446,11 @@ let transform_load c b dst_reg ty p =
     c.site <- c.site + 1;
     ignore
       (Policy.emit_check c.env.pol c.env.cfg.Config.policy b aug_ty (Reg t.app)
-         (Array.to_list (rep_ops c p)) lbl)
+         (rep_op c p) lbl)
   end;
   if is_ptr then
     if sds c then begin
-      (* xr_k <- (ps->rop_k); xs <- (ps->nsop) *)
+      (* xr <- (ps->rop); xs <- (ps->nsop) *)
       let cell = src_pointee c p in
       let pair = pair_struct c cell in
       let ps = shd_op c p in
@@ -516,38 +459,27 @@ let transform_load c b dst_reg ty p =
           unsupported "%s: pointer load through null shadow (restriction %s)"
             c.sf.Func.name "2.9"
       | _ -> ());
-      Array.iteri
-        (fun k rk ->
-          let rop_addr =
-            Func.fresh_reg c.df (Ptr (Shadow_type.at c.env.stx cell))
-          in
-          Builder.emit b (Gep_field (rop_addr, pair, ps, k));
-          Builder.emit b (Load (rk, aug_ty, Reg rop_addr)))
-        t.reps;
+      let rop_addr = Func.fresh_reg c.df (Ptr (Shadow_type.at c.env.stx cell)) in
+      Builder.emit b (Gep_field (rop_addr, pair, ps, 0));
+      Builder.emit b (Load (Option.get t.rep, aug_ty, Reg rop_addr));
       let nsop_ty = Func.reg_ty c.df (Option.get t.shd) in
       let nsop_addr = Func.fresh_reg c.df (Ptr nsop_ty) in
-      Builder.emit b (Gep_field (nsop_addr, pair, ps, c.env.nrep));
+      Builder.emit b (Gep_field (nsop_addr, pair, ps, 1));
       Builder.emit b (Load (Option.get t.shd, nsop_ty, Reg nsop_addr))
     end
     else
-      (* MDS: xr_k <- *pr_k *)
-      let prs = rep_ops c p in
-      Array.iteri (fun k rk -> Builder.emit b (Load (rk, aug_ty, prs.(k)))) t.reps
+      (* MDS: xr <- *pr *)
+      Builder.emit b (Load (Option.get t.rep, aug_ty, rep_op c p))
 
 let transform_store c b ty v p =
   let aug_ty = Shadow_type.at c.env.stx ty in
-  let v_app, v_reps, v_shd = map_operand c v in
+  let v_app, v_rep, v_shd = map_operand c v in
   Builder.store b aug_ty v_app (app_op c p);
   let is_ptr = is_pointer ty in
-  (* SDS stores the identical value to every replica memory (comparable
-     pointers, Figure 2.3); MDS stores replica k's ROP to replica k
-     (Figure 2.2). *)
-  let prs = rep_ops c p in
-  Array.iteri
-    (fun k pr ->
-      let rep_value = if sds c then v_app else v_reps.(k) in
-      Builder.store b aug_ty rep_value pr)
-    prs;
+  (* SDS stores the identical value to replica memory (comparable
+     pointers, Figure 2.3); MDS stores the ROP (Figure 2.2). *)
+  let rep_value = if sds c then v_app else v_rep in
+  Builder.store b aug_ty rep_value (rep_op c p);
   if is_ptr && sds c then begin
     let cell = src_pointee c p in
     let pair = pair_struct c cell in
@@ -558,17 +490,12 @@ let transform_store c b ty v p =
           c.sf.Func.name
     | _ -> ());
     let rop_ty = Shadow_type.at c.env.stx cell in
-    Array.iteri
-      (fun k vr ->
-        let rop_addr = Func.fresh_reg c.df (Ptr rop_ty) in
-        Builder.emit b (Gep_field (rop_addr, pair, ps, k));
-        Builder.store b rop_ty vr (Reg rop_addr))
-      v_reps;
-    let nsop_ty =
-      List.nth (Tenv.fields c.env.dst.Prog.tenv pair) c.env.nrep
-    in
+    let rop_addr = Func.fresh_reg c.df (Ptr rop_ty) in
+    Builder.emit b (Gep_field (rop_addr, pair, ps, 0));
+    Builder.store b rop_ty v_rep (Reg rop_addr);
+    let nsop_ty = List.nth (Tenv.fields c.env.dst.Prog.tenv pair) 1 in
     let nsop_addr = Func.fresh_reg c.df (Ptr nsop_ty) in
-    Builder.emit b (Gep_field (nsop_addr, pair, ps, c.env.nrep));
+    Builder.emit b (Gep_field (nsop_addr, pair, ps, 1));
     Builder.store b nsop_ty v_shd (Reg nsop_addr)
   end
 
@@ -580,10 +507,9 @@ let transform_gep_field c b dst_reg sname p i =
     | _ -> assert false
   in
   Builder.emit b (Gep_field (t.app, aug_sname, app_op c p, i));
-  let prs = rep_ops c p in
-  Array.iteri
-    (fun k r -> Builder.emit b (Gep_field (r, aug_sname, prs.(k), i)))
-    t.reps;
+  Option.iter
+    (fun r -> Builder.emit b (Gep_field (r, aug_sname, rep_op c p, i)))
+    t.rep;
   if sds c then
     let field_ty = List.nth (Tenv.fields c.env.src.Prog.tenv sname) i in
     match (Shadow_type.sat c.env.stx field_ty, t.shd) with
@@ -607,10 +533,9 @@ let transform_gep_index c b dst_reg ety p i =
   let aug_e = Shadow_type.at c.env.stx ety in
   let i_app = app_op c i in
   Builder.emit b (Gep_index (t.app, aug_e, app_op c p, i_app));
-  let prs = rep_ops c p in
-  Array.iteri
-    (fun k r -> Builder.emit b (Gep_index (r, aug_e, prs.(k), i_app)))
-    t.reps;
+  Option.iter
+    (fun r -> Builder.emit b (Gep_index (r, aug_e, rep_op c p, i_app)))
+    t.rep;
   if sds c then
     match (Shadow_type.sat c.env.stx ety, t.shd) with
     | Some sdw_e, Some s -> (
@@ -627,10 +552,7 @@ let transform_bitcast c b dst_reg target p =
   let pointee = match target with Ptr e -> e | _ -> unsupported "bitcast to non-pointer" in
   let aug_target = Ptr (Shadow_type.at c.env.stx pointee) in
   Builder.emit b (Bitcast (t.app, aug_target, app_op c p));
-  let prs = rep_ops c p in
-  Array.iteri
-    (fun k r -> Builder.emit b (Bitcast (r, aug_target, prs.(k))))
-    t.reps;
+  Option.iter (fun r -> Builder.emit b (Bitcast (r, aug_target, rep_op c p))) t.rep;
   if sds c then
     match t.shd with
     | Some s ->
@@ -713,13 +635,12 @@ let transform_call c b defs dst_reg callee args =
       let nfixed = List.length sig_.params in
       let fixed_args = List.filteri (fun i _ -> i < nfixed) args in
       let var_args = List.filteri (fun i _ -> i >= nfixed) args in
-      (* γ(): each fixed pointer argument becomes (arg, ROP_1..ROP_N[, NSOP]) *)
+      (* γ(): each fixed pointer argument becomes (arg, ROP[, NSOP]) *)
       let expand_fixed p a =
         match p with
         | Ptr _ ->
-            let app, reps, shd = map_operand c a in
-            let base = app :: Array.to_list reps in
-            if sds c then base @ [ shd ] else base
+            let app, rep, shd = map_operand c a in
+            if sds c then [ app; rep; shd ] else [ app; rep ]
         | _ -> [ app_op c a ]
       in
       let fixed' = List.concat (List.map2 expand_fixed sig_.params fixed_args) in
@@ -729,9 +650,8 @@ let transform_call c b defs dst_reg callee args =
       let var_extra =
         List.concat_map
           (fun a ->
-            let _, reps, shd = map_operand c a in
-            let rl = Array.to_list reps in
-            if sds c then rl @ [ shd ] else rl)
+            let _, rep, shd = map_operand c a in
+            if sds c then [ rep; shd ] else [ rep ])
           var_args
       in
       (* π(): return-value ROP/NSOP channel *)
@@ -742,7 +662,7 @@ let transform_call c b defs dst_reg callee args =
             Some (rv_slot c pair_ty, pair_ty)
         | Ptr _, Config.Mds ->
             let pty = Shadow_type.at c.env.stx sig_.ret in
-            Some (rv_slot c ~count:c.env.nrep pty, pty)
+            Some (rv_slot c pty, pty)
         | _ -> None
       in
       let rv_args = match rv_alloca with Some (a, _) -> [ a ] | None -> [] in
@@ -755,7 +675,7 @@ let transform_call c b defs dst_reg callee args =
       let all_args = sdw_extra @ rv_args @ fixed' @ var_app @ var_extra in
       let dst' = Option.map (fun r -> (triple_of c r).app) dst_reg in
       Builder.emit b (Call (dst', callee', all_args));
-      (* unload the returned ROPs/NSOP *)
+      (* unload the returned ROP/NSOP *)
       match (dst_reg, rv_alloca) with
       | Some r, Some (slot, slot_ty) -> (
           let t = triple_of c r in
@@ -765,33 +685,21 @@ let transform_call c b defs dst_reg callee args =
                 match slot_ty with Struct s -> s | _ -> assert false
               in
               let rop_ty = Func.reg_ty c.df t.app in
-              Array.iteri
-                (fun k rk ->
-                  let ak = Func.fresh_reg c.df (Ptr rop_ty) in
-                  Builder.emit b (Gep_field (ak, pair, slot, k));
-                  Builder.emit b (Load (rk, rop_ty, Reg ak)))
-                t.reps;
+              let a0 = Func.fresh_reg c.df (Ptr rop_ty) in
+              Builder.emit b (Gep_field (a0, pair, slot, 0));
+              Builder.emit b (Load (Option.get t.rep, rop_ty, Reg a0));
               let nsop_ty = Func.reg_ty c.df (Option.get t.shd) in
               let a1 = Func.fresh_reg c.df (Ptr nsop_ty) in
-              Builder.emit b (Gep_field (a1, pair, slot, c.env.nrep));
+              Builder.emit b (Gep_field (a1, pair, slot, 1));
               Builder.emit b (Load (Option.get t.shd, nsop_ty, Reg a1))
-          | Config.Mds ->
-              if c.env.nrep = 1 then
-                Builder.emit b (Load (t.reps.(0), slot_ty, slot))
-              else
-                Array.iteri
-                  (fun k rk ->
-                    let ak = Func.fresh_reg c.df (Ptr slot_ty) in
-                    Builder.emit b (Gep_index (ak, slot_ty, slot, Builder.i64c k));
-                    Builder.emit b (Load (rk, slot_ty, Reg ak)))
-                  t.reps)
+          | Config.Mds -> Builder.emit b (Load (Option.get t.rep, slot_ty, slot)))
       | _ -> ())
 
 let transform_ret c b o =
   match o with
   | None -> Builder.ret0 b
   | Some v -> (
-      let v_app, v_reps, v_shd = map_operand c v in
+      let v_app, v_rep, v_shd = map_operand c v in
       match (Prog.operand_ty c.env.src c.sf v, c.rv_param) with
       | Ptr _, Some rv -> (
           match c.env.cfg.Config.mode with
@@ -802,28 +710,17 @@ let transform_ret c b o =
                 | _ -> assert false
               in
               let fields = Tenv.fields c.env.dst.Prog.tenv pair in
-              let rop_ty = List.nth fields 0
-              and nsop_ty = List.nth fields c.env.nrep in
-              Array.iteri
-                (fun k vr ->
-                  let ak = Func.fresh_reg c.df (Ptr rop_ty) in
-                  Builder.emit b (Gep_field (ak, pair, Reg rv, k));
-                  Builder.store b rop_ty vr (Reg ak))
-                v_reps;
+              let rop_ty = List.nth fields 0 and nsop_ty = List.nth fields 1 in
+              let a0 = Func.fresh_reg c.df (Ptr rop_ty) in
+              Builder.emit b (Gep_field (a0, pair, Reg rv, 0));
+              Builder.store b rop_ty v_rep (Reg a0);
               let a1 = Func.fresh_reg c.df (Ptr nsop_ty) in
-              Builder.emit b (Gep_field (a1, pair, Reg rv, c.env.nrep));
+              Builder.emit b (Gep_field (a1, pair, Reg rv, 1));
               Builder.store b nsop_ty v_shd (Reg a1);
               Builder.ret b (Some v_app)
           | Config.Mds ->
               let pty = match Func.reg_ty c.df rv with Ptr t -> t | _ -> assert false in
-              if c.env.nrep = 1 then Builder.store b pty v_reps.(0) (Reg rv)
-              else
-                Array.iteri
-                  (fun k vr ->
-                    let ak = Func.fresh_reg c.df (Ptr pty) in
-                    Builder.emit b (Gep_index (ak, pty, Reg rv, Builder.i64c k));
-                    Builder.store b pty vr (Reg ak))
-                  v_reps;
+              Builder.store b pty v_rep (Reg rv);
               Builder.ret b (Some v_app))
       | _ -> Builder.ret b (Some v_app))
 
@@ -832,10 +729,9 @@ let transform_select c b dst_reg ty cond a0 a1 =
   let cond' = app_op c cond in
   let aug = Shadow_type.at c.env.stx ty in
   Builder.emit b (Select (t.app, aug, cond', app_op c a0, app_op c a1));
-  let r0 = rep_ops c a0 and r1 = rep_ops c a1 in
-  Array.iteri
-    (fun k r -> Builder.emit b (Select (r, aug, cond', r0.(k), r1.(k))))
-    t.reps;
+  Option.iter
+    (fun r -> Builder.emit b (Select (r, aug, cond', rep_op c a0, rep_op c a1)))
+    t.rep;
   match t.shd with
   | Some s ->
       let sty = Func.reg_ty c.df s in
@@ -858,16 +754,16 @@ let transform_inst c b defs inst =
       Builder.emit
         b
         (Malloc ((triple_of c r).app, Shadow_type.at c.env.stx ty, app_op c n));
-      set_unreplicated c b r
+      set_not_replicated c b r
   | Alloca (r, ty, n) when excl c (Reg r) ->
       Builder.emit
         b
         (Alloca ((triple_of c r).app, Shadow_type.at c.env.stx ty, app_op c n));
-      set_unreplicated c b r
+      set_not_replicated c b r
   | Free p when excl c p -> Builder.free b (app_op c p)
   | Load (r, ty, p) when excl c p ->
       Builder.emit b (Load ((triple_of c r).app, Shadow_type.at c.env.stx ty, app_op c p));
-      if is_pointer ty then set_unreplicated c b r
+      if is_pointer ty then set_not_replicated c b r
   | Store (ty, v, p) when excl c p ->
       Builder.store b (Shadow_type.at c.env.stx ty) (app_op c v) (app_op c p)
   | Gep_field (r, s, p, i) when excl c p ->
@@ -877,18 +773,18 @@ let transform_inst c b defs inst =
         | _ -> assert false
       in
       Builder.emit b (Gep_field ((triple_of c r).app, aug_s, app_op c p, i));
-      set_unreplicated c b r
+      set_not_replicated c b r
   | Gep_index (r, e, p, i) when excl c p ->
       Builder.emit
         b
         (Gep_index ((triple_of c r).app, Shadow_type.at c.env.stx e, app_op c p, app_op c i));
-      set_unreplicated c b r
+      set_not_replicated c b r
   | Bitcast (r, ty, p) when excl c p ->
       let pointee = match ty with Ptr e -> e | _ -> unsupported "bitcast to non-pointer" in
       Builder.emit
         b
         (Bitcast ((triple_of c r).app, Ptr (Shadow_type.at c.env.stx pointee), app_op c p));
-      set_unreplicated c b r
+      set_not_replicated c b r
   | Int_to_ptr (r, ty, v) when excl c (Reg r) ->
       (* permitted exactly when DSA has excluded the manufactured pointer
          (Unknown + int-to-ptr node, closed under reachability) *)
@@ -896,7 +792,7 @@ let transform_inst c b defs inst =
         b
         (Int_to_ptr ((triple_of c r).app, Ptr (Shadow_type.at c.env.stx
             (match ty with Ptr e -> e | t -> t)), app_op c v));
-      set_unreplicated c b r
+      set_not_replicated c b r
   (* --- standard transformation --- *)
   | Malloc (r, ty, n) -> transform_alloc c b ~heap:true r ty n
   | Alloca (r, ty, n) -> transform_alloc c b ~heap:false r ty n
@@ -935,7 +831,7 @@ let transform_late c b defs inst =
   (match Inst.def_of inst with
   | Some r ->
       let t = triple_of c r in
-      c.late_regs <- (t.app :: Array.to_list t.reps) @ Option.to_list t.shd @ c.late_regs
+      c.late_regs <- (t.app :: Option.to_list t.rep) @ Option.to_list t.shd @ c.late_regs
   | None -> ());
   let r0 = c.df.Func.next_reg and nb = List.length c.df.Func.blocks in
   transform_inst c b defs inst;
@@ -1078,20 +974,15 @@ let synthesize_main env (orig_main : Func.t) =
       in
       let argc = Builder.param b 0 and argv = Builder.param b 1 in
       startups b;
-      let argv_rs =
-        List.init env.nrep (fun k ->
-            Builder.call1 b
-              ~name:("argv" ^ rep_suffix k)
-              (Direct "__dpmr_argv_r") [ argc; argv ])
-      in
+      let argv_r = Builder.call1 b ~name:"argv_r" (Direct "__dpmr_argv_r") [ argc; argv ] in
       let args =
         match env.cfg.Config.mode with
         | Config.Sds ->
             let argv_s =
               Builder.call1 b ~name:"argv_s" (Direct "__dpmr_argv_s") [ argc; argv ]
             in
-            (argc :: argv :: argv_rs) @ [ argv_s ]
-        | Config.Mds -> argc :: argv :: argv_rs
+            [ argc; argv; argv_r; argv_s ]
+        | Config.Mds -> [ argc; argv; argv_r ]
       in
       let r = Builder.call b (Direct "mainAug") args in
       Builder.ret b r
@@ -1103,28 +994,19 @@ let synthesize_main env (orig_main : Func.t) =
 
 (** Transform [src] under configuration [cfg] into a new program.  The
     source program is left untouched.  [excluded] is the Chapter 5 DSA
-    scope callback (function name, register) -> leave-unreplicated.
+    scope callback (function name, register) -> leave out of replication.
     [fault] names the code an injected fault added to [src]; it changes
     only the numbering, never the program's behaviour. *)
 let transform ?(excluded = fun _ _ -> false) ?fault (cfg : Config.t) (src : Prog.t) :
     Prog.t =
-  if cfg.Config.replicas < 1 then
-    unsupported "replica count must be >= 1 (got %d)" cfg.Config.replicas;
   let dst = Prog.create ~tenv:(Tenv.copy src.Prog.tenv) () in
-  let stx =
-    Shadow_type.create ~replicas:cfg.Config.replicas dst.Prog.tenv
-      cfg.Config.mode
-  in
+  let stx = Shadow_type.create dst.Prog.tenv cfg.Config.mode in
   let pol = Policy.prepare cfg.Config.policy cfg.Config.seed dst in
   let div = Diversity.prepare cfg.Config.diversity dst in
   let fams =
     match Diversity_family.resolve cfg.Config.families with
     | Ok fs ->
-        List.map
-          (fun f ->
-            Diversity_family.instantiate f src ~seed:cfg.Config.seed
-              ~replicas:cfg.Config.replicas)
-          fs
+        List.map (fun f -> Diversity_family.instantiate f src ~seed:cfg.Config.seed) fs
     | Error n ->
         unsupported "unknown diversity family %S (registered: %s)" n
           (match Diversity_family.names () with
@@ -1139,7 +1021,6 @@ let transform ?(excluded = fun _ _ -> false) ?fault (cfg : Config.t) (src : Prog
       dst;
       pol;
       div;
-      nrep = cfg.Config.replicas;
       fams;
       asite = ref 0;
       excluded;

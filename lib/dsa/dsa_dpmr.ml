@@ -2,7 +2,7 @@
 
     Runs Data Structure Analysis over the input, computes the exclusion
     closure, and invokes the MDS transformation with accesses through
-    excluded registers left unreplicated.  The dissertation pairs DSA with
+    excluded registers left out of replication.  The dissertation pairs DSA with
     the MDS design (Chapter 5 builds on Chapter 4); SDS needs shadow
     addressing guarantees that exclusion does not provide, so SDS + DSA is
     rejected. *)

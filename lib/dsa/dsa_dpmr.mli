@@ -1,8 +1,8 @@
 (** Glue: the DPMR transformation with the Chapter 5 scope expansion.
 
     Runs Data Structure Analysis, computes the exclusion closure, and
-    invokes the MDS transformation with excluded accesses left
-    unreplicated.  SDS + DSA is rejected: exclusion cannot provide the
+    invokes the MDS transformation with excluded accesses left out of
+    replication.  SDS + DSA is rejected: exclusion cannot provide the
     shadow-addressing guarantees SDS needs. *)
 
 open Dpmr_ir

@@ -57,13 +57,12 @@ let policy_repr = function
   | Config.Static f -> Printf.sprintf "static-%h" f
 
 let config_repr (c : Config.t) =
-  (* N-version axes append only when non-default, so every pre-N-version
-     repr (and therefore its key) is reproduced byte for byte *)
+  (* families append only when present, so a paper-grid repr carries no
+     suffix; the fixed ",n=1" is part of every family build's key *)
   let nversion =
-    if c.Config.replicas = 1 && c.Config.families = [] then ""
-    else
-      Printf.sprintf ",n=%d,fam=%s" c.Config.replicas
-        (String.concat "+" c.Config.families)
+    match c.Config.families with
+    | [] -> ""
+    | fs -> ",n=1,fam=" ^ String.concat "+" fs
   in
   Printf.sprintf "%s,%s,%s,%Ld%s" (Config.mode_name c.Config.mode)
     (Config.diversity_name c.Config.diversity)

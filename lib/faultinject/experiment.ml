@@ -58,8 +58,7 @@ let result_classification = function Run c -> Some c | Job_failed _ -> None
 type prepared = {
   pprog : Prog.t;
   plowered : Dpmr_vm.Lower.prog;
-  pmode : (Config.mode * int) option;
-      (** [Some (mode, replicas)] iff the DPMR wrappers apply *)
+  pmode : Config.mode option;  (** [Some mode] iff the DPMR wrappers apply *)
 }
 
 type t = {
@@ -121,7 +120,7 @@ let prepare t variant =
     {
       pprog = tp;
       plowered = Dpmr_vm.Lower.lower_prog tp;
-      pmode = Some (cfg.Config.mode, cfg.Config.replicas);
+      pmode = Some cfg.Config.mode;
     }
   in
   match variant with
@@ -143,9 +142,9 @@ let run_variant ?seed t variant =
     | None ->
         Dpmr.run_plain ~seed ~budget:t.budget ~args:t.wk.args
           ~lowered:p.plowered p.pprog
-    | Some (mode, replicas) ->
+    | Some mode ->
         Dpmr.run_transformed ~seed ~budget:t.budget ~args:t.wk.args
-          ~lowered:p.plowered ~mode ~replicas p.pprog
+          ~lowered:p.plowered ~mode p.pprog
   in
   classify t r
 
@@ -187,9 +186,9 @@ let run_prepared ?seed t p =
     | None ->
         Dpmr.run_plain ~seed ~budget:t.budget ~args:t.wk.args
           ~lowered:p.plowered p.pprog
-    | Some (mode, replicas) ->
+    | Some mode ->
         Dpmr.run_transformed ~seed ~budget:t.budget ~args:t.wk.args
-          ~lowered:p.plowered ~mode ~replicas p.pprog
+          ~lowered:p.plowered ~mode p.pprog
   in
   classify t r
 
@@ -259,9 +258,9 @@ let plan_group ?seed t variants =
        | None ->
            Dpmr.watched_plain ~seed ~budget:t.budget ~args:t.wk.args
              ~lowered:bp.plowered bp.pprog limitss
-       | Some (mode, replicas) ->
+       | Some mode ->
            Dpmr.watched_transformed ~seed ~budget:t.budget ~args:t.wk.args
-             ~lowered:bp.plowered ~mode ~replicas bp.pprog limitss
+             ~lowered:bp.plowered ~mode bp.pprog limitss
      in
      match watched () with
      | results ->
@@ -290,8 +289,8 @@ let run_member ?seed t g i =
         match p.pmode with
         | None ->
             Dpmr.resume_plain ~seed ~budget:t.budget ~lowered:p.plowered p.pprog snap
-        | Some (mode, replicas) ->
+        | Some mode ->
             Dpmr.resume_transformed ~seed ~budget:t.budget ~lowered:p.plowered ~mode
-              ~replicas p.pprog snap
+              p.pprog snap
       in
       classify t r

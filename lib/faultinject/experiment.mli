@@ -52,8 +52,7 @@ val result_classification : run_result -> classification option
 type prepared = {
   pprog : Prog.t;
   plowered : Dpmr_vm.Lower.prog;
-  pmode : (Config.mode * int) option;
-      (** [Some (mode, replicas)] iff the DPMR wrappers apply *)
+  pmode : Config.mode option;  (** [Some mode] iff the DPMR wrappers apply *)
 }
 
 type t = {

@@ -23,15 +23,14 @@ type ctx = {
           number RN of the (W, C, D, I, RN) experiment tuple (§3.6) *)
   engine : Engine.t;  (** runs every job batch: parallelism + result cache *)
   nv : Config.t -> Config.t;
-      (** N-version override applied to every figure configuration
-          ([--replicas]/[--families]); identity at the defaults,
-          so the byte-stable [report all] contract is untouched *)
+      (** diversity-family override applied to every figure configuration
+          ([--families]); identity at the default, so the byte-stable
+          [report all] contract is untouched *)
   class_cache : (string, Experiment.run_result list) Hashtbl.t;
   snad_cache : (string, bool list) Hashtbl.t;  (** StdNotAllDet per site *)
 }
 
-let create ?(scale = 1) ?(seed = 42L) ?(reps = 1) ?(replicas = 1) ?(families = [])
-    ?engine () =
+let create ?(scale = 1) ?(seed = 42L) ?(reps = 1) ?(families = []) ?engine () =
   let engine =
     (* absent an explicit engine, behave exactly like the historical
        serial driver: one worker, no persistent cache *)
@@ -44,7 +43,7 @@ let create ?(scale = 1) ?(seed = 42L) ?(reps = 1) ?(replicas = 1) ?(families = [
     seed;
     reps = max 1 reps;
     engine;
-    nv = (fun cfg -> { cfg with Config.replicas; families });
+    nv = (fun cfg -> { cfg with Config.families });
     class_cache = Hashtbl.create 64;
     snad_cache = Hashtbl.create 16;
   }
@@ -845,117 +844,57 @@ let forensics ctx fig =
     Printf.printf "!! %d run(s) where trace distance disagrees with t2d\n"
       (List.length bad)
 
-(* ---------------- N-version detection surface ----------------
+(* ---------------- diversity-family detection surface ----------------
 
    Like forensics, deliberately not in [all]: [report all]'s stdout is a
-   byte-stable golden contract, and the surface is the N-version
-   subsystem's own figure ([dpmr report nversion-surface]). *)
+   byte-stable golden contract, and the surface is the diversity
+   families' own figure ([dpmr report nversion-surface]). *)
 
-module Surface = Dpmr_nversion.Surface
+(** Family sets per surface row: each standard family alone, plus the
+    full stack. *)
+let family_sets =
+  [
+    ("none", []);
+    ("layout-perm", [ "layout-perm" ]);
+    ("segment-base", [ "segment-base" ]);
+    ("pad-jitter", [ "pad-jitter" ]);
+    ("all-families", [ "layout-perm"; "segment-base"; "pad-jitter" ]);
+  ]
 
-(** Detection-coverage surface over (replica count, family set, fault
-    model), plus the detection-condition analysis and the per-replica
-    overhead against the Equation 3.1-style linear model.  Every grid
-    point is an ordinary engine-batched fault grid — cached, chaos-safe
-    and distributable like any other figure. *)
+(** Detection coverage over (family set, fault model).  Baseline
+    diversity stays [No_diversity], so the surface isolates what the
+    families buy on top of nothing.  Every row is an ordinary
+    engine-batched fault grid — cached, chaos-safe and distributable
+    like any other figure. *)
 let nversion_surface ctx =
   Dpmr_nversion.Families.ensure ();
-  T.print_section
-    "N-version detection surface (SDS, no base diversity, any-mismatch)";
+  T.print_section "Diversity-family detection surface (SDS, no base diversity)";
   let kinds = [ kind_resize; kind_free ] in
   let points =
-    List.concat_map
-      (fun kind ->
-        List.concat_map
-          (fun (sname, fams) ->
-            List.map (fun n -> (kind, sname, fams, n)) Surface.ns)
-          Surface.family_sets)
-      kinds
+    List.concat_map (fun kind -> List.map (fun fs -> (kind, fs)) family_sets) kinds
   in
-  let cfg_of (_, _, fams, n) = Surface.cfg ~n ~families:fams () in
+  let cfg_of (_, (_, families)) = { Config.default with Config.families } in
   ensure ctx
     (List.map (fun app -> stdapp_cell ctx app kind_resize) apps
     @ List.map (fun app -> stdapp_cell ctx app kind_free) apps
     @ List.concat_map
-        (fun ((kind, _, _, _) as pt) ->
-          List.map (fun app -> dpmr_cell ctx app kind (cfg_of pt)) apps)
+        (fun ((kind, _) as pt) -> List.map (fun app -> dpmr_cell ctx app kind (cfg_of pt)) apps)
         points);
-  let totals = Hashtbl.create 64 in
-  let rows = ref [] in
-  List.iter
-    (fun kind ->
-      let rs = List.concat_map (fun app -> stdapp_results ctx app kind) apps in
-      rows :=
-        ([ kind_tag kind; "stdapp"; "-" ]
-        @ cov_cells ~failed:(failed_of rs) (Metrics.of_list (ok_of rs)))
-        :: !rows)
-    kinds;
-  List.iter
-    (fun ((kind, sname, _, n) as pt) ->
-      let rs = List.concat_map (fun app -> dpmr_results ctx app kind (cfg_of pt)) apps in
-      let cov = Metrics.of_list (ok_of rs) in
-      Hashtbl.replace totals (kind_tag kind, sname, n) (Metrics.total cov);
-      rows :=
-        ([ kind_tag kind; sname; string_of_int n ]
-        @ cov_cells ~failed:(failed_of rs) cov)
-        :: !rows)
-    points;
-  print_string
-    (T.render
-       ([ "kind"; "families"; "N"; "CO"; "NatDet"; "DpmrDet"; "total"; "n" ]
-       :: List.rev !rows));
-  (* detection conditions: what each replica count requires of a fault *)
-  T.print_section "Detection conditions by N";
-  print_string
-    (T.render
-       ([ "N"; "condition" ]
-       :: List.map
-            (fun n -> [ string_of_int n; Surface.detection_condition ~n ])
-            Surface.ns));
-  (* marginal detection gain of going 1 -> max N, per family set *)
-  T.print_section "Marginal total-coverage gain of N=3 over N=1";
-  let nmax = List.fold_left max 1 Surface.ns in
-  print_string
-    (T.render
-       ([ "kind"; "families"; "total@1"; Printf.sprintf "total@%d" nmax; "gain" ]
-       :: List.concat_map
-            (fun kind ->
-              List.map
-                (fun (sname, _) ->
-                  let t n =
-                    Hashtbl.find_opt totals (kind_tag kind, sname, n)
-                  in
-                  match (t 1, t nmax) with
-                  | Some t1, Some tn ->
-                      [ kind_tag kind; sname; T.f2 t1; T.f2 tn; T.f2 (tn -. t1) ]
-                  | _ -> [ kind_tag kind; sname; hole; hole; hole ])
-                Surface.family_sets)
-            kinds));
-  (* per-replica overhead of the full family stack vs the linear model *)
-  T.print_section "Per-replica overhead (all families) vs linear model";
-  let stack = List.assoc "all-families" Surface.family_sets in
-  let ocfg n = Surface.cfg ~n ~families:stack () in
-  ensure ctx
-    (List.concat_map
-       (fun n -> List.map (fun app -> nofi_cell ctx app (ocfg n)) apps)
-       Surface.ns);
-  let mean_overhead n =
-    let vs = List.filter_map (fun app -> overhead ctx app (ocfg n)) apps in
-    match vs with
-    | [] -> None
-    | _ -> Some (List.fold_left ( +. ) 0. vs /. float_of_int (List.length vs))
+  let row kind label rs =
+    [ kind_tag kind; label ] @ cov_cells ~failed:(failed_of rs) (Metrics.of_list (ok_of rs))
   in
-  let single = mean_overhead 1 in
+  let stdapp_rows =
+    List.map
+      (fun kind -> row kind "stdapp" (List.concat_map (fun app -> stdapp_results ctx app kind) apps))
+      kinds
+  in
+  let family_rows =
+    List.map
+      (fun ((kind, (sname, _)) as pt) ->
+        row kind sname (List.concat_map (fun app -> dpmr_results ctx app kind (cfg_of pt)) apps))
+      points
+  in
   print_string
     (T.render
-       ([ "N"; "measured"; "linear model" ]
-       :: List.map
-            (fun n ->
-              [
-                string_of_int n;
-                (match mean_overhead n with Some v -> T.f2 v | None -> hole);
-                (match single with
-                | Some s -> T.f2 (Surface.linear_overhead ~n ~single:s)
-                | None -> hole);
-              ])
-            Surface.ns))
+       ([ "kind"; "families"; "CO"; "NatDet"; "DpmrDet"; "total"; "n" ]
+       :: (stdapp_rows @ family_rows)))

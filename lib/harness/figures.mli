@@ -13,14 +13,13 @@ type ctx
     run-number dimension RN of the §3.6 experiment tuple.  [engine] runs
     all job batches (parallel workers + persistent result cache); when
     absent, a serial uncached engine reproduces the historical driver
-    behaviour exactly.  [replicas]/[families] override the N-version
-    axes of every figure configuration; at their defaults (1/[]) every
-    figure is byte-identical to the single-replica driver. *)
+    behaviour exactly.  [families] adds diversity families to every
+    figure configuration; at its default ([]) every figure is the
+    paper's. *)
 val create :
   ?scale:int ->
   ?seed:int64 ->
   ?reps:int ->
-  ?replicas:int ->
   ?families:string list ->
   ?engine:Dpmr_engine.Engine.t ->
   unit ->
@@ -37,11 +36,10 @@ val run : ctx -> string -> unit
 val run_all : ctx -> unit
 
 val nversion_surface : ctx -> unit
-(** Detection-coverage surface over (replica count N, diversity-family
-    set, fault model), with the per-N detection conditions, the
-    marginal gain of N=3 over N=1, and measured per-replica overhead
-    against the Equation 3.1-style linear model.  Not part of {!all} for
-    the same byte-stability reason as {!forensics}. *)
+(** Detection coverage over (diversity-family set, fault model): each
+    standard family alone and all three stacked, on the resize and free
+    fault models.  Not part of {!all} for the same byte-stability reason
+    as {!forensics}. *)
 
 val forensics : ctx -> string -> unit
 (** [forensics ctx fig] re-runs [fig]'s fault grid under the baseline

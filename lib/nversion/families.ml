@@ -1,36 +1,31 @@
 (** The diversity-family registry's standard members.
 
     Each family implements {!Dpmr_core.Diversity_family.S} and targets a
-    different axis of address-space decorrelation across the N replicas
-    (§2.6 generalized): where a replica object lands ([layout-perm]),
-    which replica is placed first ([alloc-shuffle]), a per-replica
-    constant displacement approximating distinct segment bases
-    ([segment-base]), and per-(replica, site) request jitter
-    ([pad-jitter]).
+    different axis of address-space decorrelation between the
+    application and its replica (§2.6 generalized): where a replica
+    object lands ([layout-perm]), a constant displacement approximating
+    a distinct segment base ([segment-base]), and per-site request
+    jitter ([pad-jitter]).
 
-    All decisions derive from [(config seed, family name, replica, site)]
-    through {!Dpmr_core.Diversity_family.derive} — pure compile-time
-    randomness, so the transformed program is a deterministic function of
-    the configuration and results cache soundly.
+    All decisions derive from [(config seed, family name, site)] through
+    {!Dpmr_core.Diversity_family.derive} — pure compile-time randomness,
+    so the transformed program is a deterministic function of the
+    configuration and results cache soundly.
 
-    Field reordering (permuting struct layouts per replica) is the one
-    Table 2.8-adjacent family deliberately not implemented: it changes
-    every [Gep_field] offset and the shadow-type layout per replica,
-    which the comparison-policy codegen is not prepared for (DESIGN.md
-    §13 records it as future work). *)
+    Field reordering (permuting struct layouts for the replica) is the
+    one Table 2.8-adjacent family deliberately not implemented: it
+    changes every [Gep_field] offset and the shadow-type layout, which
+    the comparison-policy codegen is not prepared for (DESIGN.md §13
+    records it as future work). *)
 
 open Dpmr_ir
 open Types
 open Inst
 module DF = Dpmr_core.Diversity_family
 
-(* Shared rx_rewrite helper: pad every heap request by [bytes]
-   (delegates to the Rx module's program-wide rewrite). *)
-let pad_rewrite prog bytes = Some (Dpmr_core.Rx.pad_heap_requests prog bytes)
-
-(** Displace each replica's heap layout: before a replica allocation,
+(** Displace the replica heap layout: before a replica allocation,
     allocate 1..3 seeded dummy blocks (16..256 bytes); free them after,
-    so the replica lands past holes other replicas do not share. *)
+    so the replica lands past holes the application does not share. *)
 module Layout_perm : DF.S = struct
   let name = "layout-perm"
 
@@ -39,18 +34,17 @@ module Layout_perm : DF.S = struct
 
   type state = { seed : int64 }
 
-  let prepare _prog ~seed ~replicas:_ = { seed }
-  let alloc_pad _ ~replica:_ ~site:_ = 0
+  let prepare _prog ~seed = { seed }
+  let alloc_pad _ ~site:_ = 0
 
-  let pre_alloc st ~replica ~site b _aug_ty _count =
-    let n = DF.rand_in ~lo:1 ~hi:3 (DF.derive ~seed:st.seed ~tag:name ~replica ~site) in
+  let pre_alloc st ~site b _aug_ty _count =
+    let n = DF.rand_in ~lo:1 ~hi:3 (DF.derive ~seed:st.seed ~tag:name ~site) in
     List.init n (fun j ->
-        let w = DF.derive ~seed:st.seed ~tag:(Printf.sprintf "%s/%d" name j) ~replica ~site in
+        let w = DF.derive ~seed:st.seed ~tag:(Printf.sprintf "%s/%d" name j) ~site in
         let sz = DF.rand_in ~lo:16 ~hi:256 w in
         Builder.malloc b ~name:"nv.dummy" ~count:(Builder.i64c sz) i8)
 
-  let post_alloc _ ~replica:_ ~site:_ b dummies = List.iter (Builder.free b) dummies
-  let order _ ~site:_ ~n = Array.init n Fun.id
+  let post_alloc _ ~site:_ b dummies = List.iter (Builder.free b) dummies
   let startup _ _ = ()
 
   (* Application-side analog: displace every application allocation by a
@@ -69,7 +63,7 @@ module Layout_perm : DF.S = struct
                   | Malloc (r, ty, n) ->
                       let s = !site in
                       incr site;
-                      let w = DF.derive ~seed ~tag:(name ^ "/rx") ~replica:0 ~site:s in
+                      let w = DF.derive ~seed ~tag:(name ^ "/rx") ~site:s in
                       let sz = DF.rand_in ~lo:32 ~hi:512 w in
                       let d = Func.fresh_reg f ~name:"nv_rx" (Ptr i8) in
                       [
@@ -80,101 +74,55 @@ module Layout_perm : DF.S = struct
                   | other -> [ other ])
                 blk.Func.insts)
           f.Func.blocks);
-    Some q
+    q
 end
 
-(** Permute the emission order of the N replica allocations at each site:
-    with first-fit placement, which replica allocates first decides which
-    address it gets, so the (replica index -> address) correlation decays
-    per site. *)
-module Alloc_shuffle : DF.S = struct
-  let name = "alloc-shuffle"
-  let description = "seeded per-site shuffle of replica allocation order"
-
-  type state = { seed : int64 }
-
-  let prepare _prog ~seed ~replicas:_ = { seed }
-  let alloc_pad _ ~replica:_ ~site:_ = 0
-  let pre_alloc _ ~replica:_ ~site:_ _ _ _ = []
-  let post_alloc _ ~replica:_ ~site:_ _ _ = ()
-
-  let order st ~site ~n =
-    (* Fisher-Yates driven by the derivation chain: position i swaps with
-       a seeded j <= i, so the permutation is uniform over the words *)
-    let p = Array.init n Fun.id in
-    for i = n - 1 downto 1 do
-      let w = DF.derive ~seed:st.seed ~tag:name ~replica:i ~site in
-      let j = DF.rand_in ~lo:0 ~hi:i w in
-      let t = p.(i) in
-      p.(i) <- p.(j);
-      p.(j) <- t
-    done;
-    p
-
-  let startup _ _ = ()
-
-  (* No application-side analog: emission order of a single application
-     allocation is the application's own. *)
-  let rx_rewrite _prog ~seed:_ = None
-end
-
-(** Approximate per-replica segment bases: every allocation of replica k
-    grows by one replica-constant pad (32..512 bytes, 16-byte aligned),
-    shearing replica k's whole address space against the others.  An
-    honest approximation — the simulator has one flat heap, so a true
-    per-replica base register does not exist; DESIGN.md §13 documents
-    the gap. *)
+(** Approximate a distinct segment base: every replica allocation grows
+    by one seeded constant pad (32..512 bytes, 16-byte aligned),
+    shearing the replica's whole address space against the
+    application's.  An honest approximation — the simulator has one flat
+    heap, so a true replica base register does not exist; DESIGN.md
+    §13 documents the gap. *)
 module Segment_base : DF.S = struct
   let name = "segment-base"
   let description = "replica-constant allocation displacement (segment-base shear)"
 
-  type state = { pads : int array }
+  type state = { pad : int }
 
-  let replica_pad seed k =
-    let w = DF.derive ~seed ~tag:"segment-base" ~replica:k ~site:0 in
-    DF.rand_in ~lo:2 ~hi:32 w * 16
-
-  let prepare _prog ~seed ~replicas =
-    { pads = Array.init replicas (replica_pad seed) }
-
-  let alloc_pad st ~replica ~site:_ = st.pads.(replica)
-  let pre_alloc _ ~replica:_ ~site:_ _ _ _ = []
-  let post_alloc _ ~replica:_ ~site:_ _ _ = ()
-  let order _ ~site:_ ~n = Array.init n Fun.id
+  let replica_pad seed = DF.rand_in ~lo:2 ~hi:32 (DF.derive ~seed ~tag:name ~site:0) * 16
+  let prepare _prog ~seed = { pad = replica_pad seed }
+  let alloc_pad st ~site:_ = st.pad
+  let pre_alloc _ ~site:_ _ _ _ = []
+  let post_alloc _ ~site:_ _ _ = ()
   let startup _ _ = ()
 
   (* Application-side analog: shift every application request by the
-     replica-0 constant. *)
-  let rx_rewrite prog ~seed = pad_rewrite prog (replica_pad seed 0)
+     replica's constant. *)
+  let rx_rewrite prog ~seed = Dpmr_core.Rx.pad_heap_requests prog (replica_pad seed)
 end
 
-(** Per-(replica, site) request jitter: each replica allocation grows by
-    0..128 bytes in 8-byte steps, decided independently per site — the
-    Pad_malloc transform with a different, seeded pad at every
-    (replica, site). *)
+(** Per-site request jitter: each replica allocation grows by 0..128
+    bytes in 8-byte steps, decided independently per site — the
+    Pad_malloc transform with a different, seeded pad at every site. *)
 module Pad_jitter : DF.S = struct
   let name = "pad-jitter"
-  let description = "seeded per-(replica, site) request padding (0..128 bytes)"
+  let description = "seeded per-site request padding (0..128 bytes)"
 
   type state = { seed : int64 }
 
-  let prepare _prog ~seed ~replicas:_ = { seed }
-
-  let alloc_pad st ~replica ~site =
-    DF.rand_in ~lo:0 ~hi:16 (DF.derive ~seed:st.seed ~tag:name ~replica ~site) * 8
-
-  let pre_alloc _ ~replica:_ ~site:_ _ _ _ = []
-  let post_alloc _ ~replica:_ ~site:_ _ _ = ()
-  let order _ ~site:_ ~n = Array.init n Fun.id
+  let prepare _prog ~seed = { seed }
+  let alloc_pad st ~site = DF.rand_in ~lo:0 ~hi:16 (DF.derive ~seed:st.seed ~tag:name ~site) * 8
+  let pre_alloc _ ~site:_ _ _ _ = []
+  let post_alloc _ ~site:_ _ _ = ()
   let startup _ _ = ()
 
   (* Application-side analog: a mid-range (64-byte) program-wide pad. *)
   let rx_rewrite prog ~seed =
-    pad_rewrite prog (DF.rand_in ~lo:8 ~hi:16 (DF.derive ~seed ~tag:"pad-jitter/rx" ~replica:0 ~site:0) * 8)
+    Dpmr_core.Rx.pad_heap_requests prog
+      (DF.rand_in ~lo:8 ~hi:16 (DF.derive ~seed ~tag:"pad-jitter/rx" ~site:0) * 8)
 end
 
-let all : DF.family list =
-  [ (module Layout_perm); (module Alloc_shuffle); (module Segment_base); (module Pad_jitter) ]
+let all : DF.family list = [ (module Layout_perm); (module Segment_base); (module Pad_jitter) ]
 
 let registered = ref false
 

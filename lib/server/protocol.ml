@@ -110,7 +110,6 @@ type run_params = {
   diversity : Config.diversity;
   policy : Config.policy;
   cfg_seed : int64;
-  replicas : int;  (** N-version replica count; 1 = the paper's design *)
   families : string list;  (** diversity-family names, registry-validated *)
   forensics : bool;
 }
@@ -131,7 +130,6 @@ let default_run =
     diversity = Config.No_diversity;
     policy = Config.All_loads;
     cfg_seed = 42L;
-    replicas = 1;
     families = [];
     forensics = false;
   }
@@ -142,7 +140,6 @@ let config_of (p : run_params) =
     diversity = p.diversity;
     policy = p.policy;
     seed = p.cfg_seed;
-    replicas = p.replicas;
     families = p.families;
   }
 
@@ -238,9 +235,8 @@ let encode_request { rid; body } =
         (Config.mode_name p.mode)
         (Config.diversity_name p.diversity)
         (Job.policy_repr p.policy) p.cfg_seed;
-      (* N-version fields travel only when non-default, so single-replica
-         frames are byte-identical to the pre-N-version wire format *)
-      if p.replicas <> 1 then add ",\"replicas\":%d" p.replicas;
+      (* families travel only when present, so a paper-grid frame carries
+         no family field *)
       if p.families <> [] then
         add ",\"families\":\"%s\"" (esc (String.concat "+" p.families));
       add ",\"forensics\":%b" p.forensics);
@@ -372,15 +368,17 @@ let decode_run fields =
   let* pol_s = str_field fields "policy" ~default:"all-loads" in
   let* policy = atom "policy" policy_of_string pol_s in
   let* cfg_seed = int64_field fields "cseed" ~default:exp_seed in
+  (* one replica is the only build: a frame asking for another replica
+     count is refused, never served as a one-replica verdict *)
   let* replicas = int_field fields "replicas" ~default:1 in
   let* () =
-    if replicas >= 1 then Ok ()
-    else Error (Printf.sprintf "replicas must be >= 1 (got %d)" replicas)
+    if replicas = 1 then Ok ()
+    else Error (Printf.sprintf "unsupported replicas %d (only 1)" replicas)
   in
   let* families_s = str_field fields "families" ~default:"" in
   let families = families_of_string families_s in
-  (* any-mismatch is the only N-version check: a frame asking for another
-     voting rule is refused, never served as an any-mismatch verdict *)
+  (* any-mismatch is the only check: a frame asking for another voting
+     rule is refused, never served as an any-mismatch verdict *)
   let* vote = str_field fields "vote" ~default:"any-mismatch" in
   let* () =
     if vote = "any-mismatch" then Ok ()
@@ -403,7 +401,6 @@ let decode_run fields =
       diversity;
       policy;
       cfg_seed;
-      replicas;
       families;
       forensics;
     }

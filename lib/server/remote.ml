@@ -53,7 +53,6 @@ let params_of_spec (spec : Job.spec) =
         diversity = cfg.Dpmr_core.Config.diversity;
         policy = cfg.Dpmr_core.Config.policy;
         cfg_seed = cfg.Dpmr_core.Config.seed;
-        replicas = cfg.Dpmr_core.Config.replicas;
         families = cfg.Dpmr_core.Config.families;
       }
   | Experiment.Fi_dpmr (cfg, kind, site) ->
@@ -65,7 +64,6 @@ let params_of_spec (spec : Job.spec) =
         diversity = cfg.Dpmr_core.Config.diversity;
         policy = cfg.Dpmr_core.Config.policy;
         cfg_seed = cfg.Dpmr_core.Config.seed;
-        replicas = cfg.Dpmr_core.Config.replicas;
         families = cfg.Dpmr_core.Config.families;
       }
 

@@ -337,9 +337,8 @@ let test_fault_last_numbering () =
               let r =
                 match p.Experiment.pmode with
                 | None -> Dpmr.resume_plain ~seed ~budget ~lowered p.Experiment.pprog snap
-                | Some (mode, replicas) ->
-                    Dpmr.resume_transformed ~seed ~budget ~lowered ~mode ~replicas
-                      p.Experiment.pprog snap
+                | Some mode ->
+                    Dpmr.resume_transformed ~seed ~budget ~lowered ~mode p.Experiment.pprog snap
               in
               let mark_cost = Int64.add (Vm.snapshot_cost snap) (Int64.of_int Dpmr_vm.Cost.call_base) in
               let first = Option.value r.Outcome.fi_first_cost ~default:0L in

@@ -1,8 +1,8 @@
-(* N-version replication tests (lib/nversion + the N-replica transform):
-   registry behaviour, output preservation for every diversity family at
-   N in 1..4 (differential qcheck), N=3 detection on a real workload,
-   replica-global structure, family-based Rx recovery, and cache /
-   wire-protocol backward compatibility across the N-version salt bump. *)
+(* Diversity-family tests (lib/nversion + the family hooks in the
+   transform): registry behaviour, output preservation for every family
+   alone and stacked in both designs (differential qcheck), replica-global
+   structure, family-based Rx recovery, and cache / wire-protocol
+   compatibility of family builds. *)
 
 open Dpmr_ir
 open Types
@@ -21,15 +21,13 @@ module Chaos = Dpmr_engine.Chaos
 module Engine = Dpmr_engine.Engine
 module Protocol = Dpmr_server.Protocol
 module Families = Dpmr_nversion.Families
-module Surface = Dpmr_nversion.Surface
 module Progs = Dpmr_testprogs.Progs
 module Workloads = Dpmr_workloads.Workloads
 
 let () = Families.ensure ()
-let family_names = [ "layout-perm"; "alloc-shuffle"; "segment-base"; "pad-jitter" ]
+let family_names = [ "layout-perm"; "segment-base"; "pad-jitter" ]
 
-let nv_cfg ?(mode = Config.Sds) ?(families = family_names) n =
-  { Config.default with Config.mode; replicas = n; families }
+let nv_cfg ?(mode = Config.Sds) families = { Config.default with Config.mode; families }
 
 (* ---- registry ---- *)
 
@@ -51,37 +49,25 @@ let test_registry () =
   Families.ensure ();
   Alcotest.(check int) "ensure is idempotent" before (List.length (DF.names ()))
 
-(* ---- differential property: every family preserves error-free output
-   at every replica count ---- *)
+(* ---- differential property: every family, alone and stacked,
+   preserves error-free output in both designs ---- *)
 
 let prop_family_n_preserves_output =
-  QCheck.Test.make ~name:"random programs: every family x N in 1..4 preserves output"
+  QCheck.Test.make
+    ~name:"random programs: every family alone and all stacked, SDS and MDS, preserve output"
     ~count:8 Test_differential.arb_ops (fun ops ->
       let p = Test_differential.build_prog ops in
       let golden = Dpmr.run_plain p in
       golden.Outcome.outcome = Outcome.Normal
       && List.for_all
-           (fun f ->
+           (fun families ->
              List.for_all
-               (fun n ->
-                 let r = Dpmr.run_dpmr (nv_cfg ~families:[ f ] n) p in
+               (fun mode ->
+                 let r = Dpmr.run_dpmr (nv_cfg ~mode families) p in
                  r.Outcome.outcome = Outcome.Normal
                  && r.Outcome.output = golden.Outcome.output)
-               [ 1; 2; 3; 4 ])
-           family_names)
-
-let prop_all_families_both_modes =
-  QCheck.Test.make
-    ~name:"random programs: all families together, both modes, N=3"
-    ~count:8 Test_differential.arb_ops (fun ops ->
-      let p = Test_differential.build_prog ops in
-      let golden = Dpmr.run_plain p in
-      List.for_all
-        (fun mode ->
-          let r = Dpmr.run_dpmr (nv_cfg ~mode 3) p in
-          r.Outcome.outcome = Outcome.Normal
-          && r.Outcome.output = golden.Outcome.output)
-        [ Config.Sds; Config.Mds ])
+               [ Config.Sds; Config.Mds ])
+           (family_names :: List.map (fun f -> [ f ]) family_names))
 
 (* ---- replica-global structure ---- *)
 
@@ -96,45 +82,11 @@ let global_prog () =
 
 let test_replica_globals () =
   let p = global_prog () in
-  let count_reps tp =
-    let n = ref 0 in
-    Prog.iter_globals tp (fun g ->
-        let gn = g.Prog.gname in
-        if String.length gn > 3 && String.sub gn 0 3 = "gv." then incr n);
-    !n
-  in
-  (* N=1: the paper's single ".rep" group; N=3: two more replica groups,
-     one per additional replica *)
-  let t1 = Dpmr.transform (nv_cfg ~families:[] 1) p in
-  Verifier.check_prog t1;
-  Alcotest.(check bool) "N=1 keeps gv.rep" true (Prog.has_global t1 "gv.rep");
-  Alcotest.(check bool) "N=1 has no gv.rep2" false (Prog.has_global t1 "gv.rep2");
-  let t3 = Dpmr.transform (nv_cfg ~families:[] 3) p in
-  Verifier.check_prog t3;
-  List.iter
-    (fun gn ->
-      Alcotest.(check bool) ("N=3 has " ^ gn) true (Prog.has_global t3 gn))
-    [ "gv.rep"; "gv.rep2"; "gv.rep3" ];
-  Alcotest.(check int) "replica group count grows with N" ((count_reps t1) + 2)
-    (count_reps t3)
-
-(* ---- fault model: detection at N=3 ---- *)
-
-let test_n3_detects_mcf_resize () =
-  let entry = Workloads.find "mcf" in
-  let e =
-    Experiment.make
-      (Experiment.workload "mcf" (fun () -> entry.Workloads.build ~scale:1 ()))
-  in
-  let kind = Inject.Heap_array_resize 50 in
-  let sites = Experiment.sites e kind in
-  Alcotest.(check bool) "have sites" true (sites <> []);
-  Alcotest.(check bool) "N=3 any-mismatch detects at least one site" true
-    (List.exists
-       (fun site ->
-         (Experiment.run_variant e (Experiment.Fi_dpmr (nv_cfg 3, kind, site)))
-           .Experiment.ddet)
-       sites)
+  (* the paper's single ".rep" group, and no numbered extras *)
+  let t = Dpmr.transform (nv_cfg []) p in
+  Verifier.check_prog t;
+  Alcotest.(check bool) "keeps gv.rep" true (Prog.has_global t "gv.rep");
+  Alcotest.(check bool) "has no gv.rep2" false (Prog.has_global t "gv.rep2")
 
 (* ---- Rx escalation through families ---- *)
 
@@ -153,8 +105,8 @@ let test_rx_family_recovery () =
     (res.Rx.final.Outcome.outcome = Outcome.Normal)
 
 let test_rx_skips_inapplicable_steps () =
-  (* alloc-shuffle has no whole-program rewrite and "no-such" is not
-     registered: neither may count as an attempt *)
+  (* neither "alloc-shuffle" nor "no-such" is a registered family: an
+     unknown step may not count as an attempt *)
   let p = Progs.overflow ~limit:16 () in
   let res =
     Rx.run_with_recovery Config.default p
@@ -208,7 +160,7 @@ let test_salt_bump_evicts_cleanly () =
       Alcotest.(check int) "nothing survives the bump" 0 (Cache.entries c2);
       Alcotest.(check int) "stale lines evicted" 2 (Cache.stats c2).Cache.evicted;
       Alcotest.(check int) "no lines damaged" 0 (Cache.stats c2).Cache.damaged;
-      Cache.add c2 ~key:"00ac" ~spec_repr:"w=mcf;s=1;r=42;nofi-dpmr(sds,none,all,42,n=3,fam=pad-jitter)"
+      Cache.add c2 ~key:"00ac" ~spec_repr:"w=mcf;s=1;r=42;nofi-dpmr(sds,none,all,42,n=1,fam=pad-jitter)"
         some_cls;
       Cache.close c2;
       (* the equivalent of [dpmr cache verify]: zero damaged lines and
@@ -233,56 +185,54 @@ let test_config_repr_nversion_suffix () =
     go 0
   in
   let r1 = Job.repr (spec Config.default) in
-  Alcotest.(check bool) "default repr is the pre-N-version repr" false
-    (contains r1 ",n=");
-  let r3 = Job.repr (spec (nv_cfg 3)) in
-  Alcotest.(check bool) "N=3 repr carries the replica count" true (contains r3 ",n=3");
+  Alcotest.(check bool) "default repr carries no family suffix" false (contains r1 ",n=");
+  (* every family build's key carries the fixed ",n=1" suffix *)
+  Alcotest.(check string) "family repr"
+    "sds,no-diversity,all-loads,42,n=1,fam=pad-jitter"
+    (Job.config_repr { Config.default with Config.families = [ "pad-jitter" ] });
+  let rf = Job.repr (spec (nv_cfg family_names)) in
   Alcotest.(check bool) "repr carries the families" true
-    (contains r3 "fam=layout-perm+alloc-shuffle+segment-base+pad-jitter");
-  Alcotest.(check bool) "repr carries no vote" false (contains r3 "vote=");
+    (contains rf "fam=layout-perm+segment-base+pad-jitter");
+  Alcotest.(check bool) "repr carries no vote" false (contains rf "vote=");
   Alcotest.(check bool) "distinct cache keys" true
-    (Job.hash (spec Config.default) <> Job.hash (spec (nv_cfg 3)))
+    (Job.hash (spec Config.default) <> Job.hash (spec (nv_cfg family_names)))
 
 (* ---- wire protocol compatibility ---- *)
 
 let test_protocol_defaults_and_roundtrip () =
-  (* a frame from a pre-N-version client: no replicas/families fields at
-     all — must decode to the defaults *)
-  let old_frame =
+  (* a frame with no families field decodes to the paper's build *)
+  let frame extra =
     "{\"v\":1,\"id\":7,\"t\":\"run\",\"w\":\"mcf\",\"scale\":1,\"exp_seed\":42,\
      \"run_seed\":42,\"budget\":0,\"mode\":\"sds\",\"div\":\"none\",\
-     \"policy\":\"all-loads\",\"cfg_seed\":42}"
+     \"policy\":\"all-loads\",\"cfg_seed\":42" ^ extra ^ "}"
   in
-  (match Protocol.decode_request old_frame with
+  (match Protocol.decode_request (frame "") with
   | Ok { Protocol.body = Protocol.Run p; _ } ->
-      Alcotest.(check int) "replicas defaults to 1" 1 p.Protocol.replicas;
       Alcotest.(check bool) "families default to []" true (p.Protocol.families = [])
   | Ok _ -> Alcotest.fail "decoded to a non-run body"
-  | Error e -> Alcotest.fail ("old-format frame rejected: " ^ e));
-  (* default params encode without the new fields: byte-compatible with
-     pre-N-version servers *)
+  | Error e -> Alcotest.fail ("frame without replicas rejected: " ^ e));
+  (* one replica is the only build: an explicit "replicas":1 still
+     decodes, any other count is refused rather than served as a
+     one-replica verdict *)
+  Alcotest.(check bool) "explicit replicas 1 decodes" true
+    (Result.is_ok (Protocol.decode_request (frame ",\"replicas\":1")));
+  Alcotest.(check bool) "replicas 2 is refused" true
+    (Result.is_error (Protocol.decode_request (frame ",\"replicas\":2")));
   let enc p = Protocol.encode_request { Protocol.rid = 1; body = Protocol.Run p } in
   let contains s sub =
     let n = String.length sub in
     let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
     go 0
   in
-  Alcotest.(check bool) "default encode omits replicas" false
-    (contains (enc Protocol.default_run) "replicas");
-  let nv =
-    {
-      Protocol.default_run with
-      Protocol.replicas = 3;
-      families = [ "pad-jitter"; "segment-base" ];
-    }
+  Alcotest.(check bool) "default encode omits families" false
+    (contains (enc Protocol.default_run) "families");
+  let line =
+    enc { Protocol.default_run with Protocol.families = [ "pad-jitter"; "segment-base" ] }
   in
-  let line = enc nv in
-  Alcotest.(check bool) "non-default encode ships replicas" true
-    (contains line "\"replicas\":3");
+  Alcotest.(check bool) "encode ships no replicas" false (contains line "replicas");
   Alcotest.(check bool) "encode ships no vote" false (contains line "vote");
   (match Protocol.decode_request line with
   | Ok { Protocol.body = Protocol.Run p; _ } ->
-      Alcotest.(check int) "replicas round-trip" 3 p.Protocol.replicas;
       Alcotest.(check bool) "families round-trip" true
         (p.Protocol.families = [ "pad-jitter"; "segment-base" ])
   | Ok _ -> Alcotest.fail "decoded to a non-run body"
@@ -290,28 +240,11 @@ let test_protocol_defaults_and_roundtrip () =
   (* any-mismatch is the only check: a frame naming it still decodes, a
      frame asking for any other voting rule is refused rather than
      served as an any-mismatch verdict *)
-  let with_vote v =
-    Printf.sprintf "{\"v\":1,\"id\":8,\"t\":\"run\",\"replicas\":3,\"vote\":\"%s\"}" v
-  in
+  let with_vote v = Printf.sprintf "{\"v\":1,\"id\":8,\"t\":\"run\",\"vote\":\"%s\"}" v in
   Alcotest.(check bool) "explicit any-mismatch decodes" true
     (Result.is_ok (Protocol.decode_request (with_vote "any-mismatch")));
   Alcotest.(check bool) "majority vote is refused" true
     (Result.is_error (Protocol.decode_request (with_vote "majority")))
-
-(* ---- surface helpers ---- *)
-
-let test_surface_helpers () =
-  Alcotest.(check bool) "surface sweeps N=1..3" true (Surface.ns = [ 1; 2; 3 ]);
-  Alcotest.(check bool) "family sets include the all-families cell" true
-    (List.mem_assoc "all-families" Surface.family_sets);
-  let c = Surface.cfg ~n:3 ~families:family_names () in
-  Alcotest.(check int) "cfg carries N" 3 c.Config.replicas;
-  (* Equation 3.1-style linear model: N replicas cost N times the
-     single-replica overhead above 1 *)
-  Alcotest.(check bool) "linear model at N=1 is the single overhead" true
-    (abs_float (Surface.linear_overhead ~n:1 ~single:1.3 -. 1.3) < 1e-9);
-  Alcotest.(check bool) "linear model at N=3" true
-    (abs_float (Surface.linear_overhead ~n:3 ~single:1.3 -. 1.9) < 1e-9)
 
 let suites =
   [
@@ -319,7 +252,6 @@ let suites =
       [
         Alcotest.test_case "family registry" `Quick test_registry;
         Alcotest.test_case "replica globals" `Quick test_replica_globals;
-        Alcotest.test_case "N=3 detects mcf resize" `Slow test_n3_detects_mcf_resize;
         Alcotest.test_case "rx family recovery" `Quick test_rx_family_recovery;
         Alcotest.test_case "rx skips inapplicable" `Quick test_rx_skips_inapplicable_steps;
         Alcotest.test_case "salt bump evicts cleanly" `Quick
@@ -327,9 +259,7 @@ let suites =
         Alcotest.test_case "config repr suffix" `Quick test_config_repr_nversion_suffix;
         Alcotest.test_case "protocol defaults and roundtrip" `Quick
           test_protocol_defaults_and_roundtrip;
-        Alcotest.test_case "surface helpers" `Quick test_surface_helpers;
       ] );
     ( "nversion-properties",
-      List.map QCheck_alcotest.to_alcotest
-        [ prop_family_n_preserves_output; prop_all_families_both_modes ] );
+      List.map QCheck_alcotest.to_alcotest [ prop_family_n_preserves_output ] );
   ]

@@ -195,9 +195,8 @@ let gen_run =
         (int_range 0 99);
     ]
   >>= fun site_ref ->
-  int_range 1 4 >>= fun replicas ->
   oneofl
-    [ []; [ "pad-jitter" ]; [ "layout-perm"; "alloc-shuffle" ]; [ "segment-base" ] ]
+    [ []; [ "pad-jitter" ]; [ "layout-perm"; "pad-jitter" ]; [ "segment-base" ] ]
   >>= fun families ->
   return
     {
@@ -215,7 +214,6 @@ let gen_run =
       diversity;
       policy;
       cfg_seed;
-      replicas;
       families;
       forensics;
     }
