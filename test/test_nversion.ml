@@ -202,12 +202,13 @@ let test_config_repr_nversion_suffix () =
 let test_protocol_defaults_and_roundtrip () =
   (* a frame with no families field decodes to the paper's build *)
   let frame extra =
-    "{\"v\":1,\"id\":7,\"t\":\"run\",\"w\":\"mcf\",\"scale\":1,\"exp_seed\":42,\
-     \"run_seed\":42,\"budget\":0,\"mode\":\"sds\",\"div\":\"none\",\
-     \"policy\":\"all-loads\",\"cfg_seed\":42" ^ extra ^ "}"
+    "{\"v\":1,\"id\":7,\"t\":\"run\",\"workload\":\"mcf\",\"scale\":1,\"eseed\":42,\
+     \"rseed\":42,\"budget\":0,\"mode\":\"sds\",\"diversity\":\"no-diversity\",\
+     \"policy\":\"all-loads\",\"cseed\":42" ^ extra ^ "}"
   in
   (match Protocol.decode_request (frame "") with
   | Ok { Protocol.body = Protocol.Run p; _ } ->
+      Alcotest.(check string) "workload decoded" "mcf" p.Protocol.workload;
       Alcotest.(check bool) "families default to []" true (p.Protocol.families = [])
   | Ok _ -> Alcotest.fail "decoded to a non-run body"
   | Error e -> Alcotest.fail ("frame without replicas rejected: " ^ e));
