@@ -74,9 +74,8 @@ let policy_name = function
       Printf.sprintf "temporal-%d/64" !bits
   | Static f -> Printf.sprintf "static-%d%%" (int_of_float (f *. 100.))
 
-(* The families render only when present, as "/n1/F1+F2": the "n1"
-   keeps every family build's display label unchanged, and the paper
-   grid's labels carry no suffix at all. *)
+(* The families render only when present, as "/n1/F1+F2", so the paper
+   grid's labels carry no suffix. *)
 let nversion_suffix c =
   match c.families with [] -> "" | fs -> "/n1/" ^ String.concat "+" fs
 
