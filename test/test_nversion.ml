@@ -52,22 +52,24 @@ let test_registry () =
 (* ---- differential property: every family, alone and stacked,
    preserves error-free output in both designs ---- *)
 
-let prop_family_n_preserves_output =
-  QCheck.Test.make
-    ~name:"random programs: every family alone and all stacked, SDS and MDS, preserve output"
+let preserves_output families ops =
+  let p = Test_differential.build_prog ops in
+  let golden = Dpmr.run_plain p in
+  golden.Outcome.outcome = Outcome.Normal
+  && List.for_all
+       (fun mode ->
+         let r = Dpmr.run_dpmr (nv_cfg ~mode families) p in
+         r.Outcome.outcome = Outcome.Normal && r.Outcome.output = golden.Outcome.output)
+       [ Config.Sds; Config.Mds ]
+
+let prop_family_preserves_output =
+  QCheck.Test.make ~name:"random programs: every family alone, SDS and MDS, preserves output"
     ~count:8 Test_differential.arb_ops (fun ops ->
-      let p = Test_differential.build_prog ops in
-      let golden = Dpmr.run_plain p in
-      golden.Outcome.outcome = Outcome.Normal
-      && List.for_all
-           (fun families ->
-             List.for_all
-               (fun mode ->
-                 let r = Dpmr.run_dpmr (nv_cfg ~mode families) p in
-                 r.Outcome.outcome = Outcome.Normal
-                 && r.Outcome.output = golden.Outcome.output)
-               [ Config.Sds; Config.Mds ])
-           (family_names :: List.map (fun f -> [ f ]) family_names))
+      List.for_all (fun f -> preserves_output [ f ] ops) family_names)
+
+let prop_all_families_both_modes =
+  QCheck.Test.make ~name:"random programs: all families together, both modes"
+    ~count:8 Test_differential.arb_ops (preserves_output family_names)
 
 (* ---- replica-global structure ---- *)
 
@@ -262,5 +264,6 @@ let suites =
           test_protocol_defaults_and_roundtrip;
       ] );
     ( "nversion-properties",
-      List.map QCheck_alcotest.to_alcotest [ prop_family_n_preserves_output ] );
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_family_preserves_output; prop_all_families_both_modes ] );
   ]
