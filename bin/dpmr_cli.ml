@@ -57,25 +57,18 @@ let mode_t =
 
 let diversity_t =
   let parse s =
-    match s with
-    | "none" | "no-diversity" -> Ok Config.No_diversity
-    | "zero-before-free" -> Ok Config.Zero_before_free
-    | "rearrange-heap" -> Ok Config.Rearrange_heap
-    | _ when String.length s > 10 && String.sub s 0 10 = "pad-stack-" -> (
-        match int_of_string_opt (String.sub s 10 (String.length s - 10)) with
-        | Some n -> Ok (Config.Pad_alloca n)
-        | None -> Error (`Msg "bad stack pad size"))
-    | _ when String.length s > 4 && String.sub s 0 4 = "pad-" -> (
-        match int_of_string_opt (String.sub s 4 (String.length s - 4)) with
-        | Some n -> Ok (Config.Pad_malloc n)
-        | None -> Error (`Msg "bad pad size"))
-    | _ -> Error (`Msg ("unknown diversity " ^ s))
+    match Config.diversity_of_string s with
+    | Some d -> Ok d
+    | None -> Error (`Msg (Printf.sprintf "bad diversity %S (pad sizes are non-negative)" s))
   in
   let print ppf d = Fmt.string ppf (Config.diversity_name d) in
   Arg.(
     value
     & opt (conv (parse, print)) Config.No_diversity
-    & info [ "diversity" ] ~doc:"none | zero-before-free | rearrange-heap | pad-<bytes> | pad-stack-<bytes>.")
+    & info [ "diversity" ]
+        ~doc:"none | zero-before-free | rearrange-heap | layout-perm | pad-jitter | \
+              pad-<bytes> | pad-stack-<bytes> (also spelled pad-malloc-<bytes> and \
+              pad-alloca-<bytes>; sizes are non-negative).")
 
 let policy_t =
   let parse s =
@@ -100,34 +93,8 @@ let policy_t =
 let plain_t =
   Arg.(value & flag & info [ "plain" ] ~doc:"Run without the DPMR transformation.")
 
-let families_t =
-  let parse s =
-    let fs =
-      String.split_on_char ',' s |> List.map String.trim
-      |> List.filter (fun f -> f <> "")
-    in
-    match Dpmr_core.Diversity_family.resolve fs with
-    | Ok _ -> Ok fs
-    | Error bad ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown diversity family %S (registered: %s)" bad
-                (match Dpmr_core.Diversity_family.names () with
-                | [] -> "none"
-                | ns -> String.concat ", " ns)))
-  in
-  let print ppf fs = Fmt.string ppf (String.concat "," fs) in
-  Arg.(
-    value
-    & opt (conv (parse, print)) []
-    & info [ "families" ] ~docv:"F1,F2"
-        ~doc:"Comma-separated diversity-transform families applied to the replica \
-              (see 'dpmr list' for the registry).")
-
-(** Configs built by commands that do not expose [--families] keep the
-    paper's (no families). *)
 let cfg_of mode diversity policy seed =
-  { Config.default with Config.mode; diversity; policy; seed }
+  { Config.mode; diversity; policy; seed }
 
 let workload_t =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
@@ -149,31 +116,27 @@ let report_run (r : Outcome.run) =
 (* ---- commands ---- *)
 
 let run_cmd =
-  let go name scale seed mode diversity policy plain families =
+  let go name scale seed mode diversity policy plain =
     let prog = build_workload name scale in
     let r =
       if plain then Dpmr.run_plain ~seed prog
-      else
-        let cfg = { (cfg_of mode diversity policy seed) with Config.families } in
-        Dpmr.run_dpmr ~seed cfg prog
+      else Dpmr.run_dpmr ~seed (cfg_of mode diversity policy seed) prog
     in
     report_run r
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a workload, optionally under DPMR.")
     Term.(
-      const go $ workload_t $ scale_t $ seed_t $ mode_t $ diversity_t $ policy_t $ plain_t
-      $ families_t)
+      const go $ workload_t $ scale_t $ seed_t $ mode_t $ diversity_t $ policy_t $ plain_t)
 
 let transform_cmd =
-  let go name scale mode diversity policy families =
+  let go name scale mode diversity policy =
     let prog = build_workload name scale in
-    let cfg = { Config.default with Config.mode; diversity; policy; families } in
+    let cfg = { Config.default with Config.mode; diversity; policy } in
     let tp = Dpmr.transform cfg prog in
     print_string (Dpmr_ir.Printer.prog_to_string tp)
   in
   Cmd.v (Cmd.info "transform" ~doc:"Print the DPMR-transformed IR of a workload.")
-    Term.(
-      const go $ workload_t $ scale_t $ mode_t $ diversity_t $ policy_t $ families_t)
+    Term.(const go $ workload_t $ scale_t $ mode_t $ diversity_t $ policy_t)
 
 let sites_cmd =
   let go name scale =
@@ -292,7 +255,7 @@ let recover_cmd =
     Arg.(value & opt kind_conv (Inject.Heap_array_resize 50) & info [ "kind" ] ~doc:"resize | free.")
   in
   let site_t = Arg.(value & opt int 0 & info [ "site" ] ~docv:"N" ~doc:"Site index.") in
-  let go name scale seed mode diversity policy kind site_idx families =
+  let go name scale seed mode diversity policy kind site_idx =
     let wk = Experiment.workload name (fun () -> build_workload name scale) in
     let e = Experiment.make ~seed wk in
     match List.nth_opt (Experiment.sites e kind) site_idx with
@@ -300,23 +263,16 @@ let recover_cmd =
     | Some site ->
         let injected = Dpmr_fi.Inject.apply e.Experiment.base kind site in
         let cfg = cfg_of mode diversity policy seed in
-        (* escalate through heap pads first (the paper's Rx environment
-           change), then through any requested diversity families *)
-        let escalation =
-          List.map (fun p -> Dpmr_core.Rx.Pad p) [ 8; 64; 1024; 8192 ]
-          @ List.map (fun f -> Dpmr_core.Rx.Family f) families
-        in
+        (* the paper's Rx environment change: escalating heap pads *)
         let res =
           Dpmr_core.Rx.run_with_recovery ~budget:e.Experiment.budget cfg injected
-            ~escalation
+            ~escalation:[ 8; 64; 1024; 8192 ]
         in
         Printf.printf "first run : %s\n"
           (Outcome.to_string res.Dpmr_core.Rx.first.Outcome.outcome);
         Printf.printf "attempts  : %d\n" res.Dpmr_core.Rx.attempts;
         (match res.Dpmr_core.Rx.recovered_with with
-        | Some change ->
-            Printf.printf "recovered : yes, with %s\n"
-              (Dpmr_core.Rx.env_change_name change)
+        | Some pad -> Printf.printf "recovered : yes, with pad %d\n" pad
         | None -> Printf.printf "recovered : no\n");
         Printf.printf "final     : %s\n"
           (Outcome.to_string res.Dpmr_core.Rx.final.Outcome.outcome)
@@ -325,7 +281,7 @@ let recover_cmd =
     (Cmd.info "recover" ~doc:"Inject a fault, detect it with DPMR, recover Rx-style.")
     Term.(
       const go $ workload_t $ scale_t $ seed_t $ mode_t $ diversity_t $ policy_t $ kind_t
-      $ site_t $ families_t)
+      $ site_t)
 
 let jobs_t =
   Arg.(
@@ -445,7 +401,7 @@ let report_cmd =
           ~doc:"Duplicate a straggling chunk onto a second healthy worker \
                 after $(docv) milliseconds; first result wins (0 disables).")
   in
-  let go id fig scale seed reps families jobs no_cache no_snapshot
+  let go id fig scale seed reps jobs no_cache no_snapshot
       chaos deadline retries backoff_ms telemetry_json remote_workers
       min_workers window chunk hedge_ms =
     (match chaos with
@@ -523,7 +479,7 @@ let report_cmd =
         Engine.drain engine;
         write_telemetry ());
     Drain.graceful_exit ();
-    let ctx = Figures.create ~scale ~seed ~reps ~families ~engine () in
+    let ctx = Figures.create ~scale ~seed ~reps ~engine () in
     (if id = "all" then Figures.run_all ctx
      else if id = "forensics" then
        Figures.forensics ctx (Option.value fig ~default:"fig-3.6")
@@ -540,7 +496,7 @@ let report_cmd =
              FIG' for a traced fault grid).")
     Term.(
       const go $ id_t $ fig_t $ scale_t $ seed_t $ reps_t
-      $ families_t $ jobs_t $ no_cache_t $ no_snapshot_t $ chaos_t
+      $ jobs_t $ no_cache_t $ no_snapshot_t $ chaos_t
       $ deadline_t $ retries_t $ backoff_ms_t $ telemetry_json_t
       $ remote_workers_t $ min_workers_t $ window_t $ chunk_t $ hedge_ms_t)
 
@@ -754,19 +710,10 @@ let list_cmd =
       (fun (id, desc, _) -> Printf.printf "  %-12s %s\n" id desc)
       Figures.all;
     Printf.printf "  %-12s %s\n" "nversion-surface"
-      "diversity-family detection surface over (family set, fault model)";
-    print_endline "diversity families (--families):";
-    List.iter
-      (fun n ->
-        Printf.printf "  %-14s %s\n" n
-          (Option.value ~default:"" (Dpmr_core.Diversity_family.description n)))
-      (Dpmr_core.Diversity_family.names ())
+      "detection surface of the layout-perm and pad-jitter diversities per fault model"
   in
   Cmd.v (Cmd.info "list" ~doc:"List workloads and experiment ids.") Term.(const go $ const ())
 
 let () =
-  (* the standard diversity families must be registered before any
-     --families value is validated *)
-  Dpmr_nversion.Families.ensure ();
   let info = Cmd.info "dpmr" ~doc:"Diverse Partial Memory Replication reproduction." in
   exit (Cmd.eval (Cmd.group info [ run_cmd; transform_cmd; sites_cmd; inject_cmd; dsa_cmd; recover_cmd; dump_cmd; runfile_cmd; report_cmd; cache_cmd; trace_cmd; list_cmd ]))

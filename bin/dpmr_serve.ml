@@ -195,8 +195,4 @@ let cmd =
       $ quota_rps_t $ quota_burst_t $ max_conns_t $ drain_grace_t $ chaos_t
       $ chaos_wire_t $ cache_dir_t $ no_cache_t $ quiet_t)
 
-let () =
-  (* populate the diversity-family registry before any request can name
-     a family; without this every family request would be rejected *)
-  Dpmr_nversion.Families.ensure ();
-  exit (Cmd.eval cmd)
+let () = exit (Cmd.eval cmd)

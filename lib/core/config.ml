@@ -20,6 +20,12 @@ type diversity =
       (** grow replica *stack* allocations by a static amount — the
           production-version extension §2.6 sketches ("similar techniques
           could easily be applied to stack memory") *)
+  | Layout_perm
+      (** displace each replica heap object past 1..3 seeded dummy
+          allocations, drawn per site from the config seed *)
+  | Pad_jitter
+      (** grow each replica heap request by a seeded 0..128-byte pad,
+          drawn per site from the config seed *)
 
 (** State comparison policies (§2.7). *)
 type policy =
@@ -33,21 +39,12 @@ type t = {
   mode : mode;
   diversity : diversity;
   policy : policy;
-  seed : int64;  (** drives static-policy coin flips and rearrange-heap *)
-  families : string list;
-      (** diversity-family names ({!Diversity_family} registry), applied
-          to the replica's allocations with per-site deterministic
-          seeding *)
+  seed : int64;
+      (** drives static-policy coin flips, rearrange-heap, layout-perm and
+          pad-jitter *)
 }
 
-let default =
-  {
-    mode = Sds;
-    diversity = No_diversity;
-    policy = All_loads;
-    seed = 42L;
-    families = [];
-  }
+let default = { mode = Sds; diversity = No_diversity; policy = All_loads; seed = 42L }
 
 (* The three masks evaluated in §2.7: repeating the printed 32-bit
    constants to 64 bits gives the stated 1/8, 1/2 and 7/8 densities. *)
@@ -63,6 +60,38 @@ let diversity_name = function
   | Zero_before_free -> "zero-before-free"
   | Rearrange_heap -> "rearrange-heap"
   | Pad_alloca n -> Printf.sprintf "pad-alloca-%d" n
+  | Layout_perm -> "layout-perm"
+  | Pad_jitter -> "pad-jitter"
+
+(* A pad size is a non-negative decimal: a negative pad would shrink the
+   replica request below the application's, so a fault-free run would
+   detect. *)
+let pad_size s =
+  if s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s then int_of_string_opt s
+  else None
+
+let diversity_of_string s =
+  (* the first matching prefix wins, so the bare "pad-" goes last *)
+  let sized =
+    [
+      ("pad-malloc-", fun n -> Pad_malloc n);
+      ("pad-alloca-", fun n -> Pad_alloca n);
+      ("pad-stack-", fun n -> Pad_alloca n);
+      ("pad-", fun n -> Pad_malloc n);
+    ]
+  in
+  match s with
+  | "no-diversity" | "none" -> Some No_diversity
+  | "zero-before-free" -> Some Zero_before_free
+  | "rearrange-heap" -> Some Rearrange_heap
+  | "layout-perm" -> Some Layout_perm
+  | "pad-jitter" -> Some Pad_jitter
+  | _ -> (
+      match List.find_opt (fun (prefix, _) -> String.starts_with ~prefix s) sized with
+      | Some (prefix, mk) ->
+          let k = String.length prefix in
+          Option.map mk (pad_size (String.sub s k (String.length s - k)))
+      | None -> None)
 
 let policy_name = function
   | All_loads -> "all-loads"
@@ -74,11 +103,6 @@ let policy_name = function
       Printf.sprintf "temporal-%d/64" !bits
   | Static f -> Printf.sprintf "static-%d%%" (int_of_float (f *. 100.))
 
-(* The families render only when present, as "/n1/F1+F2", so the paper
-   grid's labels carry no suffix. *)
-let nversion_suffix c =
-  match c.families with [] -> "" | fs -> "/n1/" ^ String.concat "+" fs
-
 let name c =
-  Printf.sprintf "%s/%s/%s%s" (mode_name c.mode) (diversity_name c.diversity)
-    (policy_name c.policy) (nversion_suffix c)
+  Printf.sprintf "%s/%s/%s" (mode_name c.mode) (diversity_name c.diversity)
+    (policy_name c.policy)

@@ -21,6 +21,10 @@ type diversity =
   | Pad_alloca of int
       (** grow replica stack allocations (the §2.6 production-version
           extension to stack memory) *)
+  | Layout_perm
+      (** displace each replica heap object past 1..3 seeded dummy
+          allocations (an address-space decorrelation extension) *)
+  | Pad_jitter  (** grow each replica heap request by a seeded per-site pad *)
 
 (** State comparison policies (§2.7). *)
 type policy =
@@ -34,15 +38,12 @@ type t = {
   mode : mode;
   diversity : diversity;
   policy : policy;
-  seed : int64;  (** drives static-policy coin flips and rearrange-heap *)
-  families : string list;
-      (** diversity-family names ({!Diversity_family} registry), applied
-          to the replica's allocations with per-site deterministic
-          seeding *)
+  seed : int64;
+      (** drives static-policy coin flips, rearrange-heap, layout-perm and
+          pad-jitter *)
 }
 
-(** SDS, no diversity, all loads, seed 42, no families —
-    the paper's configuration. *)
+(** SDS, no diversity, all loads, seed 42 — the paper's configuration. *)
 val default : t
 
 (** The §2.7 masks: 1/8, 1/2 and 7/8 checking density. *)
@@ -53,10 +54,13 @@ val temporal_mask_7_8 : int64
 
 val mode_name : mode -> string
 val diversity_name : diversity -> string
-val policy_name : policy -> string
 
-(** Display rendering of the diversity families, ["/n1/F1+F2"]; [""]
-    without families, so the paper grid's labels are unchanged. *)
-val nversion_suffix : t -> string
+(** The one diversity parser, under [--diversity] and the wire protocol:
+    every {!diversity_name} parses back, and so do the CLI spellings
+    ["none"], ["pad-N"] and ["pad-stack-N"].  A pad size must be a
+    non-negative decimal; [None] for anything else. *)
+val diversity_of_string : string -> diversity option
+
+val policy_name : policy -> string
 
 val name : t -> string

@@ -1,4 +1,5 @@
-(** Diversity transformations (Table 2.8).
+(** Diversity transformations (Table 2.8), plus two extensions that
+    decorrelate the replica's heap addresses per allocation site.
 
     Each transformation rewrites the *replica* side of heap allocation and
     deallocation; application behaviour is untouched, and under error-free
@@ -12,31 +13,66 @@ open Types
 open Inst
 
 (** Per-program state: rearrange-heap needs its scratch pointer buffer
-    [B] (a global holding up to 20 pointers). *)
-type state = { rearrange_buf : string option }
+    [B] (a global holding up to 20 pointers); layout-perm and pad-jitter
+    draw their per-site choices from the config seed. *)
+type state = { rearrange_buf : string option; seed : int64 }
 
 let rearrange_slots = 20
 
 (** Add any globals/externs the diversity transformation needs to the
     output program. *)
-let prepare (d : Config.diversity) (dst : Prog.t) =
+let prepare (d : Config.diversity) ~seed (dst : Prog.t) =
   match d with
   | Config.Rearrange_heap ->
       let name = "__dpmr_rearrange_buf" in
       Prog.add_global dst
         { Prog.gname = name; gty = arr (Ptr i8) rearrange_slots; ginit = Prog.Gzero };
-      { rearrange_buf = Some name }
+      { rearrange_buf = Some name; seed }
   | Config.No_diversity | Config.Pad_malloc _ | Config.Zero_before_free
-  | Config.Pad_alloca _ ->
-      { rearrange_buf = None }
+  | Config.Pad_alloca _ | Config.Layout_perm | Config.Pad_jitter ->
+      { rearrange_buf = None; seed }
+
+(* ---------------- deterministic per-site randomness ---------------- *)
+
+(** splitmix64 finalizer: a pure 64-bit mix, so a site's choice depends
+    only on the derivation inputs and never on emission order. *)
+let mix64 z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+let fnv1a64 str =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    str;
+  !h
+
+(** [derive ~seed ~tag ~site] — the random word for one site decision.
+    The tags and the constant golden-ratio term are part of the
+    derivation: through them every layout-perm and pad-jitter build's IR
+    is pinned by test/golden/transform-digests.txt. *)
+let derive ~seed ~tag ~site =
+  mix64
+    (Int64.logxor
+       (Int64.add seed (fnv1a64 tag))
+       (Int64.add 0x9e3779b97f4a7c15L
+          (Int64.mul (Int64.of_int (site + 1)) 0xd1b54a32d192ed03L)))
+
+(** Map a random word into [lo, hi] inclusive. *)
+let rand_in ~lo ~hi x =
+  if hi <= lo then lo
+  else
+    let span = Int64.of_int (hi - lo + 1) in
+    lo + Int64.to_int (Int64.unsigned_rem x span)
 
 (** Emit the replica heap allocation for an application allocation of
     [count] objects of (augmented) type [aug_ty].  Returns an operand of
-    type [Ptr aug_ty].  [extra_pad] is the diversity-family request
-    growth for this site; 0 preserves the paper's emission byte for
-    byte. *)
-let emit_replica_malloc state (d : Config.diversity) ?(extra_pad = 0)
-    (b : Builder.t) aug_ty count =
+    type [Ptr aug_ty].  [site] numbers the program's heap-allocation
+    sites; only layout-perm and pad-jitter read it. *)
+let emit_replica_malloc state (d : Config.diversity) ~site (b : Builder.t) aug_ty count =
   let padded_request ~label pad =
     (* replica request becomes a byte-array request of
        sizeof(aug) * count + pad, then cast back (Table 2.8) *)
@@ -46,13 +82,27 @@ let emit_replica_malloc state (d : Config.diversity) ?(extra_pad = 0)
     let raw = Builder.malloc b ~name:label ~count:padded i8 in
     Builder.bitcast b (Ptr aug_ty) raw
   in
-  let plain () =
-    if extra_pad = 0 then Builder.malloc b ~name:"rep" ~count aug_ty
-    else padded_request ~label:"rep.pad" extra_pad
-  in
+  let plain () = Builder.malloc b ~name:"rep" ~count aug_ty in
   match d with
   | Config.No_diversity | Config.Zero_before_free | Config.Pad_alloca _ -> plain ()
-  | Config.Pad_malloc pad -> padded_request ~label:"rep.pad" (pad + extra_pad)
+  | Config.Pad_malloc pad -> padded_request ~label:"rep.pad" pad
+  | Config.Pad_jitter ->
+      (* 0..128 bytes in 8-byte steps, drawn independently per site *)
+      let pad = rand_in ~lo:0 ~hi:16 (derive ~seed:state.seed ~tag:"pad-jitter" ~site) * 8 in
+      if pad = 0 then plain () else padded_request ~label:"rep.pad" pad
+  | Config.Layout_perm ->
+      (* allocate 1..3 seeded dummies of 16..256 bytes, allocate the
+         replica, free the dummies — the replica lands past holes the
+         application does not share *)
+      let n = rand_in ~lo:1 ~hi:3 (derive ~seed:state.seed ~tag:"layout-perm" ~site) in
+      let dummies =
+        List.init n (fun j ->
+            let w = derive ~seed:state.seed ~tag:(Printf.sprintf "layout-perm/%d" j) ~site in
+            Builder.malloc b ~name:"nv.dummy" ~count:(Builder.i64c (rand_in ~lo:16 ~hi:256 w)) i8)
+      in
+      let rep = plain () in
+      List.iter (Builder.free b) dummies;
+      rep
   | Config.Rearrange_heap ->
       (* allocate 1..20 dummies of the same request, allocate the replica,
          free the dummies — randomizing the replica's placement *)
@@ -87,7 +137,7 @@ let emit_replica_free _state (d : Config.diversity) (b : Builder.t) rep_ptr =
       let sz = Builder.call1 b (Direct "__dpmr_heap_size") [ p8 ] in
       Builder.call0 b (Direct "__dpmr_zero") [ p8; sz ]
   | Config.No_diversity | Config.Pad_malloc _ | Config.Rearrange_heap
-  | Config.Pad_alloca _ -> ());
+  | Config.Pad_alloca _ | Config.Layout_perm | Config.Pad_jitter -> ());
   Builder.free b rep_ptr
 
 (** Emit the replica *stack* allocation: only the Pad_alloca extension
@@ -101,5 +151,5 @@ let emit_replica_alloca _state (d : Config.diversity) (b : Builder.t) aug_ty cou
       let raw = Builder.alloca b ~name:"rep.spad" ~count:padded i8 in
       Builder.bitcast b (Ptr aug_ty) raw
   | Config.No_diversity | Config.Pad_malloc _ | Config.Zero_before_free
-  | Config.Rearrange_heap ->
+  | Config.Rearrange_heap | Config.Layout_perm | Config.Pad_jitter ->
       Builder.alloca b ~name:"rep" ~count aug_ty

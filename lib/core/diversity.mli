@@ -1,4 +1,6 @@
-(** Diversity transformations (Table 2.8).
+(** Diversity transformations (Table 2.8), plus the layout-perm and
+    pad-jitter extensions, which decorrelate the replica's heap addresses
+    per allocation site.
 
     Each transformation rewrites the {e replica} side of heap allocation
     and deallocation; application behaviour is untouched, and under
@@ -10,19 +12,21 @@ open Types
 open Inst
 
 type state
-(** Per-program state (rearrange-heap's 20-slot scratch pointer buffer). *)
+(** Per-program state (rearrange-heap's 20-slot scratch pointer buffer,
+    and the seed of the per-site choices). *)
 
 val rearrange_slots : int
 
-(** Add any globals the transformation needs to the output program. *)
-val prepare : Config.diversity -> Prog.t -> state
+(** Add any globals the transformation needs to the output program;
+    [seed] (the config seed) drives the per-site choices. *)
+val prepare : Config.diversity -> seed:int64 -> Prog.t -> state
 
 (** Emit the replica heap allocation for [count] objects of (augmented)
-    type [aug_ty]; returns an operand of type [Ptr aug_ty].  [extra_pad]
-    (default 0) adds the diversity-family request growth for this
-    site. *)
+    type [aug_ty]; returns an operand of type [Ptr aug_ty].  [site]
+    numbers the heap-allocation site: layout-perm's dummies and
+    pad-jitter's pad are a pure function of (seed, site). *)
 val emit_replica_malloc :
-  state -> Config.diversity -> ?extra_pad:int -> Builder.t -> ty -> operand -> operand
+  state -> Config.diversity -> site:int -> Builder.t -> ty -> operand -> operand
 
 (** Emit the replica deallocation (zero-before-free zeroes first). *)
 val emit_replica_free : state -> Config.diversity -> Builder.t -> operand -> unit

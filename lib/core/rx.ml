@@ -44,36 +44,17 @@ let pad_heap_requests (prog : Prog.t) extra_bytes =
         f.Func.blocks);
   q
 
-(** An Rx environment change: program-wide heap padding (the classic Rx
-    buffer-overflow response) or one of the registered diversity
-    families, applied as a whole-program rewrite. *)
-type env_change = Pad of int | Family of string
-
-let env_change_name = function
-  | Pad n -> Printf.sprintf "pad %d" n
-  | Family f -> Printf.sprintf "family %s" f
-
-(** Apply an environment change to a program; [None] for an unregistered
-    family, in which case the escalation step is skipped. *)
-let apply_env_change (prog : Prog.t) ~seed = function
-  | Pad n -> Some (pad_heap_requests prog n)
-  | Family f ->
-      Option.map
-        (fun (module F : Diversity_family.S) -> F.rx_rewrite prog ~seed)
-        (Diversity_family.find f)
-
 type recovery_result = {
   first : Dpmr_vm.Outcome.run;  (** the original (detecting) run *)
   final : Dpmr_vm.Outcome.run;  (** the last run performed *)
-  recovered_with : env_change option;
-      (** environment change that produced a clean run *)
+  recovered_with : int option;  (** the heap pad, in bytes, that produced a clean run *)
   attempts : int;  (** re-executions performed *)
 }
 
 (** [run_with_recovery cfg prog ~escalation] runs [prog] under DPMR; on a
-    DPMR detection, re-executes from the initial state with each
-    environment change in [escalation] (in order) until a run completes
-    normally. *)
+    DPMR detection, re-executes from the initial state with every heap
+    request padded by each size in [escalation] (bytes, in order) until a
+    run completes normally. *)
 let run_with_recovery ?seed ?budget ?args (cfg : Config.t) (prog : Prog.t)
     ~escalation =
   let module Trace = Dpmr_trace.Trace in
@@ -85,22 +66,19 @@ let run_with_recovery ?seed ?budget ?args (cfg : Config.t) (prog : Prog.t)
     | None -> ()
   in
   let run p = Dpmr.run_dpmr ?seed ?budget ?args cfg p in
-  let rw_seed = match seed with Some s -> s | None -> cfg.Config.seed in
   mark "rx:first-run";
   let first = run prog in
   match first.Dpmr_vm.Outcome.outcome with
   | Dpmr_vm.Outcome.Dpmr_detect _ ->
       let rec attempt n = function
         | [] -> { first; final = first; recovered_with = None; attempts = n }
-        | change :: rest -> (
-            match apply_env_change prog ~seed:rw_seed change with
-            | None -> attempt n rest
-            | Some p ->
-                mark (Printf.sprintf "rx:retry %s" (env_change_name change));
-                let r = run p in
-                if r.Dpmr_vm.Outcome.outcome = Dpmr_vm.Outcome.Normal then
-                  { first; final = r; recovered_with = Some change; attempts = n + 1 }
-                else attempt (n + 1) rest)
+        | pad :: rest ->
+            let p = pad_heap_requests prog pad in
+            mark (Printf.sprintf "rx:retry pad %d" pad);
+            let r = run p in
+            if r.Dpmr_vm.Outcome.outcome = Dpmr_vm.Outcome.Normal then
+              { first; final = r; recovered_with = Some pad; attempts = n + 1 }
+            else attempt (n + 1) rest
       in
       attempt 0 escalation
   | _ -> { first; final = first; recovered_with = None; attempts = 0 }

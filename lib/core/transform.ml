@@ -43,9 +43,9 @@ type env = {
   dst : Prog.t;
   pol : Policy.state;
   div : Diversity.state;
-  fams : Diversity_family.instance list;
-      (** resolved diversity families, hook order = config order *)
-  asite : int ref;  (** global heap-allocation-site counter (family seeding) *)
+  asite : int ref;
+      (** global heap-allocation-site counter (layout-perm and pad-jitter
+          seeding) *)
   excluded : string -> reg -> bool;
       (** Chapter 5 scope refinement: accesses through excluded registers
           (memory DSA cannot vouch for) keep their original behaviour and
@@ -373,25 +373,9 @@ let transform_alloc c b ~heap dst_reg src_ty count =
     Builder.emit b (Malloc (t.app, aug, n_app));
     let site = !(c.env.asite) in
     c.env.asite := site + 1;
-    (* each family may pad the replica request and surround it with
-       dummy allocations *)
-    let extra =
-      List.fold_left
-        (fun acc f -> acc + f.Diversity_family.i_alloc_pad ~site)
-        0 c.env.fams
-    in
-    let pres =
-      List.map
-        (fun f -> (f, f.Diversity_family.i_pre_alloc ~site b aug n_app))
-        c.env.fams
-    in
     let rep_val =
-      Diversity.emit_replica_malloc c.env.div c.env.cfg.Config.diversity
-        ~extra_pad:extra b aug n_app
+      Diversity.emit_replica_malloc c.env.div c.env.cfg.Config.diversity ~site b aug n_app
     in
-    List.iter
-      (fun (f, ds) -> f.Diversity_family.i_post_alloc ~site b ds)
-      (List.rev pres);
     (match (rep_val, t.rep) with
     | Reg src, Some dstr -> Builder.emit b (Bitcast (dstr, Ptr aug, Reg src))
     | _ -> assert false);
@@ -955,15 +939,10 @@ let transform_body env (sf : Func.t) (df : Func.t) =
 (* ------------------------------------------------------------------ *)
 
 let synthesize_main env (orig_main : Func.t) =
-  let startups b =
-    (* one-time diversity-family startup code, ahead of any replication *)
-    List.iter (fun f -> f.Diversity_family.i_startup b) env.fams
-  in
   match orig_main.Func.params with
   | [] ->
       (* no command-line arguments: main just tail-calls mainAug *)
       let b = Builder.create env.dst ~name:"main" ~params:[] ~ret:orig_main.Func.ret () in
-      startups b;
       let r = Builder.call b (Direct "mainAug") [] in
       Builder.ret b r
   | [ (_, argc_ty); (_, argv_ty) ] ->
@@ -973,7 +952,6 @@ let synthesize_main env (orig_main : Func.t) =
           ~ret:orig_main.Func.ret ()
       in
       let argc = Builder.param b 0 and argv = Builder.param b 1 in
-      startups b;
       let argv_r = Builder.call1 b ~name:"argv_r" (Direct "__dpmr_argv_r") [ argc; argv ] in
       let args =
         match env.cfg.Config.mode with
@@ -1002,31 +980,8 @@ let transform ?(excluded = fun _ _ -> false) ?fault (cfg : Config.t) (src : Prog
   let dst = Prog.create ~tenv:(Tenv.copy src.Prog.tenv) () in
   let stx = Shadow_type.create dst.Prog.tenv cfg.Config.mode in
   let pol = Policy.prepare cfg.Config.policy cfg.Config.seed dst in
-  let div = Diversity.prepare cfg.Config.diversity dst in
-  let fams =
-    match Diversity_family.resolve cfg.Config.families with
-    | Ok fs ->
-        List.map (fun f -> Diversity_family.instantiate f src ~seed:cfg.Config.seed) fs
-    | Error n ->
-        unsupported "unknown diversity family %S (registered: %s)" n
-          (match Diversity_family.names () with
-          | [] -> "none"
-          | ns -> String.concat ", " ns)
-  in
-  let env =
-    {
-      cfg;
-      stx;
-      src;
-      dst;
-      pol;
-      div;
-      fams;
-      asite = ref 0;
-      excluded;
-      fault;
-    }
-  in
+  let div = Diversity.prepare cfg.Config.diversity ~seed:cfg.Config.seed dst in
+  let env = { cfg; stx; src; dst; pol; div; asite = ref 0; excluded; fault } in
   (* intrinsic signatures (also declares the base libc names; transformed
      code never calls those directly, but the declarations are harmless) *)
   Dpmr_vm.Extern.declare_signatures dst;

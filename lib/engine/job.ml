@@ -57,16 +57,9 @@ let policy_repr = function
   | Config.Static f -> Printf.sprintf "static-%h" f
 
 let config_repr (c : Config.t) =
-  (* families append only when present, so a paper-grid repr carries no
-     suffix; the fixed ",n=1" is part of every family build's key *)
-  let nversion =
-    match c.Config.families with
-    | [] -> ""
-    | fs -> ",n=1,fam=" ^ String.concat "+" fs
-  in
-  Printf.sprintf "%s,%s,%s,%Ld%s" (Config.mode_name c.Config.mode)
+  Printf.sprintf "%s,%s,%s,%Ld" (Config.mode_name c.Config.mode)
     (Config.diversity_name c.Config.diversity)
-    (policy_repr c.Config.policy) c.Config.seed nversion
+    (policy_repr c.Config.policy) c.Config.seed
 
 let variant_repr = function
   | Experiment.Golden -> "golden"

@@ -22,15 +22,11 @@ type ctx = {
       (** repetitions per (site, variant) with distinct seeds — the run
           number RN of the (W, C, D, I, RN) experiment tuple (§3.6) *)
   engine : Engine.t;  (** runs every job batch: parallelism + result cache *)
-  nv : Config.t -> Config.t;
-      (** diversity-family override applied to every figure configuration
-          ([--families]); identity at the default, so the byte-stable
-          [report all] contract is untouched *)
   class_cache : (string, Experiment.run_result list) Hashtbl.t;
   snad_cache : (string, bool list) Hashtbl.t;  (** StdNotAllDet per site *)
 }
 
-let create ?(scale = 1) ?(seed = 42L) ?(reps = 1) ?(families = []) ?engine () =
+let create ?(scale = 1) ?(seed = 42L) ?(reps = 1) ?engine () =
   let engine =
     (* absent an explicit engine, behave exactly like the historical
        serial driver: one worker, no persistent cache *)
@@ -43,7 +39,6 @@ let create ?(scale = 1) ?(seed = 42L) ?(reps = 1) ?(families = []) ?engine () =
     seed;
     reps = max 1 reps;
     engine;
-    nv = (fun cfg -> { cfg with Config.families });
     class_cache = Hashtbl.create 64;
     snad_cache = Hashtbl.create 16;
   }
@@ -273,7 +268,6 @@ let cov_header = [ "variant"; "app"; "CO"; "NatDet"; "DpmrDet"; "total"; "n" ]
 (** Per-app coverage figure (3.6/3.7/3.11/3.12 and the 4.x analogues). *)
 let coverage_figure ctx ~title ~kind ~variants ~mk_cfg =
   T.print_section title;
-  let mk_cfg v = ctx.nv (mk_cfg v) in
   ensure ctx
     (List.map (fun app -> stdapp_cell ctx app kind) apps
     @ List.concat_map
@@ -293,7 +287,6 @@ let coverage_figure ctx ~title ~kind ~variants ~mk_cfg =
 (** Aggregated conditional coverage (3.8/3.9/3.13/3.14 and 4.x). *)
 let cond_coverage_figure ctx ~title ~kind ~variants ~mk_cfg =
   T.print_section title;
-  let mk_cfg v = ctx.nv (mk_cfg v) in
   ensure ctx
     (List.map (fun app -> stdapp_cell ctx app kind) apps
     @ List.concat_map
@@ -316,7 +309,6 @@ let cond_coverage_figure ctx ~title ~kind ~variants ~mk_cfg =
 
 let overhead_figure ctx ~title ~variants ~mk_cfg =
   T.print_section title;
-  let mk_cfg v = ctx.nv (mk_cfg v) in
   ensure ctx
     (List.concat_map
        (fun (_, v) -> List.map (fun app -> nofi_cell ctx app (mk_cfg v)) apps)
@@ -334,7 +326,6 @@ let overhead_figure ctx ~title ~variants ~mk_cfg =
 (** Side-by-side SDS/MDS overheads (Figures 4.3/4.4). *)
 let side_by_side_overhead ctx ~title ~variants ~mk_cfg =
   T.print_section title;
-  let mk_cfg m v = ctx.nv (mk_cfg m v) in
   ensure ctx
     (List.concat_map
        (fun (_, v) ->
@@ -364,7 +355,6 @@ let side_by_side_overhead ctx ~title ~variants ~mk_cfg =
 
 let t2d_table ctx ~title ~variants ~mk_cfg =
   T.print_section title;
-  let mk_cfg v = ctx.nv (mk_cfg v) in
   ensure ctx
     (List.concat_map
        (fun kind ->
@@ -645,7 +635,7 @@ let all : (string * string * (ctx -> unit)) list =
       fun ctx ->
         T.print_section "Rx-style recovery from DPMR-detected resize faults";
         let kind = kind_resize in
-        let cfg = ctx.nv (div_cfg sds Config.No_diversity) in
+        let cfg = div_cfg sds Config.No_diversity in
         (* enumerate (app, site, budget) on the main domain, then run the
            recovery attempts through the engine pool; each task rebuilds
            its program so no Prog.t crosses domains *)
@@ -666,8 +656,7 @@ let all : (string * string * (ctx -> unit)) list =
                  let p = (Workloads.find app).Workloads.build ~scale () in
                  let injected = Dpmr_fi.Inject.apply p kind site in
                  Dpmr_core.Rx.run_with_recovery ~budget cfg injected
-                   ~escalation:
-                     [ Dpmr_core.Rx.Pad 8; Dpmr_core.Rx.Pad 64; Dpmr_core.Rx.Pad 1024 ])
+                   ~escalation:[ 8; 64; 1024 ])
                work)
         in
         let rows =
@@ -679,11 +668,7 @@ let all : (string * string * (ctx -> unit)) list =
                     app;
                     Dpmr_fi.Inject.site_name site;
                     (match res.Dpmr_core.Rx.recovered_with with
-                    | Some (Dpmr_core.Rx.Pad pad) ->
-                        Printf.sprintf "recovered (pad %d)" pad
-                    | Some change ->
-                        Printf.sprintf "recovered (%s)"
-                          (Dpmr_core.Rx.env_change_name change)
+                    | Some pad -> Printf.sprintf "recovered (pad %d)" pad
                     | None -> "NOT recovered");
                     string_of_int res.Dpmr_core.Rx.attempts;
                   ]
@@ -699,8 +684,8 @@ let all : (string * string * (ctx -> unit)) list =
         ensure ctx
           (List.concat_map
              (fun app ->
-               [ nofi_cell ctx app (ctx.nv (div_cfg sds Config.No_diversity));
-                 nofi_cell ctx app (ctx.nv (div_cfg mds Config.No_diversity)) ])
+               [ nofi_cell ctx app (div_cfg sds Config.No_diversity);
+                 nofi_cell ctx app (div_cfg mds Config.No_diversity) ])
              apps);
         let header = [ "app"; "sds"; "mds" ] in
         let rows =
@@ -708,8 +693,8 @@ let all : (string * string * (ctx -> unit)) list =
             (fun app ->
               [
                 app;
-                ratio_cell (memory_overhead ctx app (ctx.nv (div_cfg sds Config.No_diversity)));
-                ratio_cell (memory_overhead ctx app (ctx.nv (div_cfg mds Config.No_diversity)));
+                ratio_cell (memory_overhead ctx app (div_cfg sds Config.No_diversity));
+                ratio_cell (memory_overhead ctx app (div_cfg mds Config.No_diversity));
               ])
             apps
         in
@@ -844,42 +829,29 @@ let forensics ctx fig =
     Printf.printf "!! %d run(s) where trace distance disagrees with t2d\n"
       (List.length bad)
 
-(* ---------------- diversity-family detection surface ----------------
+(* ---------------- extension-diversity detection surface ----------------
 
    Like forensics, deliberately not in [all]: [report all]'s stdout is a
-   byte-stable golden contract, and the surface is the diversity
-   families' own figure ([dpmr report nversion-surface]). *)
+   byte-stable golden contract, and the surface is the extension
+   diversities' own figure ([dpmr report nversion-surface]). *)
 
-(** Family sets per surface row: each standard family alone, plus the
-    full stack. *)
-let family_sets =
-  [
-    ("none", []);
-    ("layout-perm", [ "layout-perm" ]);
-    ("segment-base", [ "segment-base" ]);
-    ("pad-jitter", [ "pad-jitter" ]);
-    ("all-families", [ "layout-perm"; "segment-base"; "pad-jitter" ]);
-  ]
-
-(** Detection coverage over (family set, fault model).  Baseline
-    diversity stays [No_diversity], so the surface isolates what the
-    families buy on top of nothing.  Every row is an ordinary
-    engine-batched fault grid — cached, chaos-safe and distributable
-    like any other figure. *)
+(** Detection coverage of layout-perm and pad-jitter beside no
+    diversity (SDS), per fault model, against the stdapp baseline.
+    Every row is an ordinary engine-batched fault grid — cached,
+    chaos-safe and distributable like any other figure. *)
 let nversion_surface ctx =
-  Dpmr_nversion.Families.ensure ();
-  T.print_section "Diversity-family detection surface (SDS, no base diversity)";
+  T.print_section "Extension-diversity detection surface (SDS)";
   let kinds = [ kind_resize; kind_free ] in
   let points =
-    List.concat_map (fun kind -> List.map (fun fs -> (kind, fs)) family_sets) kinds
+    List.concat_map
+      (fun kind ->
+        List.map (fun d -> (kind, div_cfg sds d)) Config.[ No_diversity; Layout_perm; Pad_jitter ])
+      kinds
   in
-  let cfg_of (_, (_, families)) = { Config.default with Config.families } in
   ensure ctx
     (List.map (fun app -> stdapp_cell ctx app kind_resize) apps
     @ List.map (fun app -> stdapp_cell ctx app kind_free) apps
-    @ List.concat_map
-        (fun ((kind, _) as pt) -> List.map (fun app -> dpmr_cell ctx app kind (cfg_of pt)) apps)
-        points);
+    @ List.concat_map (fun (kind, cfg) -> List.map (fun app -> dpmr_cell ctx app kind cfg) apps) points);
   let row kind label rs =
     [ kind_tag kind; label ] @ cov_cells ~failed:(failed_of rs) (Metrics.of_list (ok_of rs))
   in
@@ -888,13 +860,15 @@ let nversion_surface ctx =
       (fun kind -> row kind "stdapp" (List.concat_map (fun app -> stdapp_results ctx app kind) apps))
       kinds
   in
-  let family_rows =
+  let diversity_rows =
     List.map
-      (fun ((kind, (sname, _)) as pt) ->
-        row kind sname (List.concat_map (fun app -> dpmr_results ctx app kind (cfg_of pt)) apps))
+      (fun (kind, cfg) ->
+        row kind
+          (Config.diversity_name cfg.Config.diversity)
+          (List.concat_map (fun app -> dpmr_results ctx app kind cfg) apps))
       points
   in
   print_string
     (T.render
-       ([ "kind"; "families"; "CO"; "NatDet"; "DpmrDet"; "total"; "n" ]
-       :: (stdapp_rows @ family_rows)))
+       ([ "kind"; "diversity"; "CO"; "NatDet"; "DpmrDet"; "total"; "n" ]
+       :: (stdapp_rows @ diversity_rows)))

@@ -13,14 +13,11 @@ type ctx
     run-number dimension RN of the §3.6 experiment tuple.  [engine] runs
     all job batches (parallel workers + persistent result cache); when
     absent, a serial uncached engine reproduces the historical driver
-    behaviour exactly.  [families] adds diversity families to every
-    figure configuration; at its default ([]) every figure is the
-    paper's. *)
+    behaviour exactly. *)
 val create :
   ?scale:int ->
   ?seed:int64 ->
   ?reps:int ->
-  ?families:string list ->
   ?engine:Dpmr_engine.Engine.t ->
   unit ->
   ctx
@@ -36,10 +33,9 @@ val run : ctx -> string -> unit
 val run_all : ctx -> unit
 
 val nversion_surface : ctx -> unit
-(** Detection coverage over (diversity-family set, fault model): each
-    standard family alone and all three stacked, on the resize and free
-    fault models.  Not part of {!all} for the same byte-stability reason
-    as {!forensics}. *)
+(** Detection coverage of the layout-perm and pad-jitter diversities
+    beside no diversity (SDS), on the resize and free fault models.  Not
+    part of {!all} for the same byte-stability reason as {!forensics}. *)
 
 val forensics : ctx -> string -> unit
 (** [forensics ctx fig] re-runs [fig]'s fault grid under the baseline

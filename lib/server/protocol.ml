@@ -43,21 +43,6 @@ let kind_of_string s =
       | None -> None)
   | _ -> None
 
-let diversity_of_string s =
-  match s with
-  | "no-diversity" | "none" -> Some Config.No_diversity
-  | "zero-before-free" -> Some Config.Zero_before_free
-  | "rearrange-heap" -> Some Config.Rearrange_heap
-  | _ when String.starts_with ~prefix:"pad-malloc-" s -> (
-      match int_of_string_opt (String.sub s 11 (String.length s - 11)) with
-      | Some n -> Some (Config.Pad_malloc n)
-      | None -> None)
-  | _ when String.starts_with ~prefix:"pad-alloca-" s -> (
-      match int_of_string_opt (String.sub s 11 (String.length s - 11)) with
-      | Some n -> Some (Config.Pad_alloca n)
-      | None -> None)
-  | _ -> None
-
 let policy_of_string s =
   match s with
   | "all-loads" -> Some Config.All_loads
@@ -75,12 +60,6 @@ let mode_of_string = function
   | "sds" -> Some Config.Sds
   | "mds" -> Some Config.Mds
   | _ -> None
-
-(** Families travel as one "+"-joined string field, matching the
-    {!Config.nversion_suffix} rendering. *)
-let families_of_string s =
-  if s = "" then []
-  else String.split_on_char '+' s |> List.filter (fun f -> f <> "")
 
 (* ---------------- request / response model ---------------- *)
 
@@ -110,7 +89,6 @@ type run_params = {
   diversity : Config.diversity;
   policy : Config.policy;
   cfg_seed : int64;
-  families : string list;  (** diversity-family names, registry-validated *)
   forensics : bool;
 }
 
@@ -130,18 +108,11 @@ let default_run =
     diversity = Config.No_diversity;
     policy = Config.All_loads;
     cfg_seed = 42L;
-    families = [];
     forensics = false;
   }
 
 let config_of (p : run_params) =
-  {
-    Config.mode = p.mode;
-    diversity = p.diversity;
-    policy = p.policy;
-    seed = p.cfg_seed;
-    families = p.families;
-  }
+  { Config.mode = p.mode; diversity = p.diversity; policy = p.policy; seed = p.cfg_seed }
 
 type body =
   | Hello of string  (** client identification, echoed in logs *)
@@ -235,10 +206,6 @@ let encode_request { rid; body } =
         (Config.mode_name p.mode)
         (Config.diversity_name p.diversity)
         (Job.policy_repr p.policy) p.cfg_seed;
-      (* families travel only when present, so a paper-grid frame carries
-         no family field *)
-      if p.families <> [] then
-        add ",\"families\":\"%s\"" (esc (String.concat "+" p.families));
       add ",\"forensics\":%b" p.forensics);
   Buffer.add_char b '}';
   Buffer.contents b
@@ -364,7 +331,7 @@ let decode_run fields =
   let* mode_s = str_field fields "mode" ~default:"sds" in
   let* mode = atom "mode" mode_of_string mode_s in
   let* div_s = str_field fields "diversity" ~default:"no-diversity" in
-  let* diversity = atom "diversity" diversity_of_string div_s in
+  let* diversity = atom "diversity" Config.diversity_of_string div_s in
   let* pol_s = str_field fields "policy" ~default:"all-loads" in
   let* policy = atom "policy" policy_of_string pol_s in
   let* cfg_seed = int64_field fields "cseed" ~default:exp_seed in
@@ -375,8 +342,13 @@ let decode_run fields =
     if replicas = 1 then Ok ()
     else Error (Printf.sprintf "unsupported replicas %d (only 1)" replicas)
   in
-  let* families_s = str_field fields "families" ~default:"" in
-  let families = families_of_string families_s in
+  (* diversity is one axis: a frame still naming a diversity family is
+     refused, never served as a build without it *)
+  let* family = str_field fields "families" ~default:"" in
+  let* () =
+    if family = "" then Ok ()
+    else Error (Printf.sprintf "unsupported family %S (name it as the diversity)" family)
+  in
   (* any-mismatch is the only check: a frame asking for another voting
      rule is refused, never served as an any-mismatch verdict *)
   let* vote = str_field fields "vote" ~default:"any-mismatch" in
@@ -401,7 +373,6 @@ let decode_run fields =
       diversity;
       policy;
       cfg_seed;
-      families;
       forensics;
     }
 

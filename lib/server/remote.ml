@@ -53,7 +53,6 @@ let params_of_spec (spec : Job.spec) =
         diversity = cfg.Dpmr_core.Config.diversity;
         policy = cfg.Dpmr_core.Config.policy;
         cfg_seed = cfg.Dpmr_core.Config.seed;
-        families = cfg.Dpmr_core.Config.families;
       }
   | Experiment.Fi_dpmr (cfg, kind, site) ->
       {
@@ -64,7 +63,6 @@ let params_of_spec (spec : Job.spec) =
         diversity = cfg.Dpmr_core.Config.diversity;
         policy = cfg.Dpmr_core.Config.policy;
         cfg_seed = cfg.Dpmr_core.Config.seed;
-        families = cfg.Dpmr_core.Config.families;
       }
 
 (** [unix:PATH], [HOST:PORT], or a bare socket path. *)

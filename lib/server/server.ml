@@ -163,17 +163,6 @@ let resolve_meta t (p : Protocol.run_params) kind =
       | exception Failure msg -> raise (Reject (Protocol.Bad_request, msg)))
 
 let spec_of_params t (p : Protocol.run_params) =
-  (* The family names are validated up front so a bad request is the
-     client's error (a protocol [Bad_request]), never a worker abort
-     deep inside the transform. *)
-  (match Dpmr_core.Diversity_family.resolve p.families with
-  | Ok _ -> ()
-  | Error f ->
-      raise
-        (Reject
-           ( Protocol.Bad_request,
-             Printf.sprintf "unknown diversity family %S (have: %s)" f
-               (String.concat ", " (Dpmr_core.Diversity_family.names ())) )));
   let variant =
     if p.golden then Experiment.Golden
     else

@@ -1,8 +1,8 @@
-(* Diversity-family tests (lib/nversion + the family hooks in the
-   transform): registry behaviour, output preservation for every family
-   alone and stacked in both designs (differential qcheck), replica-global
-   structure, family-based Rx recovery, and cache / wire-protocol
-   compatibility of family builds. *)
+(* Tests of the layout-perm and pad-jitter diversities beyond the
+   transform suites: the one diversity parser under the CLI and the wire,
+   replica-global structure, and cache / wire-protocol compatibility.
+   Their output preservation is checked by the differential property
+   and "diversity transforms preserve semantics". *)
 
 open Dpmr_ir
 open Types
@@ -10,66 +10,54 @@ open Inst
 module B = Builder
 module Config = Dpmr_core.Config
 module Dpmr = Dpmr_core.Dpmr
-module Rx = Dpmr_core.Rx
-module DF = Dpmr_core.Diversity_family
-module Outcome = Dpmr_vm.Outcome
-module Inject = Dpmr_fi.Inject
 module Experiment = Dpmr_fi.Experiment
 module Job = Dpmr_engine.Job
 module Cache = Dpmr_engine.Cache
 module Chaos = Dpmr_engine.Chaos
-module Engine = Dpmr_engine.Engine
 module Protocol = Dpmr_server.Protocol
-module Families = Dpmr_nversion.Families
-module Progs = Dpmr_testprogs.Progs
 module Workloads = Dpmr_workloads.Workloads
 
-let () = Families.ensure ()
-let family_names = [ "layout-perm"; "segment-base"; "pad-jitter" ]
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
 
-let nv_cfg ?(mode = Config.Sds) families = { Config.default with Config.mode; families }
+(* a run frame with the given extra fields *)
+let frame extra =
+  "{\"v\":1,\"id\":7,\"t\":\"run\",\"workload\":\"mcf\",\"scale\":1,\"eseed\":42,\
+   \"rseed\":42,\"budget\":0,\"mode\":\"sds\",\"policy\":\"all-loads\",\"cseed\":42" ^ extra
+  ^ "}"
 
-(* ---- registry ---- *)
+(* ---- the one diversity parser ---- *)
 
-let test_registry () =
+let test_diversity_parser () =
+  let parses s d =
+    Alcotest.(check (option string))
+      (s ^ " parses") (Some (Config.diversity_name d))
+      (Option.map Config.diversity_name (Config.diversity_of_string s))
+  in
   List.iter
-    (fun f ->
-      Alcotest.(check bool) (f ^ " registered") true (DF.find f <> None);
-      Alcotest.(check bool)
-        (f ^ " described") true
-        (DF.description f <> None))
-    family_names;
-  (match DF.resolve family_names with
-  | Ok fs -> Alcotest.(check int) "resolve returns all" (List.length family_names) (List.length fs)
-  | Error f -> Alcotest.fail ("resolve rejected registered family " ^ f));
-  (match DF.resolve [ "layout-perm"; "no-such-family" ] with
-  | Ok _ -> Alcotest.fail "resolve accepted an unknown family"
-  | Error f -> Alcotest.(check string) "names the unknown family" "no-such-family" f);
-  let before = List.length (DF.names ()) in
-  Families.ensure ();
-  Alcotest.(check int) "ensure is idempotent" before (List.length (DF.names ()))
-
-(* ---- differential property: every family, alone and stacked,
-   preserves error-free output in both designs ---- *)
-
-let preserves_output families ops =
-  let p = Test_differential.build_prog ops in
-  let golden = Dpmr.run_plain p in
-  golden.Outcome.outcome = Outcome.Normal
-  && List.for_all
-       (fun mode ->
-         let r = Dpmr.run_dpmr (nv_cfg ~mode families) p in
-         r.Outcome.outcome = Outcome.Normal && r.Outcome.output = golden.Outcome.output)
-       [ Config.Sds; Config.Mds ]
-
-let prop_family_preserves_output =
-  QCheck.Test.make ~name:"random programs: every family alone, SDS and MDS, preserves output"
-    ~count:8 Test_differential.arb_ops (fun ops ->
-      List.for_all (fun f -> preserves_output [ f ] ops) family_names)
-
-let prop_all_families_both_modes =
-  QCheck.Test.make ~name:"random programs: all families together, both modes"
-    ~count:8 Test_differential.arb_ops (preserves_output family_names)
+    (fun d -> parses (Config.diversity_name d) d)
+    Config.
+      [
+        No_diversity; Pad_malloc 0; Pad_malloc 16; Zero_before_free; Rearrange_heap;
+        Pad_alloca 16; Layout_perm; Pad_jitter;
+      ];
+  parses "none" Config.No_diversity;
+  parses "pad-16" (Config.Pad_malloc 16);
+  parses "pad-stack-16" (Config.Pad_alloca 16);
+  (* a negative pad shrinks the replica below the application's request,
+     so a fault-free run would detect *)
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " refused") true (Config.diversity_of_string s = None))
+    [ "pad--16"; "pad-malloc--16"; "pad-stack--1"; "pad-alloca--1"; "pad-x"; "pad-"; "pad-+8";
+      "pad-0x10"; "segment-base"; "bogus" ];
+  Alcotest.(check bool) "negative pad frame refused" true
+    (Result.is_error
+       (Protocol.decode_request (frame ",\"diversity\":\"pad-malloc--16\"")));
+  Alcotest.(check bool) "CLI spelling decodes on the wire" true
+    (Result.is_ok (Protocol.decode_request (frame ",\"diversity\":\"pad-stack-16\"")))
 
 (* ---- replica-global structure ---- *)
 
@@ -85,38 +73,10 @@ let global_prog () =
 let test_replica_globals () =
   let p = global_prog () in
   (* the paper's single ".rep" group, and no numbered extras *)
-  let t = Dpmr.transform (nv_cfg []) p in
+  let t = Dpmr.transform Config.default p in
   Verifier.check_prog t;
   Alcotest.(check bool) "keeps gv.rep" true (Prog.has_global t "gv.rep");
   Alcotest.(check bool) "has no gv.rep2" false (Prog.has_global t "gv.rep2")
-
-(* ---- Rx escalation through families ---- *)
-
-let test_rx_family_recovery () =
-  let p = Progs.overflow ~limit:16 () in
-  let res =
-    Rx.run_with_recovery Config.default p
-      ~escalation:[ Rx.Family "pad-jitter"; Rx.Pad 2048 ]
-  in
-  Alcotest.(check bool) "detected first" true (Outcome.is_dpmr_detect res.Rx.first);
-  (match res.Rx.recovered_with with
-  | Some (Rx.Family f) -> Alcotest.(check string) "recovered by the family" "pad-jitter" f
-  | Some (Rx.Pad _) -> () (* acceptable fallback, but the pad-jitter rewrite pads >= 64 *)
-  | None -> Alcotest.fail "expected recovery");
-  Alcotest.(check bool) "final clean" true
-    (res.Rx.final.Outcome.outcome = Outcome.Normal)
-
-let test_rx_skips_inapplicable_steps () =
-  (* neither "alloc-shuffle" nor "no-such" is a registered family: an
-     unknown step may not count as an attempt *)
-  let p = Progs.overflow ~limit:16 () in
-  let res =
-    Rx.run_with_recovery Config.default p
-      ~escalation:
-        [ Rx.Family "alloc-shuffle"; Rx.Family "no-such"; Rx.Family "pad-jitter" ]
-  in
-  Alcotest.(check int) "inapplicable steps not counted" 1 res.Rx.attempts;
-  Alcotest.(check bool) "recovered" true (res.Rx.recovered_with <> None)
 
 (* ---- cache compatibility across the salt bump ---- *)
 
@@ -162,7 +122,7 @@ let test_salt_bump_evicts_cleanly () =
       Alcotest.(check int) "nothing survives the bump" 0 (Cache.entries c2);
       Alcotest.(check int) "stale lines evicted" 2 (Cache.stats c2).Cache.evicted;
       Alcotest.(check int) "no lines damaged" 0 (Cache.stats c2).Cache.damaged;
-      Cache.add c2 ~key:"00ac" ~spec_repr:"w=mcf;s=1;r=42;nofi-dpmr(sds,none,all,42,n=1,fam=pad-jitter)"
+      Cache.add c2 ~key:"00ac" ~spec_repr:"w=mcf;s=1;r=42;nofi-dpmr(sds,pad-jitter,all-loads,42)"
         some_cls;
       Cache.close c2;
       (* the equivalent of [dpmr cache verify]: zero damaged lines and
@@ -172,7 +132,7 @@ let test_salt_bump_evicts_cleanly () =
       Alcotest.(check int) "compacted to current salt" d.Cache.total d.Cache.current;
       Alcotest.(check int) "exactly the new record" 1 d.Cache.current)
 
-let test_config_repr_nversion_suffix () =
+let test_config_repr () =
   let spec cfg =
     let entry = Workloads.find "mcf" in
     let e =
@@ -181,37 +141,31 @@ let test_config_repr_nversion_suffix () =
     in
     Job.make e ~workload:"mcf" ~scale:1 ~run_seed:42L (Experiment.Nofi_dpmr cfg)
   in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  let r1 = Job.repr (spec Config.default) in
-  Alcotest.(check bool) "default repr carries no family suffix" false (contains r1 ",n=");
-  (* every family build's key carries the fixed ",n=1" suffix *)
-  Alcotest.(check string) "family repr"
-    "sds,no-diversity,all-loads,42,n=1,fam=pad-jitter"
-    (Job.config_repr { Config.default with Config.families = [ "pad-jitter" ] });
-  let rf = Job.repr (spec (nv_cfg family_names)) in
-  Alcotest.(check bool) "repr carries the families" true
-    (contains rf "fam=layout-perm+segment-base+pad-jitter");
-  Alcotest.(check bool) "repr carries no vote" false (contains rf "vote=");
+  let jitter = { Config.default with Config.diversity = Config.Pad_jitter } in
+  let perm = { Config.default with Config.diversity = Config.Layout_perm } in
+  Alcotest.(check string) "pad-jitter repr" "sds,pad-jitter,all-loads,42" (Job.config_repr jitter);
+  Alcotest.(check string) "layout-perm repr" "sds,layout-perm,all-loads,42" (Job.config_repr perm);
+  List.iter
+    (fun cfg ->
+      let r = Job.repr (spec cfg) in
+      Alcotest.(check bool) (r ^ " carries no replica count") false (contains r ",n=");
+      Alcotest.(check bool) (r ^ " carries no families") false (contains r "fam=");
+      Alcotest.(check bool) (r ^ " carries no vote") false (contains r "vote="))
+    [ Config.default; jitter; perm ];
   Alcotest.(check bool) "distinct cache keys" true
-    (Job.hash (spec Config.default) <> Job.hash (spec (nv_cfg family_names)))
+    (Job.hash (spec Config.default) <> Job.hash (spec jitter)
+    && Job.hash (spec jitter) <> Job.hash (spec perm))
 
 (* ---- wire protocol compatibility ---- *)
 
 let test_protocol_defaults_and_roundtrip () =
-  (* a frame with no families field decodes to the paper's build *)
-  let frame extra =
-    "{\"v\":1,\"id\":7,\"t\":\"run\",\"workload\":\"mcf\",\"scale\":1,\"eseed\":42,\
-     \"rseed\":42,\"budget\":0,\"mode\":\"sds\",\"diversity\":\"no-diversity\",\
-     \"policy\":\"all-loads\",\"cseed\":42" ^ extra ^ "}"
-  in
+  (* a frame with no diversity, replicas or families field decodes to
+     the paper's build *)
   (match Protocol.decode_request (frame "") with
   | Ok { Protocol.body = Protocol.Run p; _ } ->
       Alcotest.(check string) "workload decoded" "mcf" p.Protocol.workload;
-      Alcotest.(check bool) "families default to []" true (p.Protocol.families = [])
+      Alcotest.(check bool) "no diversity by default" true
+        (p.Protocol.diversity = Config.No_diversity)
   | Ok _ -> Alcotest.fail "decoded to a non-run body"
   | Error e -> Alcotest.fail ("frame without replicas rejected: " ^ e));
   (* one replica is the only build: an explicit "replicas":1 still
@@ -221,23 +175,21 @@ let test_protocol_defaults_and_roundtrip () =
     (Result.is_ok (Protocol.decode_request (frame ",\"replicas\":1")));
   Alcotest.(check bool) "replicas 2 is refused" true
     (Result.is_error (Protocol.decode_request (frame ",\"replicas\":2")));
+  (* diversity is one axis: an empty families field still decodes, a
+     family name is refused rather than served as a build without it *)
+  Alcotest.(check bool) "empty families decodes" true
+    (Result.is_ok (Protocol.decode_request (frame ",\"families\":\"\"")));
+  Alcotest.(check bool) "families is refused" true
+    (Result.is_error (Protocol.decode_request (frame ",\"families\":\"pad-jitter\"")));
   let enc p = Protocol.encode_request { Protocol.rid = 1; body = Protocol.Run p } in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "default encode omits families" false
-    (contains (enc Protocol.default_run) "families");
-  let line =
-    enc { Protocol.default_run with Protocol.families = [ "pad-jitter"; "segment-base" ] }
-  in
+  let line = enc { Protocol.default_run with Protocol.diversity = Config.Layout_perm } in
+  Alcotest.(check bool) "encode ships no families" false (contains line "families");
   Alcotest.(check bool) "encode ships no replicas" false (contains line "replicas");
   Alcotest.(check bool) "encode ships no vote" false (contains line "vote");
   (match Protocol.decode_request line with
   | Ok { Protocol.body = Protocol.Run p; _ } ->
-      Alcotest.(check bool) "families round-trip" true
-        (p.Protocol.families = [ "pad-jitter"; "segment-base" ])
+      Alcotest.(check bool) "layout-perm round-trips" true
+        (p.Protocol.diversity = Config.Layout_perm)
   | Ok _ -> Alcotest.fail "decoded to a non-run body"
   | Error e -> Alcotest.fail ("round-trip rejected: " ^ e));
   (* any-mismatch is the only check: a frame naming it still decodes, a
@@ -253,17 +205,12 @@ let suites =
   [
     ( "nversion",
       [
-        Alcotest.test_case "family registry" `Quick test_registry;
+        Alcotest.test_case "diversity parser" `Quick test_diversity_parser;
         Alcotest.test_case "replica globals" `Quick test_replica_globals;
-        Alcotest.test_case "rx family recovery" `Quick test_rx_family_recovery;
-        Alcotest.test_case "rx skips inapplicable" `Quick test_rx_skips_inapplicable_steps;
         Alcotest.test_case "salt bump evicts cleanly" `Quick
           (fun () -> Chaos.with_chaos None test_salt_bump_evicts_cleanly);
-        Alcotest.test_case "config repr suffix" `Quick test_config_repr_nversion_suffix;
+        Alcotest.test_case "config repr suffix" `Quick test_config_repr;
         Alcotest.test_case "protocol defaults and roundtrip" `Quick
           test_protocol_defaults_and_roundtrip;
       ] );
-    ( "nversion-properties",
-      List.map QCheck_alcotest.to_alcotest
-        [ prop_family_preserves_output; prop_all_families_both_modes ] );
   ]

@@ -24,7 +24,7 @@ let test_padding_masks_overflow () =
 let test_recovery_escalation () =
   let p = Progs.overflow ~limit:16 () in
   let res =
-    Rx.run_with_recovery Config.default p ~escalation:[ Rx.Pad 8; Rx.Pad 64; Rx.Pad 256 ]
+    Rx.run_with_recovery Config.default p ~escalation:[ 8; 64; 256 ]
   in
   Alcotest.(check bool) "first run detected" true (Outcome.is_dpmr_detect res.Rx.first);
   (* even the 8-byte pad can succeed thanks to size-class rounding; what
@@ -37,7 +37,7 @@ let test_recovery_escalation () =
 
 let test_clean_program_not_reexecuted () =
   let p = Progs.linked_list () in
-  let res = Rx.run_with_recovery Config.default p ~escalation:[ Rx.Pad 64 ] in
+  let res = Rx.run_with_recovery Config.default p ~escalation:[ 64 ] in
   Alcotest.(check int) "no re-executions" 0 res.Rx.attempts;
   Alcotest.(check bool) "clean" true (res.Rx.final.Outcome.outcome = Outcome.Normal)
 
@@ -51,7 +51,7 @@ let test_recovery_of_injected_resize () =
     List.filter_map
       (fun site ->
         let injected = Inject.apply base kind site in
-        let res = Rx.run_with_recovery Config.default injected ~escalation:[ Rx.Pad 2048 ] in
+        let res = Rx.run_with_recovery Config.default injected ~escalation:[ 2048 ] in
         if Outcome.is_dpmr_detect res.Rx.first then Some res else None)
       (Inject.sites kind base)
   in
@@ -69,7 +69,7 @@ let test_unrecoverable_reports_failure () =
   (* use-after-free under zero-before-free: padding does not mask it *)
   let p = Progs.read_after_free () in
   let cfg = { Config.default with Config.diversity = Config.Zero_before_free } in
-  let res = Rx.run_with_recovery cfg p ~escalation:[ Rx.Pad 8; Rx.Pad 64 ] in
+  let res = Rx.run_with_recovery cfg p ~escalation:[ 8; 64 ] in
   Alcotest.(check bool) "detected" true (Outcome.is_dpmr_detect res.Rx.first);
   Alcotest.(check bool) "not recovered" true (res.Rx.recovered_with = None);
   Alcotest.(check int) "both escalations tried" 2 res.Rx.attempts

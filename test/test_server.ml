@@ -158,6 +158,8 @@ let gen_run =
         return Config.Rearrange_heap;
         map (fun n -> Config.Pad_malloc n) (int_range 1 64);
         map (fun n -> Config.Pad_alloca n) (int_range 1 64);
+        return Config.Layout_perm;
+        return Config.Pad_jitter;
       ]
   in
   let gen_policy =
@@ -195,9 +197,6 @@ let gen_run =
         (int_range 0 99);
     ]
   >>= fun site_ref ->
-  oneofl
-    [ []; [ "pad-jitter" ]; [ "layout-perm"; "pad-jitter" ]; [ "segment-base" ] ]
-  >>= fun families ->
   return
     {
       Protocol.workload;
@@ -214,7 +213,6 @@ let gen_run =
       diversity;
       policy;
       cfg_seed;
-      families;
       forensics;
     }
 

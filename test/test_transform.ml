@@ -209,6 +209,10 @@ let test_diversity_preservation () =
       (Config.Mds, Config.Pad_malloc 32);
       (Config.Mds, Config.Zero_before_free);
       (Config.Mds, Config.Rearrange_heap);
+      (Config.Sds, Config.Layout_perm);
+      (Config.Sds, Config.Pad_jitter);
+      (Config.Mds, Config.Layout_perm);
+      (Config.Mds, Config.Pad_jitter);
     ]
 
 (* --- overhead sanity: instrumentation costs more, MDS <= SDS on the

@@ -13,19 +13,13 @@ module Dpmr = Dpmr_core.Dpmr
 module Workloads = Dpmr_workloads.Workloads
 module Progs = Dpmr_testprogs.Progs
 
-let diversities =
+(* the DSA programs keep the five diversities; the workloads add the two
+   extensions *)
+let dsa_diversities =
   Config.[ No_diversity; Pad_malloc 16; Zero_before_free; Rearrange_heap; Pad_alloca 16 ]
 
+let diversities = dsa_diversities @ Config.[ Layout_perm; Pad_jitter ]
 let policies = Config.[ All_loads; Temporal temporal_mask_1_2; Static 0.5 ]
-
-let family_sets =
-  [
-    [];
-    [ "layout-perm" ];
-    [ "segment-base" ];
-    [ "pad-jitter" ];
-    [ "layout-perm"; "segment-base"; "pad-jitter" ];
-  ]
 
 (* the programs test/test_dsa.ml hands to the DSA-expanded transform *)
 let dsa_progs =
@@ -38,14 +32,12 @@ let dsa_progs =
 let digest tp = Digest.to_hex (Digest.string (Dpmr_ir.Printer.prog_to_string tp))
 
 let line label (cfg : Config.t) tp =
-  Printf.printf "%s %s %s %s %s %s\n" label (Config.mode_name cfg.Config.mode)
+  Printf.printf "%s %s %s %s %s\n" label (Config.mode_name cfg.Config.mode)
     (Config.diversity_name cfg.Config.diversity)
     (Config.policy_name cfg.Config.policy)
-    (match cfg.Config.families with [] -> "none" | fs -> String.concat "+" fs)
     (digest tp)
 
 let () =
-  Dpmr_nversion.Families.ensure ();
   List.iter
     (fun (w : Workloads.entry) ->
       List.iter
@@ -54,11 +46,8 @@ let () =
             (fun diversity ->
               List.iter
                 (fun policy ->
-                  List.iter
-                    (fun families ->
-                      let cfg = { Config.default with Config.mode; diversity; policy; families } in
-                      line w.Workloads.name cfg (Dpmr.transform cfg (w.Workloads.build ())))
-                    family_sets)
+                  let cfg = { Config.default with Config.mode; diversity; policy } in
+                  line w.Workloads.name cfg (Dpmr.transform cfg (w.Workloads.build ())))
                 policies)
             diversities)
         Config.[ Sds; Mds ])
@@ -72,5 +61,5 @@ let () =
               let cfg = { Config.default with Config.mode = Config.Mds; diversity; policy } in
               line ("dsa:" ^ name) cfg (Dpmr_dsa.Dsa_dpmr.transform cfg (mk ())))
             policies)
-        diversities)
+        dsa_diversities)
     dsa_progs
