@@ -152,9 +152,6 @@ let run_all_modes ops =
          Config.mode = Config.Mds;
          diversity = Config.Zero_before_free;
        }
-  && List.for_all
-       (fun (mode, diversity) -> check { Config.default with Config.mode; diversity })
-       Config.[ (Sds, Layout_perm); (Mds, Layout_perm); (Sds, Pad_jitter); (Mds, Pad_jitter) ]
 
 let prop_differential =
   QCheck.Test.make ~name:"random programs: golden = SDS = MDS output" ~count:60

@@ -1,8 +1,7 @@
 (* Tests of the layout-perm and pad-jitter diversities beyond the
    transform suites: the one diversity parser under the CLI and the wire,
-   replica-global structure, and cache / wire-protocol compatibility.
-   Their output preservation is checked by the differential property
-   and "diversity transforms preserve semantics". *)
+   output preservation for each in both designs (differential qcheck),
+   replica-global structure, and cache / wire-protocol compatibility. *)
 
 open Dpmr_ir
 open Types
@@ -10,6 +9,7 @@ open Inst
 module B = Builder
 module Config = Dpmr_core.Config
 module Dpmr = Dpmr_core.Dpmr
+module Outcome = Dpmr_vm.Outcome
 module Experiment = Dpmr_fi.Experiment
 module Job = Dpmr_engine.Job
 module Cache = Dpmr_engine.Cache
@@ -58,6 +58,24 @@ let test_diversity_parser () =
        (Protocol.decode_request (frame ",\"diversity\":\"pad-malloc--16\"")));
   Alcotest.(check bool) "CLI spelling decodes on the wire" true
     (Result.is_ok (Protocol.decode_request (frame ",\"diversity\":\"pad-stack-16\"")))
+
+(* ---- differential property: each extension diversity alone
+   preserves error-free output in both designs ---- *)
+
+let preserves_output diversity ops =
+  let p = Test_differential.build_prog ops in
+  let golden = Dpmr.run_plain p in
+  golden.Outcome.outcome = Outcome.Normal
+  && List.for_all
+       (fun mode ->
+         let r = Dpmr.run_dpmr { Config.default with Config.mode; diversity } p in
+         r.Outcome.outcome = Outcome.Normal && r.Outcome.output = golden.Outcome.output)
+       [ Config.Sds; Config.Mds ]
+
+let prop_family_preserves_output =
+  QCheck.Test.make ~name:"random programs: every family alone, SDS and MDS, preserves output"
+    ~count:8 Test_differential.arb_ops (fun ops ->
+      List.for_all (fun d -> preserves_output d ops) [ Config.Layout_perm; Config.Pad_jitter ])
 
 (* ---- replica-global structure ---- *)
 
@@ -213,4 +231,6 @@ let suites =
         Alcotest.test_case "protocol defaults and roundtrip" `Quick
           test_protocol_defaults_and_roundtrip;
       ] );
+    ( "nversion-properties",
+      List.map QCheck_alcotest.to_alcotest [ prop_family_preserves_output ] );
   ]
