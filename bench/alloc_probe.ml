@@ -58,7 +58,7 @@ let probe label fill =
   let run () = Dpmr.run_plain ~lowered p in
   let default, cost = steady_state run in
   let watched, cost' = steady_state (run_watched lowered p) in
-  Printf.printf "%-12s default %6.1f   watched %6.1f B/loop-iter  (cost %Ld)\n%!"
+  Printf.printf "%-17s default %6.1f   watched %6.1f B/loop-iter  (cost %Ld)\n%!"
     label default watched cost;
   assert (Int64.equal cost cost');
   (* allocation-free modulo per-run VM setup amortized over [n] iters *)
@@ -77,6 +77,21 @@ let () =
       B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun i ->
           let v = B.load b (Int W64) buf in
           B.store b (Int W64) (B.binop b Add W64 v i) buf));
+  (* global operands are constant addresses: a scalar global, and the
+     first slot of a global array through its address cast to a slot
+     pointer, each read and written back (a [gep_index] into the array
+     would fuse with its access, and a fused indexed access whose base
+     or index is not a register takes the compiled tier's generic
+     fallback, which allocates) *)
+  probe "global load+store" (fun b ->
+      let g = B.global b ~name:"g" (Int W64) (Prog.Gint 0L) in
+      let tab = B.global b ~name:"tab" (Arr (Int W64, 8)) Prog.Gzero in
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun i ->
+          let v = B.load b (Int W64) g in
+          B.store b (Int W64) (B.binop b Add W64 v i) g;
+          let slot = B.bitcast b (Ptr (Int W64)) tab in
+          let w = B.load b (Int W64) slot in
+          B.store b (Int W64) (B.binop b Add W64 w (B.i64c 1)) slot));
   probe "gep+mov" (fun b ->
       let buf = B.malloc b ~name:"buf" ~count:(B.i64c 8) (Int W64) in
       B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun i ->

@@ -129,14 +129,13 @@ let run_cmd =
       const go $ workload_t $ scale_t $ seed_t $ mode_t $ diversity_t $ policy_t $ plain_t)
 
 let transform_cmd =
-  let go name scale mode diversity policy =
+  let go name scale seed mode diversity policy =
     let prog = build_workload name scale in
-    let cfg = { Config.default with Config.mode; diversity; policy } in
-    let tp = Dpmr.transform cfg prog in
+    let tp = Dpmr.transform (cfg_of mode diversity policy seed) prog in
     print_string (Dpmr_ir.Printer.prog_to_string tp)
   in
   Cmd.v (Cmd.info "transform" ~doc:"Print the DPMR-transformed IR of a workload.")
-    Term.(const go $ workload_t $ scale_t $ mode_t $ diversity_t $ policy_t)
+    Term.(const go $ workload_t $ scale_t $ seed_t $ mode_t $ diversity_t $ policy_t)
 
 let sites_cmd =
   let go name scale =

@@ -75,7 +75,7 @@ let () =
   let tp = Dpmr.transform cfg p in
   let vm = Dpmr.vm_dpmr ~mode:Config.Sds tp in
   (* corrupt one byte of the replica of the "hello" global before main *)
-  let addr = Hashtbl.find vm.Dpmr_vm.Vm.global_addr "hello.rep" in
+  let addr = Dpmr_vm.Vm.global_address vm "hello.rep" in
   Dpmr_memsim.Mem.write_u8 vm.Dpmr_vm.Vm.mem addr (Char.code 'X');
   let r = Dpmr_vm.Vm.run vm in
   Printf.printf "after corrupting hello.rep : %s\n" (Outcome.to_string r.Outcome.outcome);

@@ -34,9 +34,11 @@ let kind_of_string s =
   | "off-by-one" -> Some Inject.Off_by_one
   | "resize" -> Some (Inject.Heap_array_resize 50)
   | _ when String.starts_with ~prefix:"resize-" s -> (
+      (* the share of the request kept: below 1 the count wraps to a huge
+         unsigned allocation, from 100 up the array does not shrink *)
       match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
-      | Some pct -> Some (Inject.Heap_array_resize pct)
-      | None -> None)
+      | Some pct when pct >= 1 && pct <= 99 -> Some (Inject.Heap_array_resize pct)
+      | Some _ | None -> None)
   | _ when String.starts_with ~prefix:"wild-store-" s -> (
       match int_of_string_opt (String.sub s 11 (String.length s - 11)) with
       | Some off -> Some (Inject.Wild_store off)

@@ -8,8 +8,10 @@
     pre-bound OCaml closures: one closure per basic block, with
     straight-line runs of instructions fused into superinstruction chains
     and the operand shapes ([Lreg]/[Lconst]) burned into each closure's
-    body.  Neither engine of the lowered form emits trace events: {!Vm}
-    runs a traced run on the reference engine.
+    body.  A global operand is an [Lconst] already: the lowering bound
+    each declared global's address, so a global read costs no lookup.
+    Neither engine of the lowered form emits trace events: {!Vm} runs a
+    traced run on the reference engine.
 
     Fidelity contract: the compiled tier charges the {!Cost} model at the
     same program points, evaluates operands in the same order, raises the
@@ -34,9 +36,9 @@
     closure whose body reads operands inline through {!Machine}'s
     [\[@inline\]] register primitives and feeds them straight into the
     consuming primitive.  Generic [cstate -> int64] evaluator closures
-    exist only as the fallback for cold operand shapes
-    ([Lglobal]/[Lfun_name], whose per-VM address lookup allocates
-    anyway). *)
+    exist only as the fallback for cold operand shapes: [Lfun_name],
+    whose address is assigned per VM on first use, and [Lglobal], a name
+    the program does not declare. *)
 
 open Dpmr_ir
 open Dpmr_memsim

@@ -14,6 +14,8 @@
       byte offsets from {!Layout};
     - [Int_cast]/[I_to_f] carry the pre-resolved source width;
     - constants are pre-truncated and pre-boxed as runtime values;
+    - every declared global gets its address here, and a global operand
+      becomes that address as a constant;
     - direct calls bind the lowered callee (or a per-VM extern slot) and
       their base cost once.
 
@@ -49,14 +51,16 @@ let[@inline] sign_extend w v =
   | W32 -> Int64.shift_right (Int64.shift_left v 32) 32
   | W64 -> Int64.shift_right (Int64.shift_left v 0) 0
 
-(** Lowered operands.  Globals and function addresses stay symbolic:
-    global addresses are per-VM, and function addresses are assigned
-    lazily {e in first-use order} at run time — pre-assigning them here
-    would change the address values a program can print or compare. *)
+(** Lowered operands.  A declared global lowers to its address as an
+    [Lconst]; [Lglobal] keeps only a name the program does not declare,
+    whose "no address" error is raised if the operand is evaluated.
+    Function addresses stay symbolic: they are assigned lazily {e in
+    first-use order} at run time — pre-assigning them here would change
+    the address values a program can print or compare. *)
 type lop =
   | Lreg of int
   | Lconst of value  (** pre-truncated, pre-boxed constant *)
-  | Lglobal of string
+  | Lglobal of string  (** undeclared global *)
   | Lfun_name of string
 
 (** Scalar shape of a load/store, resolved from the static type.
@@ -150,15 +154,36 @@ type prog = {
       (** extern slot per direct-callee name; the VM resolves each slot to
           a closure once per instance *)
   mutable n_slots : int;
+  global_addr : (string, int64) Hashtbl.t;
+      (** address of every declared global; read-only once lowered *)
   src : Prog.t;  (** the program this was lowered from *)
 }
 
-let lower_operand = function
+(* Globals sit from [Mem.globals_base] up, in declaration order, each
+   aligned for its type.  The layout is a function of the program alone:
+   no VM, seed or resume moves it, so every VM running this lowering
+   maps its globals here. *)
+let layout_globals (p : Prog.t) =
+  let tenv = p.Prog.tenv in
+  let tbl = Hashtbl.create 32 in
+  let cursor = ref Dpmr_memsim.Mem.globals_base in
+  Prog.iter_globals p (fun g ->
+      let size = max 1 (Layout.size_of tenv g.Prog.gty) in
+      let algn = Layout.align_of tenv g.Prog.gty in
+      let addr = Int64.of_int (Layout.round_up (Int64.to_int !cursor) algn) in
+      Hashtbl.replace tbl g.Prog.gname addr;
+      cursor := Int64.add addr (Int64.of_int size));
+  tbl
+
+let lower_operand lp = function
   | Reg r -> Lreg r
   | Cint (w, v) -> Lconst (I (truncate_to w v))
   | Cfloat x -> Lconst (F x)
   | Null _ -> Lconst (I 0L)
-  | Global g -> Lglobal g
+  | Global g -> (
+      match Hashtbl.find_opt lp.global_addr g with
+      | Some a -> Lconst (I a)
+      | None -> Lglobal g)
   | Fun_addr f -> Lfun_name f
 
 let kind_of = function
@@ -185,32 +210,32 @@ let lower_inst lp (p : Prog.t) (f : Func.t) (inst : Inst.inst) : linst =
   let tenv = p.Prog.tenv in
   try
     match inst with
-    | Malloc (r, ty, n) -> Lmalloc (r, Layout.size_of tenv ty, lower_operand n)
+    | Malloc (r, ty, n) -> Lmalloc (r, Layout.size_of tenv ty, lower_operand lp n)
     | Alloca (r, ty, n) ->
         Lalloca
           ( r,
             Layout.size_of tenv ty,
             max 8 (Layout.align_of tenv ty),
-            lower_operand n )
-    | Free o -> Lfree (lower_operand o)
-    | Load (r, ty, o) -> Lload (r, kind_of ty, lower_operand o)
-    | Store (ty, v, o) -> Lstore (kind_of ty, lower_operand v, lower_operand o)
+            lower_operand lp n )
+    | Free o -> Lfree (lower_operand lp o)
+    | Load (r, ty, o) -> Lload (r, kind_of ty, lower_operand lp o)
+    | Store (ty, v, o) -> Lstore (kind_of ty, lower_operand lp v, lower_operand lp o)
     | Gep_field (r, sname, o, i) ->
-        Lgep_field (r, Layout.field_offset tenv sname i, lower_operand o)
+        Lgep_field (r, Layout.field_offset tenv sname i, lower_operand lp o)
     | Gep_index (r, ety, o, i) ->
-        Lgep_index (r, Layout.size_of tenv ety, lower_operand o, lower_operand i)
+        Lgep_index (r, Layout.size_of tenv ety, lower_operand lp o, lower_operand lp i)
     | Bitcast (r, _, o) | Ptr_to_int (r, o) | Int_to_ptr (r, _, o) ->
-        Lmov (r, lower_operand o)
-    | Binop (r, op, w, a, b) -> Lbinop (r, op, w, lower_operand a, lower_operand b)
-    | Fbinop (r, op, a, b) -> Lfbinop (r, op, lower_operand a, lower_operand b)
-    | Icmp (r, c, w, a, b) -> Licmp (r, c, w, lower_operand a, lower_operand b)
-    | Fcmp (r, c, a, b) -> Lfcmp (r, c, lower_operand a, lower_operand b)
+        Lmov (r, lower_operand lp o)
+    | Binop (r, op, w, a, b) -> Lbinop (r, op, w, lower_operand lp a, lower_operand lp b)
+    | Fbinop (r, op, a, b) -> Lfbinop (r, op, lower_operand lp a, lower_operand lp b)
+    | Icmp (r, c, w, a, b) -> Licmp (r, c, w, lower_operand lp a, lower_operand lp b)
+    | Fcmp (r, c, a, b) -> Lfcmp (r, c, lower_operand lp a, lower_operand lp b)
     | Int_cast (r, w, signed, v) ->
-        Lint_cast (r, w, signed, src_width p f v, lower_operand v)
-    | F_to_i (r, w, v) -> Lf_to_i (r, w, lower_operand v)
-    | I_to_f (r, _, v) -> Li_to_f (r, src_width p f v, lower_operand v)
+        Lint_cast (r, w, signed, src_width p f v, lower_operand lp v)
+    | F_to_i (r, w, v) -> Lf_to_i (r, w, lower_operand lp v)
+    | I_to_f (r, _, v) -> Li_to_f (r, src_width p f v, lower_operand lp v)
     | Select (r, _, c, a, b) ->
-        Lselect (r, lower_operand c, lower_operand a, lower_operand b)
+        Lselect (r, lower_operand lp c, lower_operand lp a, lower_operand lp b)
     | Call (r, callee, args) ->
         let lc =
           match callee with
@@ -218,12 +243,12 @@ let lower_inst lp (p : Prog.t) (f : Func.t) (inst : Inst.inst) : linst =
               match Hashtbl.find_opt lp.funcs n with
               | Some lf -> Lfun lf
               | None -> Lextern (slot_for lp n, n))
-          | Indirect o -> Lindirect (lower_operand o)
+          | Indirect o -> Lindirect (lower_operand lp o)
         in
         Lcall
           ( r,
             lc,
-            Array.of_list (List.map lower_operand args),
+            Array.of_list (List.map (lower_operand lp) args),
             Cost.call_base + (Cost.call_per_arg * List.length args) )
   with (Invalid_argument _ | Failure _ | Not_found) as e -> Lpoison e
 
@@ -237,10 +262,10 @@ let lower_target (f : Func.t) label =
            (Printf.sprintf "Func.find_block: %s has no block %S" f.Func.name
               label))
 
-let lower_term (f : Func.t) : Inst.term -> lterm = function
+let lower_term lp (f : Func.t) : Inst.term -> lterm = function
   | Br l -> Lbr (lower_target f l)
-  | Cbr (c, l1, l2) -> Lcbr (lower_operand c, lower_target f l1, lower_target f l2)
-  | Ret o -> Lret (Option.map lower_operand o)
+  | Cbr (c, l1, l2) -> Lcbr (lower_operand lp c, lower_target f l1, lower_target f l2)
+  | Ret o -> Lret (Option.map (lower_operand lp) o)
   | Unreachable -> Lunreachable (f.Func.name ^ ": executed unreachable")
 
 let shell (f : Func.t) =
@@ -310,7 +335,7 @@ let fill_body lp p (f : Func.t) lf =
       (fun (b : Func.block) ->
         {
           linsts = fuse_insts (Array.of_list (List.map (lower_inst lp p f) b.Func.insts));
-          lterm = lower_term f b.Func.term;
+          lterm = lower_term lp f b.Func.term;
         })
       (Func.block_array f);
   fuse_terms lf
@@ -324,6 +349,7 @@ let lower_prog (p : Prog.t) : prog =
       funcs = Hashtbl.create 64;
       slot_of_name = Hashtbl.create 16;
       n_slots = 0;
+      global_addr = layout_globals p;
       src = p;
     }
   in
@@ -454,9 +480,10 @@ let ginit_eq =
   in
   go
 
-(* Global address assignment happens at VM creation, before any code
-   executes — the declaration sequences must match exactly (name, layout
-   and initializer) for two programs to share a prefix at all. *)
+(* The declaration sequences must match exactly (name, layout and
+   initializer) for two programs to share a prefix at all.  Both then
+   lay their globals out alike, so two global-address [Lconst]s are
+   equal exactly when they name the same global. *)
 let globals_eq (p1 : Prog.t) (p2 : Prog.t) =
   let collect p =
     let acc = ref [] in

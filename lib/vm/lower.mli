@@ -3,11 +3,11 @@
     Compiles each {!Func.t} into arrays of pre-resolved instructions:
     branch targets become block ids, {!Layout} sizes/alignments/offsets
     and cast source widths are baked into the opcodes, constants are
-    pre-truncated and pre-boxed, and direct calls bind their lowered
-    callee (or a per-VM extern slot) and base cost once.  {!Compile}
-    compiles this form, and the {!Vm} dispatch loop executes it with
-    array indexing only for watched baselines and a resume's partial
-    block.  Nothing here serves tracing: a traced run executes the IR
+    pre-truncated and pre-boxed, global operands become their addresses,
+    and direct calls bind their lowered callee (or a per-VM extern slot)
+    and base cost once.  {!Compile} compiles this form, and the {!Vm}
+    dispatch loop executes it with array indexing only for watched
+    baselines and a resume's partial block.  Nothing here serves tracing: a traced run executes the IR
     itself on the reference engine.
 
     Static resolution errors (unknown label, bad field index, undefined
@@ -25,13 +25,14 @@ type value = I of int64 | F of float
 val truncate_to : width -> int64 -> int64
 val sign_extend : width -> int64 -> int64
 
-(** Lowered operands.  Globals and function addresses stay symbolic:
-    global addresses are per-VM, and function addresses are assigned
-    lazily in first-use order at run time. *)
+(** Lowered operands.  A declared global lowers to its address, an
+    [Lconst] bound by {!lower_prog}; [Lglobal] keeps only a name the
+    program does not declare.  Function addresses stay symbolic: they
+    are assigned lazily in first-use order at run time. *)
 type lop =
   | Lreg of int
   | Lconst of value  (** pre-truncated, pre-boxed constant *)
-  | Lglobal of string
+  | Lglobal of string  (** undeclared global: raises if evaluated *)
   | Lfun_name of string
 
 (** Scalar shape of a load/store; pointers move as 8-byte integers. *)
@@ -117,13 +118,17 @@ type prog = {
       (** extern slot per direct-callee name; the VM resolves each slot to
           a closure once per instance *)
   mutable n_slots : int;
+  global_addr : (string, int64) Hashtbl.t;
+      (** address of every declared global: from [Mem.globals_base] up,
+          in declaration order, each aligned for its type *)
   src : Prog.t;  (** the program this was lowered from *)
 }
 
 (** Lower a whole program.  Cheap enough to run once per program build;
     the result is immutable (apart from the per-function tier state,
     which never affects behaviour) and may be shared by any number of
-    VMs executing the same (unmodified) program. *)
+    VMs executing the same (unmodified) program.  It owns the global
+    layout: every VM built on it maps its globals at [global_addr]. *)
 val lower_prog : Prog.t -> prog
 
 (** {1 Structural divergence, for snapshot/fork campaign execution} *)

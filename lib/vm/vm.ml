@@ -126,7 +126,6 @@ type t = {
   mutable mem : Mem.t;  (** mutable only for {!resume}: forks swap in a thawed space *)
   mutable alloc : Allocator.t;
   mutable sp : int64;
-  global_addr : (string, int64) Hashtbl.t;
   fun_addr : (string, int64) Hashtbl.t;
   addr_fun : (int64, string) Hashtbl.t;
   mutable next_fun_addr : int64;
@@ -181,10 +180,11 @@ let fun_address t name =
       Hashtbl.replace t.addr_fun a name;
       a
 
-(* [Hashtbl.find], not [find_opt]: globals are read inside hot loops and
-   the intermediate [Some] would be an allocation per access *)
+(* The lowering's table: a declared global's operand is already its
+   address, so only initializers, the reference engine and an
+   undeclared name come here. *)
 let global_address t name =
-  match Hashtbl.find t.global_addr name with
+  match Hashtbl.find t.lprog.L.global_addr name with
   | a -> a
   | exception Not_found ->
       raise (Vm_error (Printf.sprintf "no address for global %S" name))
@@ -230,22 +230,15 @@ let rec write_ginit t addr ty (g : Prog.ginit) =
         (Vm_error
            (Fmt.str "bad global initializer for type %a" Types.pp ty))
 
+(* Map and initialize every global at the address the lowering gave
+   it.  One pass suffices: an initializer reads other globals' addresses
+   from the lowering, never their memory. *)
 let layout_globals t =
-  let cursor = ref Mem.globals_base in
-  (* first pass: assign addresses (initializers may reference any global) *)
+  let tenv = t.prog.tenv in
   Prog.iter_globals t.prog (fun g ->
-      let tenv = t.prog.tenv in
-      let size = max 1 (Layout.size_of tenv g.gty) in
-      let algn = Layout.align_of tenv g.gty in
-      let addr =
-        Int64.of_int (Layout.round_up (Int64.to_int !cursor) algn)
-      in
-      Mem.map_range t.mem addr size Mem.Fill_zero;
-      Hashtbl.replace t.global_addr g.gname addr;
-      cursor := Int64.add addr (Int64.of_int size));
-  (* second pass: write initializers *)
-  Prog.iter_globals t.prog (fun g ->
-      write_ginit t (Hashtbl.find t.global_addr g.gname) g.gty g.ginit)
+      let addr = global_address t g.gname in
+      Mem.map_range t.mem addr (max 1 (Layout.size_of tenv g.gty)) Mem.Fill_zero;
+      write_ginit t addr g.gty g.ginit)
 
 let create ?(seed = 42L) ?(budget = 2_000_000_000L) ?lowered prog =
   let lprog =
@@ -261,7 +254,6 @@ let create ?(seed = 42L) ?(budget = 2_000_000_000L) ?lowered prog =
       mem;
       alloc = Allocator.create mem;
       sp = Mem.stack_base;
-      global_addr = Hashtbl.create 32;
       fun_addr = Hashtbl.create 32;
       addr_fun = Hashtbl.create 32;
       next_fun_addr = 0x2000_0000L;

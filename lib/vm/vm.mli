@@ -38,7 +38,6 @@ type t = {
   mutable mem : Mem.t;  (** mutable only for {!resume}: forks swap in a thawed space *)
   mutable alloc : Allocator.t;
   mutable sp : int64;
-  global_addr : (string, int64) Hashtbl.t;
   fun_addr : (string, int64) Hashtbl.t;
   addr_fun : (int64, string) Hashtbl.t;
   mutable next_fun_addr : int64;
@@ -91,6 +90,8 @@ val sign_extend : Types.width -> int64 -> int64
 (** Address of a function (assigning one on first use). *)
 val fun_address : t -> string -> int64
 
+(** Address of a declared global, as {!Lower.lower_prog} laid it out;
+    raises {!Vm_error} for a name the program does not declare. *)
 val global_address : t -> string -> int64
 
 (** Call a defined function or a registered extern by name, on whichever

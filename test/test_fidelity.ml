@@ -109,7 +109,7 @@ let run_with_poked_pointer mode =
   let tp = Dpmr.transform cfg p in
   let vm = Dpmr.vm_dpmr ~mode tp in
   (* corrupt the APPLICATION's stored pointer (replica left intact) *)
-  let addr = Hashtbl.find vm.Dpmr_vm.Vm.global_addr "cfg" in
+  let addr = Dpmr_vm.Vm.global_address vm "cfg" in
   Dpmr_memsim.Mem.write_int vm.Dpmr_vm.Vm.mem addr 8 0x31337L;
   Dpmr_vm.Vm.run vm
 

@@ -136,6 +136,31 @@ let test_version_check () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing version must be rejected"
 
+(* A resize keeps 1-99% of the request: below 1 the count wraps to a
+   huge unsigned allocation, from 100 up the array does not shrink. *)
+let test_resize_range () =
+  let frame kind =
+    Printf.sprintf "{\"v\":%d,\"id\":3,\"t\":\"run\",\"workload\":\"bzip2\",\"kind\":\"%s\"}"
+      Protocol.version kind
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " refused") true
+        (Result.is_error (Protocol.decode_request (frame kind))))
+    [ "resize--50"; "resize-0"; "resize-100"; "resize-150" ];
+  let req =
+    {
+      Protocol.rid = 3;
+      body =
+        Protocol.Run
+          { Protocol.default_run with Protocol.kind = Some (Inject.Heap_array_resize 75) };
+    }
+  in
+  Alcotest.(check bool) "resize-75 round-trips" true
+    (Protocol.decode_request (Protocol.encode_request req) = Ok req);
+  Alcotest.(check bool) "resize-75 frame decodes" true
+    (Result.is_ok (Protocol.decode_request (frame "resize-75")))
+
 (* qcheck: encode∘decode = id over random run requests *)
 
 let gen_run =
@@ -569,6 +594,7 @@ let suites =
         Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
         Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
         Alcotest.test_case "version check" `Quick test_version_check;
+        Alcotest.test_case "resize share range" `Quick test_resize_range;
         QCheck_alcotest.to_alcotest test_qcheck_roundtrip;
         Alcotest.test_case "framing over socketpair" `Quick test_framing_socketpair;
       ] );

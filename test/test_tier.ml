@@ -1,5 +1,5 @@
 (* Tiered execution: the closure-compiled top tier must be invisible.
-   Three groups of checks:
+   Four groups of checks:
 
    1. differential — real workloads produce byte-identical outcomes
       under the reference tree-walker, the default engine (compiled from
@@ -12,7 +12,12 @@
 
    3. a [Vm.resume] edge: a member whose divergence frontier sits in a
       block with calls resumes exactly like its from-zero run, and the
-      resumed member runs compiled. *)
+      resumed member runs compiled;
+
+   4. global operands, which the lowering binds to constant addresses:
+      every way of using a global runs alike on all three engines, an
+      undeclared one fails alike, and no workload build keeps a
+      symbolic declared global. *)
 
 open Dpmr_ir
 open Types
@@ -166,6 +171,129 @@ let test_resume_at_call_block () =
     "the resumed member actually ran compiled" true
     (Vm.tier_stats () > promos)
 
+(* ---- 4. global operands --------------------------------------------- *)
+
+(* A scalar counter updated in a loop, an array indexed by the loop
+   variable, the array's address cast to an integer and back, and a
+   pointer initializer dereferenced at run time.  Prints 125, 9, 125. *)
+let build_globals_prog () =
+  let p = Prog.create () in
+  Dpmr_vm.Extern.declare_signatures p;
+  let b = B.create p ~name:"main" ~params:[] ~ret:i32 () in
+  let count = B.global b ~name:"count" i64 (Prog.Gint 5L) in
+  let table = B.global b ~name:"table" (arr i64 16) Prog.Gzero in
+  let cptr = B.global b ~name:"cptr" (Ptr i64) (Prog.Gptr_global "count") in
+  B.for_ b ~from:(B.i64c 0) ~below:(B.i64c 16) (fun i ->
+      B.store b i64 (B.add b W64 (B.load b i64 count) i) count;
+      B.store b i64 (B.mul b W64 i i) (B.gep_index b table i));
+  let slot3 = B.add b W64 (B.ptr_to_int b table) (B.i64c 24) in
+  let v3 = B.load b i64 (B.int_to_ptr b (Ptr i64) slot3) in
+  let via = B.load b i64 (B.load b (Ptr i64) cptr) in
+  List.iter
+    (fun v ->
+      B.call0 b (Direct "print_int") [ v ];
+      B.call0 b (Direct "putchar") [ B.i32c 10 ])
+    [ B.load b i64 count; v3; via ];
+  B.ret b (Some (B.i32c 0));
+  p
+
+let test_global_operands () =
+  let p = build_globals_prog () in
+  Verifier.check_prog p;
+  let (_, _, reference) as legs = Test_lowered.run_legs ~mode:None p in
+  Test_lowered.check_equal "globals" legs;
+  Alcotest.(check string) "globals: output" "125\n9\n125\n" reference.Outcome.output
+
+(* The "no address" error stays lazy: raised where the operand is
+   evaluated, after the instruction's cost charge, on every engine. *)
+let test_undeclared_global () =
+  let p = Prog.create () in
+  Dpmr_vm.Extern.declare_signatures p;
+  let b = B.create p ~name:"main" ~params:[] ~ret:i32 () in
+  B.call0 b (Direct "print_int") [ B.add b W64 (B.i64c 1) (B.i64c 2) ];
+  B.call0 b (Direct "print_int") [ B.load b i64 (Global "nowhere") ];
+  B.ret b (Some (B.i32c 0));
+  let (_, _, reference) as legs = Test_lowered.run_legs ~mode:None p in
+  Test_lowered.check_equal "undeclared global" legs;
+  Alcotest.(check string) "undeclared global: outcome"
+    "crash(no address for global \"nowhere\")"
+    (Outcome.to_string reference.Outcome.outcome);
+  Alcotest.(check string) "undeclared global: output before the fault" "3"
+    reference.Outcome.output
+
+let inst_ops = function
+  | Lower.Lmalloc (_, _, o) | Lower.Lalloca (_, _, _, o) | Lower.Lfree o
+  | Lower.Lload (_, _, o) | Lower.Lgep_field (_, _, o) | Lower.Lmov (_, o)
+  | Lower.Lint_cast (_, _, _, _, o) | Lower.Lf_to_i (_, _, o) | Lower.Li_to_f (_, _, o)
+  | Lower.Lload_fld (_, _, _, _, o) ->
+      [ o ]
+  | Lower.Lstore (_, a, b) | Lower.Lgep_index (_, _, a, b) | Lower.Lbinop (_, _, _, a, b)
+  | Lower.Lfbinop (_, _, a, b) | Lower.Licmp (_, _, _, a, b) | Lower.Lfcmp (_, _, a, b)
+  | Lower.Lload_idx (_, _, _, _, a, b) | Lower.Lstore_fld (_, a, _, _, b) ->
+      [ a; b ]
+  | Lower.Lselect (_, a, b, c) | Lower.Lstore_idx (_, a, _, _, b, c) -> [ a; b; c ]
+  | Lower.Lcall (_, callee, args, _) ->
+      (match callee with Lower.Lindirect o -> [ o ] | Lower.Lfun _ | Lower.Lextern _ -> [])
+      @ Array.to_list args
+  | Lower.Lpoison _ -> []
+
+let term_ops = function
+  | Lower.Lbr _ | Lower.Lret None | Lower.Lunreachable _ -> []
+  | Lower.Lcbr (o, _, _) | Lower.Lret (Some o) -> [ o ]
+  | Lower.Lcmpbr (_, _, _, a, b, _, _) -> [ a; b ]
+
+(* every operand of every instruction and terminator of a lowering *)
+let lowered_ops (lp : Lower.prog) =
+  Hashtbl.fold
+    (fun _ (lf : Lower.lfunc) acc ->
+      Array.fold_left
+        (fun acc (blk : Lower.lblock) ->
+          term_ops blk.Lower.lterm
+          @ List.concat_map inst_ops (Array.to_list blk.Lower.linsts)
+          @ acc)
+        acc lf.Lower.lblocks)
+    lp.Lower.funcs []
+
+(* The builds Figure 3.15 runs: rearrange-heap's buffer and the
+   temporal policy's mask counter are globals read in the checked
+   loops. *)
+let test_no_symbolic_globals () =
+  let addresses = ref 0 in
+  List.iter
+    (fun (w : Workloads.entry) ->
+      let p = w.Workloads.build ~scale:1 () in
+      let cfg mode =
+        {
+          Config.default with
+          Config.mode;
+          diversity = Config.Rearrange_heap;
+          policy = Config.Temporal Config.temporal_mask_1_2;
+        }
+      in
+      let builds =
+        ("plain", p)
+        :: List.map
+             (fun mode -> (Config.mode_name mode, Dpmr.transform (cfg mode) p))
+             Config.[ Sds; Mds ]
+      in
+      List.iter
+        (fun (label, prog) ->
+          let lp = Lower.lower_prog prog in
+          let is_global_addr a =
+            Hashtbl.fold (fun _ ga hit -> hit || Int64.equal a ga) lp.Lower.global_addr false
+          in
+          List.iter
+            (function
+              | Lower.Lglobal g ->
+                  Alcotest.failf "%s %s: global %S lowered symbolically" w.Workloads.name
+                    label g
+              | Lower.Lconst (Lower.I a) when is_global_addr a -> incr addresses
+              | _ -> ())
+            (lowered_ops lp))
+        builds)
+    Workloads.all;
+  Alcotest.(check bool) "some operands are global addresses" true (!addresses > 0)
+
 let suites =
   [
     ( "tier",
@@ -176,5 +304,9 @@ let suites =
           test_grid_tiers_agree;
         Alcotest.test_case "resume at a call-block frontier" `Quick
           test_resume_at_call_block;
+        Alcotest.test_case "global operands agree across tiers" `Quick
+          test_global_operands;
+        Alcotest.test_case "undeclared global fails alike" `Quick test_undeclared_global;
+        Alcotest.test_case "no symbolic declared global" `Quick test_no_symbolic_globals;
       ] );
   ]

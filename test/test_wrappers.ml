@@ -162,7 +162,7 @@ let corrupting_run ~mode ~global_to_corrupt build =
   let cfg = { Config.default with Config.mode } in
   let tp = Dpmr.transform cfg p in
   let vm = Dpmr.vm_dpmr ~mode tp in
-  let addr = Hashtbl.find vm.Dpmr_vm.Vm.global_addr (global_to_corrupt ^ ".rep") in
+  let addr = Dpmr_vm.Vm.global_address vm (global_to_corrupt ^ ".rep") in
   Dpmr_memsim.Mem.write_u8 vm.Dpmr_vm.Vm.mem addr (Char.code '!');
   Dpmr_vm.Vm.run vm
 
@@ -207,7 +207,7 @@ let test_strcmp_checks_only_read_prefix () =
   let tp = Dpmr.transform cfg p in
   let vm = Dpmr.vm_dpmr ~mode:Config.Sds tp in
   (* corrupt byte 3 of ga's replica: strcmp reads only byte 0 of each *)
-  let addr = Hashtbl.find vm.Dpmr_vm.Vm.global_addr "ga.rep" in
+  let addr = Dpmr_vm.Vm.global_address vm "ga.rep" in
   Dpmr_memsim.Mem.write_u8 vm.Dpmr_vm.Vm.mem (Int64.add addr 3L) (Char.code '!');
   let r = Dpmr_vm.Vm.run vm in
   Alcotest.(check bool) "no detection past read prefix" true
