@@ -8,10 +8,10 @@
    allocation-free: operand shapes are pre-bound, block and terminator
    closures return immediate ints, and the frame is an unboxed lframe
    whose registers live in a byte buffer.  The watched column runs
-   {!Vm.run_watched} with a frontier that is never reached, so it is the
-   lowered loop plus its frontier hook, and its [Wshared] outcome is the
-   member's whole run.  The simulated cost must agree across both
-   exactly. *)
+   {!Vm.run_watched} with a frontier that is never reached, so it runs
+   the same compiled steps one at a time, the frontier hook before each,
+   and its [Wshared] outcome is the member's whole run.  The simulated
+   cost must agree across both exactly. *)
 open Dpmr_ir
 open Types
 open Inst
@@ -41,8 +41,8 @@ let steady_state run =
   ((a1 -. a0) /. float_of_int n, r0.Dpmr_vm.Outcome.cost)
 
 (* a watched baseline whose only frontier row (main's, one limit per
-   block) is never reached: the hook compares every position and never
-   fires, and the run stays on the lowered loop *)
+   block) is never reached: every block runs step by step, and the hook
+   compares every position and never fires *)
 let run_watched lowered p () =
   let limits = Hashtbl.create 1 in
   let main = Hashtbl.find lowered.Dpmr_vm.Lower.funcs "main" in

@@ -1,55 +1,67 @@
-(** Closure-compiled top tier for lowered functions.
+(** The compiled tier: closure compilation of lowered functions.
 
-    The lowered engine ({!Vm}) already executes pre-resolved arrays, but
-    every instruction still pays a dispatch: fetch, a 20-way match, and
-    re-interpretation of operand shapes that were fixed at lowering time.
-    This module removes that residue by compiling each {!Lower.lfunc}
-    once — the first time an unwatched call enters it — into a tree of
-    pre-bound OCaml closures: one closure per basic block, with
-    straight-line runs of instructions fused into superinstruction chains
-    and the operand shapes ([Lreg]/[Lconst]) burned into each closure's
-    body.  A global operand is an [Lconst] already: the lowering bound
-    each declared global's address, so a global read costs no lookup.
-    Neither engine of the lowered form emits trace events: {!Vm} runs a
-    traced run on the reference engine.
+    Each {!Lower.lfunc} compiles, block by block at each block's first
+    entry, into pre-bound OCaml closures: one step per lowered
+    instruction, with its operand shapes ([Lreg]/[Lconst]) burned into
+    the step's body, and one closure per terminator.  A global operand
+    is an [Lconst] already: the lowering bound each declared global's
+    address, so a global read costs no lookup.  A block keeps its steps
+    and its terminator beside the fused chain built from them, and three
+    drivers run them:
+
+    - {!enter} runs a fresh activation on fused chains, straight-line
+      runs of steps fused into superinstruction chains;
+    - {!resume} runs a resumed activation's partial block step by step
+      from the captured position, then fused chains from the next block;
+    - {!watch} runs a watched baseline's activation step by step, with
+      {!Vm}'s frontier hook before each step and each terminator.
+
+    So every lowered instruction's semantics lives here once, in [cinst]
+    and [cterm], and the reference tree-walker ({!Vm.run_reference}) is
+    the only other engine.  No compiled code emits trace events: {!Vm}
+    runs a traced run on the reference engine.
 
     Fidelity contract: the compiled tier charges the {!Cost} model at the
-    same program points, evaluates operands in the same order, raises the
-    same exceptions from the same states and writes the same register
-    bits as the lowered engine — byte-identical outcomes, enforced by the
-    three-tier differential suite.  One deliberate structural deviation,
-    invisible to behaviour: the step-poll hook is captured once per tier
-    entry instead of read per block — the hook is installed by a
-    supervisor before the run and cannot change underneath a running
-    domain.
+    same program points as the reference engine, evaluates operands in
+    the same order and raises the same exceptions from the same states —
+    the same outcome, output, cost, memory footprint and detection
+    point, enforced by the differential suites.  One deliberate
+    structural deviation, invisible to behaviour: the step-poll hook is
+    captured once per activation instead of read per block — the hook is
+    installed by a supervisor before the run and cannot change
+    underneath a running domain.
 
     A compiled activation runs until it returns or raises; there is no
-    exit back to the lowered engine.  The compiled code operates directly
-    on the lowered tier's {!Machine.lframe} and calls externs through the
-    lowered engine's protocol, so nothing a run can do demands one —
-    fault activation included, whose only VM-visible effect is an extern
-    recording its cost.
+    exit to another engine.  The compiled code operates directly on
+    {!Machine}'s unboxed frame and calls externs through {!Vm}'s call
+    protocol, so nothing a run can do demands one — fault activation
+    included, whose only VM-visible effect is an extern recording its
+    cost.
 
     Boxing discipline (the whole point of the exercise): a closure that
     {e returns} an [int64] or [float], or passes one to another closure,
-    boxes it — so every hot instruction is compiled to a {e single}
+    boxes it — so every hot instruction shape compiles to a {e single}
     closure whose body reads operands inline through {!Machine}'s
     [\[@inline\]] register primitives and feeds them straight into the
-    consuming primitive.  Generic [cstate -> int64] evaluator closures
-    exist only as the fallback for cold operand shapes: [Lfun_name],
-    whose address is assigned per VM on first use, and [Lglobal], a name
-    the program does not declare. *)
+    consuming primitive.  The generic arms serve every other shape
+    through [cstate -> int64] evaluator closures and address-taking
+    write and access closures, which box: besides the cold shapes
+    ([Lfun_name], whose address is assigned per VM on first use, and
+    [Lglobal], a name the program does not declare), that is every fused
+    indexed access whose base or index is not a register, such as any
+    index into a global array (ROADMAP item 5). *)
 
 open Dpmr_ir
 open Dpmr_memsim
 module L = Lower
 
-(* Process-wide tier telemetry: compilations.  An atomic, not a per-VM
-   field, so [cstate] stays free of accounting.  No [lfunc] crosses
-   domains (a lowering is built and run on one), so [code_for]'s
-   unsynchronized check-then-set compiles each lowered function once;
-   the count follows the number of lowerings, which grows with the
-   engine's per-domain experiment contexts. *)
+(* Process-wide tier telemetry: compilations, each counted at a
+   function's first entry by any driver, watched baselines included.
+   An atomic, not a per-VM field, so [cstate] stays free of accounting.
+   No [lfunc] crosses domains (a lowering is built and run on one), so
+   [code_for]'s unsynchronized check-then-set compiles each lowered
+   function once; the count follows the number of lowerings, which
+   grows with the engine's per-domain experiment contexts. *)
 let promotions = Atomic.make 0
 let n_promotions () = Atomic.get promotions
 
@@ -74,20 +86,20 @@ module type RUNTIME = sig
       first block) *)
 
   val call_extern_slot : t -> int -> string -> L.value array -> L.value option
-  (** direct extern call through the per-VM slot cache, with the lowered
-      engine's resolution order (slot, extern table, unknown) *)
+  (** direct extern call through the per-VM slot cache, resolved in
+      {!Vm}'s order (slot, extern table, unknown) *)
 
   val indirect_name : t -> int64 -> string
   (** reverse function-address lookup; faults on unmapped addresses
-      {e before} argument evaluation, like the lowered engine *)
+      {e before} argument evaluation, like the reference engine *)
 
   val call_named : t -> string -> L.value array -> L.value option
   (** indirect-call completion: defined function, extern, or unknown *)
 end
 
 module Make (R : RUNTIME) = struct
-  (* Per-entry execution state: one record allocated per tier entry,
-     threading everything hot through a single immediate argument.
+  (* Per-activation execution state: one record allocated per driver
+     call, threading everything hot through a single immediate argument.
      [mem]/[alloc]/[budget] are stable for the duration of a run (only
      [Vm.resume] swaps spaces, never mid-run), so they are hoisted out
      of the VM record once here. *)
@@ -104,11 +116,12 @@ module Make (R : RUNTIME) = struct
 
   type step = cstate -> unit
 
-  (* ---- generic operand evaluators (cold-shape fallback) ------------ *)
+  (* ---- generic operand evaluators (the generic arms' fallback) ----- *)
 
-  (* Same semantics as [Vm.leval_int]/[leval_float]/[leval], including
-     the error texts and the [Lfun_name] address-assignment side effect
-     preceding a type mismatch. *)
+  (* The reference engine's [as_int (eval o)], [as_float (eval o)] and
+     [eval o], with the same error texts; notably [Lfun_name] assigns
+     the function its address {e before} a type-mismatch error
+     surfaces. *)
 
   let op_int (o : L.lop) : cstate -> int64 =
     match o with
@@ -145,8 +158,9 @@ module Make (R : RUNTIME) = struct
     | L.Lglobal g -> fun st -> L.I (R.global_address st.rt g)
     | L.Lfun_name f -> fun st -> L.I (R.fun_address st.rt f)
 
-  (* [Vm.copy_op]: register sources move bits+tag; everything else goes
-     through boxed evaluation. *)
+  (* A copy into register [r] (moves and selects): register sources move
+     bits and tag without boxing; everything else goes through boxed
+     evaluation. *)
   let cop_copy (r : int) (o : L.lop) : step =
     match o with
     | L.Lreg s ->
@@ -160,7 +174,7 @@ module Make (R : RUNTIME) = struct
     | L.Lfun_name f -> fun st -> Machine.set_int st.fr r (R.fun_address st.rt f)
 
   (* The write half of a store whose address is already known — the
-     cold-shape fallback shared by [Lstore]/[Lstore_idx]/[Lstore_fld].
+     generic fallback shared by [Lstore]/[Lstore_idx]/[Lstore_fld].
      Hot shapes are specialized in [cinst] to keep the address unboxed. *)
   let gwrite k (v : L.lop) : cstate -> int64 -> unit =
     match k with
@@ -182,8 +196,9 @@ module Make (R : RUNTIME) = struct
         | L.Lfun_name f ->
             fun st addr -> Mem.write_int st.mem addr n (R.fun_address st.rt f))
     | L.Kfloat ->
-        (* a float slot takes any value's bits verbatim, as in
-           [Vm.exec_store_at] *)
+        (* a float slot takes any value's bits verbatim: the reference
+           engine writes [F f] as [bits_of_float f] and [I y] as [y]
+           reinterpreted, exactly the operand's 64 bits either way *)
         let bits : cstate -> int64 =
           match v with
           | L.Lreg s -> fun st -> Machine.reg_get st.fr.Machine.bits (s lsl 3)
@@ -201,22 +216,15 @@ module Make (R : RUNTIME) = struct
           ignore (ev st);
           raise (Machine.Vm_error "store of non-scalar")
 
-  let finish st r name (res : L.value option) =
-    match (r, res) with
-    | Some r, Some v -> Machine.set_value st.fr r v
-    | Some _, None ->
-        raise
-          (Machine.Vm_error
-             (Printf.sprintf "%s returned void, result expected" name))
-    | None, _ -> ()
-
   (* ---- per-instruction compilation --------------------------------- *)
 
-  (* Each arm mirrors the corresponding [Vm.exec_linst] arm: same charge
-     points, same right-to-left operand order for binary ops, same
-     base-then-index order for fused accesses.  The first arms of each
+  (* Each arm executes one lowered instruction as the reference engine
+     executes its source: same charge points, and the same
+     right-to-left operand order for binary ops (the reference engine's
+     curried application evaluates its arguments right-to-left); fused
+     accesses evaluate base, then index.  The first arms of each
      group are the hot operand shapes, compiled to a single closure with
-     all reads inline; the last is the generic cold fallback. *)
+     all reads inline; the last is the generic fallback. *)
   let cinst (inst : L.linst) : step =
     match inst with
     | L.Lmalloc (r, esz, n) ->
@@ -254,6 +262,8 @@ module Make (R : RUNTIME) = struct
           let fr = st.fr in
           Machine.set_int fr r (Mem.read_int st.mem (Machine.reg_int fr p) n)
     | L.Lload (r, L.Kfloat, L.Lreg p) ->
+        (* the reference engine's [F (read_f64 addr)], held as bits: the
+           raw 8 loaded bytes *)
         fun st ->
           st.cost :=
             !(st.cost) + Cost.load
@@ -368,7 +378,7 @@ module Make (R : RUNTIME) = struct
         fun st ->
           st.cost := !(st.cost) + Cost.cast;
           cp st
-    (* integer ALU: right-to-left operand order, like the lowered engine *)
+    (* integer ALU: right-to-left operand order, like the reference engine *)
     | L.Lbinop (r, op, w, L.Lreg ra, L.Lreg rb) ->
         fun st ->
           st.cost := !(st.cost) + Cost.alu;
@@ -544,12 +554,12 @@ module Make (R : RUNTIME) = struct
             fun st ->
               st.cost := !(st.cost) + cost;
               let argv = eval_args st in
-              finish st r lf.L.lname (R.call_lfun st.rt lf argv)
+              Machine.finish_call st.fr r lf.L.lname (R.call_lfun st.rt lf argv)
         | L.Lextern (slot, name) ->
             fun st ->
               st.cost := !(st.cost) + cost;
               let argv = eval_args st in
-              finish st r name (R.call_extern_slot st.rt slot name argv)
+              Machine.finish_call st.fr r name (R.call_extern_slot st.rt slot name argv)
         | L.Lindirect o ->
             let eo = op_int o in
             fun st ->
@@ -557,7 +567,7 @@ module Make (R : RUNTIME) = struct
               let addr = eo st in
               let name = R.indirect_name st.rt addr in
               let argv = eval_args st in
-              finish st r name (R.call_named st.rt name argv))
+              Machine.finish_call st.fr r name (R.call_named st.rt name argv))
     | L.Lpoison e -> fun _ -> raise e
     (* fused superinstructions: gep charge, address compute, address-
        register write, access charge, access — the order of the
@@ -798,7 +808,7 @@ module Make (R : RUNTIME) = struct
           -1
     | L.Lunreachable msg -> fun _ -> raise (Machine.Vm_error msg)
 
-  (* ---- superinstruction fusion and block assembly ------------------ *)
+  (* ---- superinstruction fusion ------------------------------------ *)
 
   (* Fuse a straight-line run of steps into a right-leaning chain, up to
      three steps per node: each node is one closure invocation for three
@@ -830,54 +840,139 @@ module Make (R : RUNTIME) = struct
         term st
     end
 
-  (* One closure per basic block.  The prologue replicates
-     [Vm.check_budget] exactly — budget test, then the captured step-poll
-     hook — so timeouts and cooperative cancellation fire at the same
-     block boundaries as the lowered engine (cancellation leaves compiled
-     code by unwinding: there is no state to save). *)
-  let cblock (b : L.lblock) : cstate -> int =
-    let body = fuse (Array.map cinst b.L.linsts) 0 (cterm b.L.lterm) in
-    fun st ->
-      if !(st.cost) > st.budget then raise Machine.Timeout_exceeded;
-      (match st.poll with None -> () | Some f -> f ());
-      body st
+  (* ---- blocks: steps, terminator and fused chain ------------------- *)
 
-  (* The compiled code — one closure per block, indexed like
-     [lf.lblocks] — hangs off the shared [lfunc] through [Lower]'s
-     extensible attachment slot, so the lowering stays compiler-agnostic
-     and recompilation after [Make] is re-applied (it never is in
-     production: [Vm] applies it once) would just shadow the constructor. *)
-  type L.tier3 += Compiled of (cstate -> int) array
+  (* Every block entry runs this first, fused or step by step.  It
+     replicates the reference engine's [Vm.check_budget] exactly — budget
+     test, then the captured step-poll hook — so timeouts and cooperative
+     cancellation fire at the same block boundaries on both engines
+     (cancellation leaves compiled code by unwinding: there is no state
+     to save). *)
+  let[@inline] prologue st =
+    if !(st.cost) > st.budget then raise Machine.Timeout_exceeded;
+    match st.poll with None -> () | Some f -> f ()
+
+  (* A block's steps, one per lowered instruction (so a step index is a
+     {!Lower.diff_limits} position), and its terminator.  The fused
+     chain is built from these very closures. *)
+  type block = { steps : step array; term : cstate -> int }
+
+  (* A function's code, indexed like [lf.lblocks] and filled per block at
+     that block's first entry: [parts] holds [unbuilt] until then, and
+     each [fused] slot a stub that builds the block's chain, stores it
+     over itself and runs it, so the drive loop pays nothing after a
+     block's first entry.  Both fills are unsynchronized check-then-sets:
+     a block built twice builds alike, and either copy serves. *)
+  type code = {
+    lf : L.lfunc;
+    parts : block array;
+    fused : (cstate -> int) array;
+  }
+
+  let unbuilt = { steps = [||]; term = (fun _ -> assert false) }
+
+  let part c idx =
+    let p = c.parts.(idx) in
+    if p != unbuilt then p
+    else begin
+      let b = c.lf.L.lblocks.(idx) in
+      let p = { steps = Array.map cinst b.L.linsts; term = cterm b.L.lterm } in
+      c.parts.(idx) <- p;
+      p
+    end
+
+  let stub c idx st =
+    let p = part c idx in
+    let body = fuse p.steps 0 p.term in
+    let f st =
+      prologue st;
+      body st
+    in
+    c.fused.(idx) <- f;
+    f st
+
+  (* The code hangs off the shared [lfunc] through [Lower]'s extensible
+     attachment slot, so the lowering stays compiler-agnostic and
+     recompilation after [Make] is re-applied (it never is in
+     production: [Vm] applies it once) would just shadow the
+     constructor.  Created at the function's first entry by any driver,
+     which counts one promotion. *)
+  type L.tier3 += Compiled of code
 
   let code_for (lf : L.lfunc) =
     match lf.L.ltier3 with
-    | Compiled blocks -> blocks
+    | Compiled c -> c
     | _ ->
-        let blocks = Array.map cblock lf.L.lblocks in
-        lf.L.ltier3 <- Compiled blocks;
+        let n = Array.length lf.L.lblocks in
+        let c =
+          { lf; parts = Array.make n unbuilt; fused = Array.make n (fun _ -> -1) }
+        in
+        for idx = 0 to n - 1 do
+          c.fused.(idx) <- stub c idx
+        done;
+        lf.L.ltier3 <- Compiled c;
         Atomic.incr promotions;
-        blocks
+        c
 
-  (* Drive loop: run block closures from block [idx0] until one
-     returns. *)
-  let enter (rt : R.t) (lf : L.lfunc) (fr : Machine.lframe) (idx0 : int) :
+  (* ---- drivers ----------------------------------------------------- *)
+
+  let state rt fr =
+    {
+      rt;
+      cost = R.cost rt;
+      budget = R.budget rt;
+      poll = Machine.poll_hook ();
+      mem = R.mem rt;
+      alloc = R.alloc rt;
+      fr;
+      cret = None;
+    }
+
+  (* Run fused blocks from block [idx] until one returns. *)
+  let rec drive fused st idx =
+    let n = (Array.unsafe_get fused idx) st in
+    if n < 0 then st.cret else drive fused st n
+
+  (* Block [idx] step by step from step [i0], with [hook idx i] before
+     step [i] and before the terminator ([i] = the step count).  Returns
+     the terminator's successor. *)
+  let step_block c st idx i0 hook =
+    let p = part c idx in
+    let steps = p.steps in
+    let n = Array.length steps in
+    for i = i0 to n - 1 do
+      hook idx i;
+      (Array.unsafe_get steps i) st
+    done;
+    hook idx n;
+    p.term st
+
+  (** A fresh activation: fused from its entry block until it returns. *)
+  let enter (rt : R.t) (lf : L.lfunc) (fr : Machine.lframe) : L.value option =
+    let c = code_for lf in
+    drive c.fused (state rt fr) 0
+
+  (** A resumed activation: block [idx] step by step from step [i0], then
+      fused from the next block on.  The partial block runs no prologue:
+      its capture lies past it, so the from-zero run tests the budget
+      next at the following block boundary. *)
+  let resume (rt : R.t) (lf : L.lfunc) (fr : Machine.lframe) idx i0 :
       L.value option =
-    let blocks = code_for lf in
-    let st =
-      {
-        rt;
-        cost = R.cost rt;
-        budget = R.budget rt;
-        poll = Machine.poll_hook ();
-        mem = R.mem rt;
-        alloc = R.alloc rt;
-        fr;
-        cret = None;
-      }
-    in
+    let c = code_for lf in
+    let st = state rt fr in
+    let n = step_block c st idx i0 (fun _ _ -> ()) in
+    if n < 0 then st.cret else drive c.fused st n
+
+  (** A watched activation: every block step by step from the entry
+      block, with [hook] run before each step and each terminator. *)
+  let watch (rt : R.t) (lf : L.lfunc) (fr : Machine.lframe) hook :
+      L.value option =
+    let c = code_for lf in
+    let st = state rt fr in
     let rec go idx =
-      let n = (Array.unsafe_get blocks idx) st in
+      prologue st;
+      let n = step_block c st idx 0 hook in
       if n < 0 then st.cret else go n
     in
-    go idx0
+    go 0
 end

@@ -1,4 +1,4 @@
-(** One-time lowering of IR into a pre-resolved, threaded form.
+(** One-time lowering of IR into a pre-resolved form.
 
     The tree-walking interpreter re-derived static facts on every dynamic
     instruction: branch targets through a label hashtable, struct layouts
@@ -6,8 +6,8 @@
     {!Prog.operand_ty}, callees through two hashtable probes, and constant
     operands re-truncated at each evaluation.  All of that is a function
     of the program text, so this pass computes it once per static
-    instruction and emits a form the VM dispatch loop can execute with
-    array indexing only:
+    instruction and emits a form the compiled tier ({!Compile}) turns
+    into closures, one per instruction, that index arrays only:
 
     - blocks become an array indexed by block id; branches carry ids;
     - [Malloc]/[Alloca]/[Gep_*] carry element sizes, alignments and field

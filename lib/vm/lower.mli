@@ -1,14 +1,15 @@
-(** One-time lowering of IR into a pre-resolved, threaded form.
+(** One-time lowering of IR into a pre-resolved form.
 
     Compiles each {!Func.t} into arrays of pre-resolved instructions:
     branch targets become block ids, {!Layout} sizes/alignments/offsets
     and cast source widths are baked into the opcodes, constants are
     pre-truncated and pre-boxed, global operands become their addresses,
     and direct calls bind their lowered callee (or a per-VM extern slot)
-    and base cost once.  {!Compile} compiles this form, and the {!Vm}
-    dispatch loop executes it with array indexing only for watched
-    baselines and a resume's partial block.  Nothing here serves tracing: a traced run executes the IR
-    itself on the reference engine.
+    and base cost once.  This form is the compiled tier's input:
+    {!Compile} turns each instruction into one step, so a position here
+    is a position there, which {!diff_limits} and the snapshots of
+    {!Vm.run_watched} rely on.  Nothing here serves tracing: a traced
+    run executes the IR itself on the reference engine.
 
     Static resolution errors (unknown label, bad field index, undefined
     aggregate) are captured as {!Lpoison}/{!Braise} and re-raised —

@@ -1,12 +1,12 @@
-(** Execution substrate shared by the VM's interpreter tiers.
+(** Execution substrate shared by the VM's two engines.
 
-    {!Vm} historically owned the run-classification exceptions, the
-    cooperative step-poll hook and the lowered engine's register file.
-    The closure-compiled top tier ({!Compile}) executes the same frames
-    and raises the same exceptions, but must sit {e below} {!Vm} in the
-    module graph — [Vm] instantiates the compiler's runtime functor after
-    its recursive execution knot.  Everything both tiers touch therefore
-    lives here, once; [Vm] opens this module and re-exports the
+    The run-classification exceptions, the cooperative step-poll hook,
+    the register file of a lowered activation and the scalar-op
+    semantics serve both {!Vm} (the reference engine, the call protocol,
+    snapshots) and the compiled tier ({!Compile}), which must sit
+    {e below} {!Vm} in the module graph — [Vm] instantiates the
+    compiler's runtime functor after its recursive execution knot.  So
+    they live here, once; [Vm] opens this module and re-exports the
     exceptions so its public interface is unchanged. *)
 
 open Dpmr_ir
@@ -33,8 +33,8 @@ let poll_key : (unit -> unit) option Domain.DLS.key =
 let set_poll_hook f = Domain.DLS.set poll_key f
 let poll_hook () = Domain.DLS.get poll_key
 
-(* Lowered-engine register file: a flat byte buffer, 8 bytes per
-   register, plus one tag byte per register ('\000' int, '\001' float).
+(* The register file of a lowered activation: a flat byte buffer, 8
+   bytes per register, plus one tag byte per register ('\000' int, '\001' float).
    Keeping scalars out of [value] boxes is the difference between ~5
    words of allocation per executed ALU instruction and none: results
    flow between [Bytes] 64-bit primitives unboxed, and [I]/[F] boxes are
@@ -79,9 +79,17 @@ let[@inline] set_value fr r = function
   | Lower.I x -> set_int fr r x
   | Lower.F x -> set_float fr r x
 
-(* Scalar operation semantics, shared verbatim by the reference engine,
-   the lowered engine and the compiled tier (division by zero, shift
-   masking, signedness handling must agree bit-for-bit). *)
+(* A call's result into its destination register, if it has one. *)
+let finish_call fr r name (res : Lower.value option) =
+  match (r, res) with
+  | Some r, Some v -> set_value fr r v
+  | Some _, None ->
+      raise (Vm_error (Printf.sprintf "%s returned void, result expected" name))
+  | None, _ -> ()
+
+(* Scalar operation semantics, shared verbatim by the reference engine
+   and the compiled tier (division by zero, shift masking, signedness
+   handling must agree bit-for-bit). *)
 
 let[@inline] exec_binop op w a b =
   let sa = Lower.sign_extend w a and sb = Lower.sign_extend w b in

@@ -4,12 +4,13 @@
 
     Two engines share all VM state and must agree bit-for-bit:
 
-    - the {b lowered} engine (default, used by {!run}) executes the
-      pre-resolved threaded form produced by {!Lower} — block ids instead
-      of label lookups, baked layouts and cast widths, pre-bound callees.
-      Every call of an unwatched run executes closure-compiled
-      ({!Compile}) from its first block; the threaded loop below runs
-      watched baselines and a resumed activation's partial block;
+    - the {b compiled} tier (default, used by {!run}) executes the
+      pre-resolved form produced by {!Lower} — block ids instead of
+      label lookups, baked layouts and cast widths, pre-bound callees —
+      as the closures {!Compile} builds.  An unwatched call runs fused
+      blocks; a watched baseline ({!run_watched}) runs every block step
+      by step under the frontier hook, and a resumed activation
+      ({!resume}) its partial block;
     - the {b reference} engine ({!run_reference}) is the original
       tree-walking interpreter over {!Func.t}, kept as the executable
       specification the differential tests compare against.  It is also
@@ -32,8 +33,8 @@ type value = Lower.value = I of int64 | F of float
 
 (* The classification exceptions, the step-poll hook, the register file
    and the scalar-op semantics live in {!Machine}, shared with the
-   closure-compiled tier ({!Compile}, instantiated at the bottom of this
-   file).  Rebinding keeps the constructors physically identical, so a
+   compiled tier ({!Compile}, instantiated below the recursive execution
+   knot).  Rebinding keeps the constructors physically identical, so a
    [Machine.Vm_error] raised from compiled code is caught by
    [classify_run] below. *)
 exception Exit_program = Machine.Exit_program
@@ -147,7 +148,7 @@ type t = {
           costs one immediate pointer test on each would-be event *)
   mutable watched : watch option;
       (** the watched-baseline state while {!run_watched} runs; [None]
-          otherwise — one pointer test per call and per block entry *)
+          otherwise — one pointer test per call *)
 }
 
 and extern = t -> value list -> value option
@@ -293,7 +294,7 @@ type frame = { regs : value array; entry_sp : int64 }
 
 let max_call_depth = 10_000
 
-(* Reference-engine scalar moves (the lowered engine bakes the kind). *)
+(* Reference-engine scalar moves (the lowering bakes the kind). *)
 
 let load_scalar t ty addr =
   match ty with
@@ -320,12 +321,13 @@ let is_detect_block f label =
   | _ -> false
   | exception Invalid_argument _ -> false
 
-(* Entry point of the compiled tier, tied after the recursive execution
-   knot below ({!Compile} needs the knot's call helpers, the knot needs
-   this to promote).  Never read before the initializer at the bottom of
-   this file runs. *)
-let tier_enter : (t -> L.lfunc -> lframe -> int -> value option) ref =
-  ref (fun _ _ _ _ -> assert false)
+(* How a lowered activation runs: on the compiled tier, fused or, while
+   a baseline is watched, step by step under the frontier hook.  Tied
+   after the recursive execution knot below ({!Compile} needs the knot's
+   call helpers, the knot needs this to run a call).  Never read before
+   the initializer below [Tier] runs. *)
+let tier_enter : (t -> L.lfunc -> lframe -> value option) ref =
+  ref (fun _ _ _ -> assert false)
 
 exception Watch_done
 (** Internal: every member is resolved — the rest of the baseline run
@@ -342,53 +344,6 @@ let merged_row merged fname =
 let[@inline] block_limit wf idx =
   let a = wf.wf_lim in
   if idx < Array.length a then Array.unsafe_get a idx else max_int
-
-(* Operand evaluation.  [leval_int o] ≡ [as_int (leval o)] and
-   [leval_float o] ≡ [as_float (leval o)] of the boxed form: same
-   raises, same order — notably [Lfun_name] assigns the function its
-   address {e before} a type-mismatch error surfaces. *)
-
-let[@inline] leval t fr (o : L.lop) =
-  match o with
-  | L.Lreg r ->
-      if Bytes.unsafe_get fr.tags r = '\000' then I (reg_get fr.bits (r lsl 3))
-      else F (Int64.float_of_bits (reg_get fr.bits (r lsl 3)))
-  | L.Lconst v -> v
-  | L.Lglobal g -> I (global_address t g)
-  | L.Lfun_name f -> I (fun_address t f)
-
-(* the [Int64.add _ 0L] identities keep every arm a syntactic arithmetic
-   expression, so the match join stays unboxed in callers (a bare
-   variable or call-result arm would force one box per evaluation) *)
-let[@inline] leval_int t fr (o : L.lop) =
-  match o with
-  | L.Lreg r -> reg_int fr r
-  | L.Lconst (I x) -> Int64.add x 0L
-  | L.Lconst (F _) -> raise (Vm_error "expected int/pointer value")
-  | L.Lglobal g -> Int64.add (global_address t g) 0L
-  | L.Lfun_name f -> Int64.add (fun_address t f) 0L
-
-let[@inline] leval_float t fr (o : L.lop) =
-  match o with
-  | L.Lreg r -> reg_float fr r
-  | L.Lconst (F x) -> Int64.float_of_bits (Int64.bits_of_float x)
-  | L.Lconst (I _) -> raise (Vm_error "expected float value")
-  | L.Lglobal g ->
-      ignore (global_address t g);
-      raise (Vm_error "expected float value")
-  | L.Lfun_name f ->
-      ignore (fun_address t f);
-      raise (Vm_error "expected float value")
-
-(* register-to-register moves copy bits and tag without boxing *)
-let copy_op t fr r (o : L.lop) =
-  match o with
-  | L.Lreg s ->
-      Bytes.unsafe_set fr.tags r (Bytes.unsafe_get fr.tags s);
-      reg_set fr.bits (r lsl 3) (reg_get fr.bits (s lsl 3))
-  | o -> set_value fr r (leval t fr o)
-
-let resolve_target = function L.Bidx i -> i | L.Braise e -> raise e
 
 let indirect_name t addr =
   match Hashtbl.find_opt t.addr_fun addr with
@@ -518,7 +473,7 @@ let rec call_function t name args =
         | Some fn -> fn t args
         | None -> unknown_function name)
 
-(* ---- lowered engine ---- *)
+(* ---- lowered form: calls and the call protocol ---- *)
 
 and exec_lfunc t (lf : L.lfunc) (args : value array) =
   if t.call_depth >= max_call_depth then raise (Vm_error "stack overflow");
@@ -535,303 +490,10 @@ and exec_lfunc t (lf : L.lfunc) (args : value array) =
   done;
   if Array.length lf.L.lblocks = 0 then
     invalid_arg (Printf.sprintf "Func.entry: %s has no blocks" lf.L.lname);
-  let result =
-    match t.watched with
-    | None -> exec_lblocks_at t lf frame 0 0
-    | Some w ->
-        (* watched: shadow the activation so a fire can capture it *)
-        w.w_stack <-
-          {
-            wf_fname = lf.L.lname;
-            wf_bidx = 0;
-            wf_inst = 0;
-            wf_frame = frame;
-            wf_lim = merged_row w.w_merged lf.L.lname;
-          }
-          :: w.w_stack;
-        let r = exec_lblocks_at t lf frame 0 0 in
-        w.w_stack <- List.tl w.w_stack;
-        r
-  in
+  let result = !tier_enter t lf frame in
   t.sp <- frame.lentry_sp;
   t.call_depth <- t.call_depth - 1;
   result
-
-(* [exec_lblocks_at _ _ _ idx0 i0] enters block [idx0] at instruction
-   [i0] — 0, 0 for a normal call; a mid-block position when [resume]
-   re-enters a snapshotted activation.
-
-   Every block boundary ([i0 = 0]) enters the compiled tier, which runs
-   the activation from that block (same frame, same block index) until
-   it returns: a call compiles at its first block, and a resumed
-   activation runs its partial block here and promotes at its next
-   boundary.  The one exception is a watched baseline, whose frontier
-   limits are lowered-instruction positions.  Fault activation is no
-   reason: the injected code's only VM-visible effect is the [__fi_mark]
-   extern, which the compiled tier calls and charges like any other.  A
-   traced run never gets here: {!run} executes it on the reference
-   engine.
-
-   A watched run (see {!run_watched}) executes each block through
-   [exec_watched], which fires at the activation's frontier limit; the
-   terminators, the instruction semantics and the call protocol are the
-   ones below. *)
-and exec_lblocks_at t (lf : L.lfunc) frame idx0 i0 =
-  let blocks = lf.L.lblocks in
-  let rec go idx i0 =
-    if i0 = 0 && t.watched == None then !tier_enter t lf frame idx
-    else exec_block idx i0
-  and exec_block idx i0 =
-    let (b : L.lblock) = blocks.(idx) in
-    check_budget t;
-    let insts = b.L.linsts in
-    (match t.watched with
-    | None ->
-        for i = i0 to Array.length insts - 1 do
-          exec_linst t frame (Array.unsafe_get insts i)
-        done
-    | Some w ->
-        let wf = List.hd w.w_stack in
-        wf.wf_bidx <- idx;
-        exec_watched t w wf frame insts i0);
-    match b.L.lterm with
-    | L.Lbr tgt ->
-        add_cost t Cost.branch;
-        go (resolve_target tgt) 0
-    | L.Lcbr (c, t1, t2) ->
-        add_cost t Cost.cond_branch;
-        let v = leval_int t frame c in
-        go (resolve_target (if not (Int64.equal v 0L) then t1 else t2)) 0
-    | L.Lcmpbr (r, c, w, a, bb, t1, t2) ->
-        (* fused [Licmp]+[Lcbr]: same costs, same register write *)
-        add_cost t Cost.cmp;
-        let vb = leval_int t frame bb in
-        let va = leval_int t frame a in
-        let v = exec_icmp c w va vb in
-        set_int frame r v;
-        add_cost t Cost.cond_branch;
-        go (resolve_target (if not (Int64.equal v 0L) then t1 else t2)) 0
-    | L.Lret o ->
-        add_cost t Cost.ret;
-        Option.map (leval t frame) o
-    | L.Lunreachable msg -> raise (Vm_error msg)
-  in
-  go idx0 i0
-
-and exec_linst t frame (inst : L.linst) =
-  match inst with
-  | L.Lmalloc (r, esz, n) ->
-      let count = Int64.to_int (leval_int t frame n) in
-      if count < 0 then raise (Vm_error "malloc: negative count");
-      let bytes = count * esz in
-      add_cost t (Cost.malloc_cost bytes);
-      set_int frame r (Allocator.malloc t.alloc bytes)
-  | L.Lalloca (r, esz, algn, n) ->
-      let count = Int64.to_int (leval_int t frame n) in
-      let bytes = max 1 (count * esz) in
-      add_cost t (Cost.alloca_cost bytes);
-      let addr = Int64.of_int (Layout.round_up (Int64.to_int t.sp) algn) in
-      Mem.map_range t.mem addr bytes Mem.Fill_garbage;
-      t.sp <- Int64.add addr (Int64.of_int bytes);
-      set_int frame r addr
-  | L.Lfree p ->
-      add_cost t Cost.free_cost;
-      let addr = leval_int t frame p in
-      if not (Int64.equal addr 0L) then Allocator.free t.alloc addr
-  | L.Lload (r, k, p) ->
-      add_cost t (Cost.load + Cost.heap_pressure (Allocator.live_bytes t.alloc));
-      let addr = leval_int t frame p in
-      (match k with
-      | L.Kint n -> set_int frame r (Mem.read_int t.mem addr n)
-      | L.Kfloat ->
-          (* F (read_f64 addr) stored as bits = the raw 8 loaded bytes *)
-          Bytes.unsafe_set frame.tags r '\001';
-          reg_set frame.bits (r lsl 3) (Mem.read_int t.mem addr 8)
-      | L.Kbad -> raise (Vm_error "load of non-scalar"))
-  | L.Lstore (k, v, p) ->
-      add_cost t (Cost.store + Cost.heap_pressure (Allocator.live_bytes t.alloc));
-      let addr = leval_int t frame p in
-      (match k with
-      | L.Kint n -> (
-          match v with
-          | L.Lreg s ->
-              if Bytes.unsafe_get frame.tags s <> '\000' then
-                raise (Vm_error "store: float value into int slot");
-              Mem.write_int t.mem addr n (reg_get frame.bits (s lsl 3))
-          | L.Lconst (I y) -> Mem.write_int t.mem addr n y
-          | L.Lconst (F _) ->
-              raise (Vm_error "store: float value into int slot")
-          | L.Lglobal g -> Mem.write_int t.mem addr n (global_address t g)
-          | L.Lfun_name f -> Mem.write_int t.mem addr n (fun_address t f))
-      | L.Kfloat ->
-          (* a float slot takes any value's bits verbatim: [F f] wrote
-             [bits_of_float f], [I y] wrote [y] reinterpreted — both are
-             exactly the operand's 64 bits *)
-          let bits =
-            match v with
-            | L.Lreg s -> reg_get frame.bits (s lsl 3)
-            | L.Lconst (I y) -> y
-            | L.Lconst (F x) -> Int64.bits_of_float x
-            | L.Lglobal g -> global_address t g
-            | L.Lfun_name f -> fun_address t f
-          in
-          Mem.write_int t.mem addr 8 bits
-      | L.Kbad ->
-          ignore (leval t frame v);
-          raise (Vm_error "store of non-scalar"))
-  | L.Lgep_field (r, off, p) ->
-      add_cost t Cost.gep;
-      let base = leval_int t frame p in
-      set_int frame r (Int64.add base (Int64.of_int off))
-  | L.Lgep_index (r, esz, p, i) ->
-      add_cost t Cost.gep;
-      let base = leval_int t frame p in
-      let idx = leval_int t frame i in
-      set_int frame r (Int64.add base (Int64.mul idx (Int64.of_int esz)))
-  | L.Lmov (r, p) ->
-      add_cost t Cost.cast;
-      copy_op t frame r p
-  | L.Lbinop (r, op, w, a, b) ->
-      add_cost t Cost.alu;
-      (* second operand first: the reference engine's curried application
-         evaluates its arguments right-to-left *)
-      let vb = leval_int t frame b in
-      let va = leval_int t frame a in
-      set_int frame r (exec_binop op w va vb)
-  | L.Lfbinop (r, op, a, b) ->
-      add_cost t Cost.falu;
-      let y = leval_float t frame b in
-      let x = leval_float t frame a in
-      let v =
-        match op with
-        | Fadd -> x +. y
-        | Fsub -> x -. y
-        | Fmul -> x *. y
-        | Fdiv -> x /. y
-      in
-      set_float frame r v
-  | L.Licmp (r, c, w, a, b) ->
-      add_cost t Cost.cmp;
-      let vb = leval_int t frame b in
-      let va = leval_int t frame a in
-      set_int frame r (exec_icmp c w va vb)
-  | L.Lfcmp (r, c, a, b) ->
-      add_cost t Cost.cmp;
-      let vb = leval_float t frame b in
-      let va = leval_float t frame a in
-      set_int frame r (exec_fcmp c va vb)
-  | L.Lint_cast (r, w, signed, src_w, v) ->
-      add_cost t Cost.cast;
-      let x = leval_int t frame v in
-      let x = if signed then sign_extend src_w x else x in
-      set_int frame r (truncate_to w x)
-  | L.Lf_to_i (r, w, v) ->
-      add_cost t Cost.cast;
-      let x = leval_float t frame v in
-      set_int frame r (truncate_to w (Int64.of_float x))
-  | L.Li_to_f (r, src_w, v) ->
-      add_cost t Cost.cast;
-      let x = leval_int t frame v in
-      set_float frame r (Int64.to_float (sign_extend src_w x))
-  | L.Lselect (r, c, a, b) ->
-      add_cost t Cost.select;
-      let cv = leval_int t frame c in
-      copy_op t frame r (if not (Int64.equal cv 0L) then a else b)
-  | L.Lcall (r, callee, args, cost) -> (
-      add_cost t cost;
-      let eval_args () =
-        let n = Array.length args in
-        let argv = Array.make n (I 0L) in
-        for i = 0 to n - 1 do
-          argv.(i) <- leval t frame args.(i)
-        done;
-        argv
-      in
-      (* indirect callees resolve before argument evaluation; unknown
-         names only fault after it — both as in the reference engine *)
-      match callee with
-      | L.Lfun lf -> finish_call t frame r lf.L.lname (exec_lfunc t lf (eval_args ()))
-      | L.Lextern (slot, name) ->
-          finish_call t frame r name (call_extern_slot t slot name (eval_args ()))
-      | L.Lindirect o ->
-          let name = indirect_name t (leval_int t frame o) in
-          finish_call t frame r name (call_named t name (eval_args ())))
-  | L.Lpoison e -> raise e
-  (* Fused superinstructions: replay the exact effect sequence of their
-     two-instruction originals (gep cost, address-register write, access
-     cost, access), so cost, faults and register contents are identical. *)
-  | L.Lload_idx (r, k, rp, esz, p, i) -> (
-      add_cost t Cost.gep;
-      let base = leval_int t frame p in
-      let idx = leval_int t frame i in
-      let addr = Int64.add base (Int64.mul idx (Int64.of_int esz)) in
-      set_int frame rp addr;
-      add_cost t (Cost.load + Cost.heap_pressure (Allocator.live_bytes t.alloc));
-      match k with
-      | L.Kint n -> set_int frame r (Mem.read_int t.mem addr n)
-      | L.Kfloat ->
-          Bytes.unsafe_set frame.tags r '\001';
-          reg_set frame.bits (r lsl 3) (Mem.read_int t.mem addr 8)
-      | L.Kbad -> raise (Vm_error "load of non-scalar"))
-  | L.Lload_fld (r, k, rp, off, p) -> (
-      add_cost t Cost.gep;
-      let addr = Int64.add (leval_int t frame p) (Int64.of_int off) in
-      set_int frame rp addr;
-      add_cost t (Cost.load + Cost.heap_pressure (Allocator.live_bytes t.alloc));
-      match k with
-      | L.Kint n -> set_int frame r (Mem.read_int t.mem addr n)
-      | L.Kfloat ->
-          Bytes.unsafe_set frame.tags r '\001';
-          reg_set frame.bits (r lsl 3) (Mem.read_int t.mem addr 8)
-      | L.Kbad -> raise (Vm_error "load of non-scalar"))
-  | L.Lstore_idx (k, v, rp, esz, p, i) ->
-      add_cost t Cost.gep;
-      let base = leval_int t frame p in
-      let idx = leval_int t frame i in
-      let addr = Int64.add base (Int64.mul idx (Int64.of_int esz)) in
-      set_int frame rp addr;
-      exec_store_at t frame k v addr
-  | L.Lstore_fld (k, v, rp, off, p) ->
-      add_cost t Cost.gep;
-      let addr = Int64.add (leval_int t frame p) (Int64.of_int off) in
-      set_int frame rp addr;
-      exec_store_at t frame k v addr
-
-(* the store half of [Lstore_idx]/[Lstore_fld]: cost, value evaluation
-   and the write, in the original order *)
-and exec_store_at t frame k (v : L.lop) addr =
-  add_cost t (Cost.store + Cost.heap_pressure (Allocator.live_bytes t.alloc));
-  match k with
-  | L.Kint n -> (
-      match v with
-      | L.Lreg s ->
-          if Bytes.unsafe_get frame.tags s <> '\000' then
-            raise (Vm_error "store: float value into int slot");
-          Mem.write_int t.mem addr n (reg_get frame.bits (s lsl 3))
-      | L.Lconst (I y) -> Mem.write_int t.mem addr n y
-      | L.Lconst (F _) -> raise (Vm_error "store: float value into int slot")
-      | L.Lglobal g -> Mem.write_int t.mem addr n (global_address t g)
-      | L.Lfun_name f -> Mem.write_int t.mem addr n (fun_address t f))
-  | L.Kfloat ->
-      let bits =
-        match v with
-        | L.Lreg s -> reg_get frame.bits (s lsl 3)
-        | L.Lconst (I y) -> y
-        | L.Lconst (F x) -> Int64.bits_of_float x
-        | L.Lglobal g -> global_address t g
-        | L.Lfun_name f -> fun_address t f
-      in
-      Mem.write_int t.mem addr 8 bits
-  | L.Kbad ->
-      ignore (leval t frame v);
-      raise (Vm_error "store of non-scalar")
-
-and finish_call _t frame r name result =
-  match (r, result) with
-  | Some r, Some v -> set_value frame r v
-  | Some _, None ->
-      raise (Vm_error (Printf.sprintf "%s returned void, result expected" name))
-  | None, _ -> ()
 
 (* The call protocol shared with the compiled tier ({!Tier_rt}): an
    [Lextern] slot resolves through the per-VM slot cache, then the extern
@@ -854,27 +516,6 @@ and call_named t name argv =
       match Hashtbl.find_opt t.externs name with
       | Some fn -> fn t (Array.to_list argv)
       | None -> unknown_function name)
-
-(* ---- watched execution: the frontier hook ----
-
-   A watched baseline runs the lowered engine above, instruction for
-   instruction, with [wf] shadowing the activation.  Before each
-   instruction — and before the terminator — the position is compared
-   with the activation's frontier limit; on arrival [fire] captures the
-   whole VM state for the members whose frontier this is.  [fire]
-   guarantees the refreshed limit at this block exceeds the fire
-   position, so execution always progresses. *)
-and exec_watched t w wf frame insts i =
-  if i = block_limit wf wf.wf_bidx then begin
-    wf.wf_inst <- i;
-    fire t w wf i;
-    exec_watched t w wf frame insts i
-  end
-  else if i < Array.length insts then begin
-    wf.wf_inst <- i;
-    exec_linst t frame (Array.unsafe_get insts i);
-    exec_watched t w wf frame insts (i + 1)
-  end
 
 (* ---- reference engine: the original tree-walking interpreter ---- *)
 
@@ -1068,13 +709,13 @@ and exec_inst t f frame inst =
       | None, _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Compiled-tier instantiation                                         *)
+(* Compiled-tier instantiation and the frontier hook                  *)
 (* ------------------------------------------------------------------ *)
 
 (* The runtime view {!Compile} programs against.  Sits below the
    recursive knot because compiled calls re-enter it ([exec_lfunc]), and
-   above [tier_enter] because the knot promotes through that ref — the
-   assignment right after [Tier] ties the cycle. *)
+   above [tier_enter] because the knot runs every call through that
+   ref — the assignment below [Tier] ties the cycle. *)
 module Tier_rt = struct
   type nonrec t = t
 
@@ -1095,7 +736,39 @@ end
 
 module Tier = Compile.Make (Tier_rt)
 
-let () = tier_enter := Tier.enter
+(* The frontier hook of a watched baseline.  [wf] shadows the
+   activation, and its blocks run step by step: before each step — and
+   before the terminator — the position is compared with the
+   activation's frontier limit; on arrival [fire] captures the whole VM
+   state for the members whose frontier this is.  [fire] guarantees the
+   refreshed limit at this block exceeds the fire position, so execution
+   always progresses. *)
+let exec_watched t w (lf : L.lfunc) frame =
+  let wf =
+    {
+      wf_fname = lf.L.lname;
+      wf_bidx = 0;
+      wf_inst = 0;
+      wf_frame = frame;
+      wf_lim = merged_row w.w_merged lf.L.lname;
+    }
+  in
+  w.w_stack <- wf :: w.w_stack;
+  let r =
+    Tier.watch t lf frame (fun bidx i ->
+        wf.wf_bidx <- bidx;
+        wf.wf_inst <- i;
+        if i = block_limit wf bidx then fire t w wf i)
+  in
+  w.w_stack <- List.tl w.w_stack;
+  r
+
+let () =
+  tier_enter :=
+    fun t lf frame ->
+      match t.watched with
+      | None -> Tier.enter t lf frame
+      | Some w -> exec_watched t w lf frame
 
 (** Cumulative (process-wide) count of functions compiled. *)
 let tier_stats () = Compile.n_promotions ()
@@ -1143,8 +816,8 @@ let classify_exit r =
   let code = match r with Some (I v) -> Int64.to_int v | _ -> 0 in
   if code = 0 then Outcome.Normal else Outcome.App_exit code
 
-(** [run]'s entry protocol on the lowered form: compiled from the entry
-    block, or on the lowered loop while a baseline is watched;
+(** [run]'s entry protocol on the lowered form, which the compiled tier
+    runs: fused, or step by step while a baseline is watched;
     {!run_watched} enters through it too. *)
 let run_lowered ?(entry = "main") ?(args = [ "prog" ]) t =
   t.use_lowered <- true;
@@ -1281,7 +954,7 @@ let rec resume_frames t frames =
         match rest with
         | [] ->
             (* innermost activation: continue at the captured position *)
-            exec_lblocks_at t lf frame sf.sf_bidx sf.sf_inst
+            Tier.resume t lf frame sf.sf_bidx sf.sf_inst
         | _ :: _ ->
             (* an [Lcall] was in flight at the captured position: finish
                it from the inner frames, then continue after it *)
@@ -1296,9 +969,9 @@ let rec resume_frames t frames =
                   | L.Lextern (_, n) -> n
                   | L.Lindirect _ -> (List.hd rest).sf_fname
                 in
-                finish_call t frame r name (resume_frames t rest)
+                finish_call frame r name (resume_frames t rest)
             | _ -> raise (Vm_error "snapshot resume: frame mismatch"));
-            exec_lblocks_at t lf frame sf.sf_bidx (sf.sf_inst + 1)
+            Tier.resume t lf frame sf.sf_bidx (sf.sf_inst + 1)
       in
       t.sp <- frame.lentry_sp;
       t.call_depth <- t.call_depth - 1;

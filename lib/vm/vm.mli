@@ -3,8 +3,8 @@
     functions, and classifying the run per {!Outcome}.
 
     Two engines share all VM state and agree bit-for-bit: the default
-    {b lowered} engine ({!run}) executes the pre-resolved form produced
-    by {!Lower}, compiled from each call's first block, and the
+    {b compiled} tier ({!run}) executes the pre-resolved form produced
+    by {!Lower} as closures built at each block's first entry, and the
     {b reference} tree-walking engine ({!run_reference}) is kept as the
     executable specification the differential tests compare against.
     Only the reference engine emits the VM's own trace events (calls,
@@ -59,8 +59,7 @@ type t = {
           test per would-be event *)
   mutable watched : watch option;
       (** set by {!run_watched} for the duration of the watched run and
-          [None] otherwise; likewise one pointer test per call and per
-          block entry *)
+          [None] otherwise; likewise one pointer test per call *)
 }
 
 and extern = t -> value list -> value option
@@ -72,9 +71,8 @@ and extern = t -> value list -> value option
     [lowered] triggers a fresh lowering. *)
 val create : ?seed:int64 -> ?budget:int64 -> ?lowered:Lower.prog -> Prog.t -> t
 
-(** Install (or clear, with [None]) this domain's step-poll hook.  Every
-    engine (reference, lowered and compiled) calls it once per basic
-    block, at the budget check; the hook cancels the run by raising
+(** Install (or clear, with [None]) this domain's step-poll hook.  Both
+    engines call it once per basic block, at the budget check; the hook cancels the run by raising
     {!Cancelled}.  Domain-local: a hook installed by a worker never
     affects VMs on other domains. *)
 val set_poll_hook : (unit -> unit) option -> unit
@@ -101,9 +99,8 @@ val call_function : t -> string -> value list -> value option
 (** Run the entry point to completion and classify the result.  [main]
     may take [()] or [(argc, argv)]; in the latter case [args] is
     materialized as C strings in simulated memory.  Executes the lowered
-    form, compiled from each call's first block; while a trace sink is
-    installed, or under [DPMR_TIER=ref], executes {!run_reference}
-    instead. *)
+    form on the compiled tier; while a trace sink is installed, or under
+    [DPMR_TIER=ref], executes {!run_reference} instead. *)
 val run : ?entry:string -> ?args:string list -> t -> Outcome.run
 
 (** Same protocol on the reference tree-walking engine (the original
@@ -112,23 +109,27 @@ val run_reference : ?entry:string -> ?args:string list -> t -> Outcome.run
 
 (** {1 Tiered execution}
 
-    Three tiers, all charging the {!Cost} model identically and agreeing
-    byte-for-byte on every outcome: the reference tree-walker, the
-    lowered threaded interpreter, and a closure-compiled top tier
-    ({!Compile}).  An untraced {!run} enters the compiled tier at every
-    call's first block, with or without an activated fault, and a
-    compiled activation stays compiled until it returns.  The lowered
-    interpreter runs an activation only while a baseline is watched
-    ({!run_watched}: frontier limits are lowered-instruction positions),
-    and for the partial block a {!resume} re-enters; a resumed activation
-    compiles at its next block boundary.  A traced {!run} executes on the
-    reference tree-walker.
+    Two engines, both charging the {!Cost} model identically and agreeing
+    byte-for-byte on every outcome: the reference tree-walker and the
+    closure-compiled tier ({!Compile}), which holds the one
+    implementation of every lowered instruction.  A function compiles at
+    its first entry, and each of its blocks at that block's first entry,
+    into one step per lowered instruction plus a terminator, and a fused
+    chain built from them.  An untraced {!run} runs every call on the
+    fused chains, with or without an activated fault, until it returns.
+    A watched baseline ({!run_watched}) runs every block step by step,
+    with the frontier hook before each step and each terminator
+    (frontier limits are lowered-instruction positions, one per step),
+    and a {!resume} runs the partial block it re-enters step by step,
+    then fused chains from its next block.  A traced {!run} executes on
+    the reference tree-walker.
 
     [DPMR_TIER=ref], read once at module initialization, runs {!run} on
     the reference tree-walker and makes every {!run_watched} raise
     {!Watch_infeasible}; any other non-empty value fails at startup. *)
 
-(** Cumulative (process-wide) count of functions compiled. *)
+(** Cumulative (process-wide) count of functions compiled, each counted
+    at its first entry, watched baselines and resumes included. *)
 val tier_stats : unit -> int
 
 (** {1 Copy-on-write snapshots (snapshot/fork campaign execution)}

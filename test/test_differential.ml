@@ -435,16 +435,84 @@ let test_watched_hot_loop () =
   ignore (Dpmr.run_plain p);
   Alcotest.(check bool) "the loop promotes when unwatched" true
     (Vm.tier_stats () > promos);
-  (* watched, it stays on the lowered loop and reaches the frontier at
-     the loop's exit block *)
+  (* watched, it runs step by step and reaches the frontier at the
+     loop's exit block *)
   let z, got = watched_results p [ (fun l -> [ at l "main" 3 0 ]) ] in
   Alcotest.(check (list string)) "frontier after a hot loop" [ "snap " ^ z ] got
+
+(* A capture mid-block lies past the block's budget test, which the
+   baseline has already run: the resume continues without testing again,
+   as the from-zero run does.  The budget here runs out inside [main]'s
+   straight-line entry block, which reaches no other block boundary, so
+   the from-zero run prints and ends normally. *)
+let test_resume_past_budget () =
+  let p = Progs.fresh () in
+  let b = Progs.main_b p in
+  let acc = ref (B.i64c 0) in
+  for _ = 1 to 20 do
+    acc := B.add b W64 !acc (B.i64c 1)
+  done;
+  B.call0 b (Direct "print_int") [ !acc ];
+  Progs.finish b;
+  let lowered = Lower.lower_prog p in
+  let budget = 10L in
+  let from_zero = Dpmr.run_plain ~budget ~lowered p in
+  Alcotest.(check string) "from zero: normal" "normal"
+    (Outcome.to_string from_zero.Outcome.outcome);
+  match Dpmr.watched_plain ~budget ~lowered p [| limits [ at lowered "main" 0 15 ] |] with
+  | [| Vm.Wsnap snap |] ->
+      Alcotest.(check string) "resume = from zero" (run_repr from_zero)
+        (run_repr (Dpmr.resume_plain ~budget ~lowered p snap))
+  | _ -> Alcotest.fail "expected a capture at the frontier"
+
+(* A frontier anywhere: one member whose frontier is a single random
+   position of a random program, plain or transformed under SDS with
+   rearrange-heap — any function (sorted by name), any block, any
+   position from its first instruction up to its terminator.  However
+   the watch resolves, the member's run must be the spec's: a capture
+   resumed, the baseline's own run when the frontier is never reached,
+   or a from-zero run when it is reached inside the qsort callback. *)
+let prop_frontier_anywhere =
+  QCheck.Test.make ~name:"random programs: a frontier anywhere resumes to the spec's run"
+    ~count:40
+    QCheck.(pair arb_ops (quad bool small_nat small_nat small_nat))
+    (fun (ops, (transformed, fpick, bpick, ipick)) ->
+      let p = build_prog ops in
+      let cfg = { Config.default with Config.diversity = Config.Rearrange_heap } in
+      let prog = if transformed then Dpmr.transform cfg p else p in
+      let lowered = Lower.lower_prog prog in
+      let vm () =
+        if transformed then Dpmr.vm_dpmr ~lowered ~mode:cfg.Config.mode prog
+        else Dpmr.vm_plain ~lowered prog
+      in
+      let names =
+        List.sort String.compare
+          (Hashtbl.fold (fun name _ acc -> name :: acc) lowered.Lower.funcs [])
+      in
+      let fname = List.nth names (fpick mod List.length names) in
+      let blocks = (Hashtbl.find lowered.Lower.funcs fname).Lower.lblocks in
+      let bidx = bpick mod Array.length blocks in
+      let row = Array.make (Array.length blocks) max_int in
+      row.(bidx) <- ipick mod (Array.length blocks.(bidx).Lower.linsts + 1);
+      let r =
+        match Vm.run_watched (vm ()) [| limits [ (fname, row) ] |] with
+        | [| Vm.Wsnap snap |] -> Vm.resume (vm ()) snap
+        | [| Vm.Wshared r |] -> r
+        | [| Vm.Wzero |] -> Vm.run (vm ())
+        | _ -> assert false
+      in
+      run_repr r = run_repr (Vm.run_reference (vm ())))
 
 let suites =
   [
     ( "differential",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_differential; prop_temporal_policy; prop_dsa_scope ]
+        [
+          prop_differential;
+          prop_temporal_policy;
+          prop_dsa_scope;
+          prop_frontier_anywhere;
+        ]
       @ [
           Alcotest.test_case "snapshot grid = from-zero grid" `Quick
             test_snapshot_vs_zero_grid;
@@ -456,5 +524,7 @@ let suites =
             test_watched_call_in_flight;
           Alcotest.test_case "watched: hot loop before frontier" `Quick
             test_watched_hot_loop;
+          Alcotest.test_case "resume mid-block past the budget" `Quick
+            test_resume_past_budget;
         ] );
   ]

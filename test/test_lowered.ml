@@ -1,19 +1,21 @@
-(* Differential tests: the default engine ({!Vm.run}, compiled from each
-   call's first block) and the lowered threaded loop must both be
-   observationally identical to the reference tree-walking engine
-   ({!Vm.run_reference}) — same outcome, output, cost, memory footprint,
-   and fault-detection point — across every workload, DPMR mode, and
-   injected-fault variant.  The reference engine is the executable
-   specification; any divergence here is a lowering, compiler or
-   interpreter bug, and because every figure is computed from these
-   fields, equality here is what makes the fast engines safe to use for
-   the experiments.
+(* Differential tests: the default engine ({!Vm.run}, fused compiled
+   blocks from each call's first block) and a watched baseline (the
+   compiled tier's steps run one at a time under the frontier hook) must
+   both be observationally identical to the reference tree-walking
+   engine ({!Vm.run_reference}) — same outcome, output, cost, memory
+   footprint, and fault-detection point — across every workload, DPMR
+   mode, and injected-fault variant.  The reference engine is the
+   executable specification; any divergence here is a lowering or
+   compiler bug, and because every figure is computed from these
+   fields, equality here is what makes the compiled tier safe to use
+   for the experiments.
 
-   [Vm.run] never reaches the lowered loop, yet that loop decides
-   visible results: every forked member's state up to its frontier, and
-   the whole run of every member that inherits a [Wshared] outcome.  It
-   is driven here the way a campaign drives it, through
-   {!Vm.run_watched}, with one member whose frontier is never reached. *)
+   [Vm.run] never runs a block step by step, yet the step-by-step
+   driver decides visible results: every forked member's state up to
+   its frontier, and the whole run of every member that inherits a
+   [Wshared] outcome.  It is driven here the way a campaign drives it,
+   through {!Vm.run_watched}, with one member whose frontier is never
+   reached. *)
 
 module Config = Dpmr_core.Config
 module Dpmr = Dpmr_core.Dpmr
@@ -25,26 +27,26 @@ module Workloads = Dpmr_workloads.Workloads
 let sds = Config.default
 let mds = { Config.default with Config.mode = Config.Mds }
 
-(* A whole run of the lowered loop: a watched baseline whose one member
-   has an empty limit table, so its frontier is never reached and the
-   member inherits the baseline's outcome. *)
-let run_lowered_loop vm =
+(* A whole watched baseline: its one member has an empty limit table,
+   so its frontier is never reached and the member inherits the
+   baseline's outcome. *)
+let run_watched_baseline vm =
   match Vm.run_watched vm [| Hashtbl.create 1 |] with
   | [| Vm.Wshared r |] -> r
   | _ -> Alcotest.fail "watched run: expected the baseline's whole run"
 
 (* Run [prog] on the three legs, each in a fresh VM (a run mutates its
    VM's memory, so sharing one would let one run contaminate the next):
-   the default engine, the lowered loop and the reference. *)
+   the default engine, the watched baseline and the reference. *)
 let run_legs ?budget ~mode prog =
   let mk () =
     match mode with
     | None -> Dpmr.vm_plain ?budget prog
     | Some m -> Dpmr.vm_dpmr ?budget ~mode:m prog
   in
-  (Vm.run (mk ()), run_lowered_loop (mk ()), Vm.run_reference (mk ()))
+  (Vm.run (mk ()), run_watched_baseline (mk ()), Vm.run_reference (mk ()))
 
-let check_equal name (default, lowered, reference) =
+let check_equal name (default, watched, reference) =
   List.iter
     (fun (leg, r) ->
       let chk sub fmt project =
@@ -60,7 +62,7 @@ let check_equal name (default, lowered, reference) =
       chk "fi first cost"
         Alcotest.(option int64)
         (fun r -> r.Outcome.fi_first_cost))
-    [ ("default", default); ("lowered", lowered) ]
+    [ ("default", default); ("watched", watched) ]
 
 (* --- every workload, golden and both DPMR designs --- *)
 
