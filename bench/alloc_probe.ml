@@ -3,15 +3,17 @@
    watched baseline, bytes allocated per loop iteration printed for
    each.
 
-   Both columns are asserted ~0.  Once a function's closures are built
-   (cached on the shared lowered program), the compiled loop is
-   allocation-free: operand shapes are pre-bound, block and terminator
-   closures return immediate ints, and the frame is an unboxed lframe
-   whose registers live in a byte buffer.  The watched column runs
-   {!Vm.run_watched} with a frontier that is never reached, so it runs
-   the same compiled steps one at a time, the frontier hook before each,
-   and its [Wshared] outcome is the member's whole run.  The simulated
-   cost must agree across both exactly. *)
+   Both columns must read ~0, or the probe fails (it runs under [dune
+   runtest]).  Once a function's closures are built (cached on the
+   shared lowered program), the compiled loop is allocation-free: hot
+   steps bind their operands, operator and width, cold shapes decode
+   inline without boxing, block and terminator closures return
+   immediate ints, and the frame is an unboxed lframe whose registers
+   live in a byte buffer.  The watched column runs {!Vm.run_watched}
+   with a frontier that is never reached, so it runs the same compiled
+   steps one at a time, the frontier hook before each, and its
+   [Wshared] outcome is the member's whole run.  The simulated cost must
+   agree across both exactly. *)
 open Dpmr_ir
 open Types
 open Inst
@@ -24,6 +26,7 @@ let n = 1_000_000
 
 let mk_prog fill =
   let p = Prog.create () in
+  Tenv.define_struct p.Prog.tenv "Pair" [ Int W64; Int W64 ];
   let b = B.create p ~name:"main" ~params:[] ~ret:(Int W32) () in
   fill b;
   B.ret b (Some (B.i32c 0));
@@ -60,10 +63,9 @@ let probe label fill =
   let watched, cost' = steady_state (run_watched lowered p) in
   Printf.printf "%-17s default %6.1f   watched %6.1f B/loop-iter  (cost %Ld)\n%!"
     label default watched cost;
-  assert (Int64.equal cost cost');
+  if not (Int64.equal cost cost') then failwith (label ^ ": the watched run's cost differs");
   (* allocation-free modulo per-run VM setup amortized over [n] iters *)
-  assert (default < 0.5);
-  assert (watched < 0.5)
+  if default >= 0.5 || watched >= 0.5 then failwith (label ^ ": the loop allocates")
 
 let () =
   probe "alu add" (fun b ->
@@ -79,10 +81,7 @@ let () =
           B.store b (Int W64) (B.binop b Add W64 v i) buf));
   (* global operands are constant addresses: a scalar global, and the
      first slot of a global array through its address cast to a slot
-     pointer, each read and written back (a [gep_index] into the array
-     would fuse with its access, and a fused indexed access whose base
-     or index is not a register takes the compiled tier's generic
-     fallback, which allocates) *)
+     pointer, each read and written back *)
   probe "global load+store" (fun b ->
       let g = B.global b ~name:"g" (Int W64) (Prog.Gint 0L) in
       let tab = B.global b ~name:"tab" (Arr (Int W64, 8)) Prog.Gzero in
@@ -101,7 +100,105 @@ let () =
           let f = B.i_to_f b W64 i in
           ignore (B.fbinop b Fmul f (B.fc 1.5))));
   probe "empty loop" (fun b ->
-      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun _ -> ()))
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun _ -> ()));
+  (* one row per family of bound steps, and the decoded arm beside it *)
+  probe "temporal gate" (fun b ->
+      (* Table 2.9's gate: an i32 counter at a constant address, then
+         the shifted mask *)
+      let c = B.global b ~name:"c" (Int W32) (Prog.Gint 0L) in
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun _ ->
+          let v = B.srem b W32 (B.add b W32 (B.load b (Int W32) c) (B.i32c 1)) (B.i32c 8) in
+          B.store b (Int W32) v c;
+          let s = B.binop b Shl W64 (B.i64c 1) (B.int_cast b W64 v) in
+          let m = B.binop b Lshr W64 (B.sub b W64 (B.i64c 0) s) (B.i64c 3) in
+          ignore (B.binop b Urem W64 m (B.i64c 7))));
+  probe "binop shapes" (fun b ->
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun i ->
+          let a = B.add b W64 (B.i64c 5) i in
+          let s = B.sub b W64 (B.sub b W64 a i) (B.i64c 2) in
+          let m = B.mul b W64 (B.mul b W64 s i) (B.i64c 3) in
+          let t = B.int_cast b W8 m in
+          ignore (B.binop b And W8 (B.binop b And W8 t t) (B.i8c 7))));
+  probe "binop decoded" (fun b ->
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun i ->
+          let x = B.binop b Xor W64 (B.binop b Or W64 i (B.i64c 9)) i in
+          let d = B.binop b Udiv W64 (B.binop b Ashr W64 x (B.i64c 1)) (B.i64c 3) in
+          ignore (B.sdiv b W32 (B.int_cast b W32 d) (B.i32c 5))));
+  probe "icmp+cmpbr" (fun b ->
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun i ->
+          let t = B.int_cast b W8 i in
+          ignore (B.icmp b Ieq W64 i (B.i64c 3));
+          ignore (B.icmp b Ine W8 t (B.int_cast b W8 (B.i64c 1)));
+          ignore (B.icmp b Iult W64 (B.i64c 9) i);
+          B.if_ b (B.icmp b Isgt W64 i (B.i64c 5)) (fun () -> ());
+          B.if_ b (B.icmp b Ieq W64 i i) (fun () -> ());
+          B.if_ b (B.icmp b Ine W64 i (B.i64c 7)) (fun () -> ())));
+  probe "fcmp" (fun b ->
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun i ->
+          let f = B.i_to_f b W64 i in
+          ignore (B.fcmp b Foeq f f);
+          ignore (B.fcmp b Fogt f (B.fc 2.0))));
+  probe "fbinop ops" (fun b ->
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun i ->
+          let f = B.i_to_f b W64 i in
+          let g = B.fsub b (B.fadd b f f) f in
+          ignore (B.fdiv b (B.fdiv b g (B.fc 3.0)) g)));
+  probe "casts" (fun b ->
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun i ->
+          let s = B.int_cast b ~signed:true W64 (B.int_cast b W8 i) in
+          ignore (B.f_to_i b W32 (B.i_to_f b W64 s))));
+  probe "access widths" (fun b ->
+      let w8 = B.malloc b ~count:(B.i64c 8) (Int W8) in
+      let w32 = B.malloc b ~count:(B.i64c 8) (Int W32) in
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun i ->
+          B.store b (Int W8) (B.add b W8 (B.load b (Int W8) w8) (B.i8c 1)) w8;
+          B.store b (Int W32) (B.add b W32 (B.load b (Int W32) w32) (B.i32c 1)) w32;
+          B.store b (Int W64) (B.i64c 4) (B.bitcast b (Ptr (Int W64)) w32);
+          let j = B.binop b And W64 (B.int_cast b W64 (B.load b (Int W8) w8)) (B.i64c 7) in
+          ignore (B.load b (Int W32) (B.gep_index b w32 j));
+          ignore i));
+  probe "const moves" (fun b ->
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun _ ->
+          ignore (B.bitcast b (Ptr (Int W64)) (B.null (Int W64)));
+          ignore (B.int_to_ptr b (Ptr (Int W8)) (B.i64c 16))));
+  (* fused accesses whose base or index is a constant *)
+  probe "global tab[3]" (fun b ->
+      let tab = B.global b ~name:"tab" (Arr (Int W64, 8)) Prog.Gzero in
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun i ->
+          let v = B.load b (Int W64) (B.gep_index b tab (B.i64c 3)) in
+          B.store b (Int W64) (B.add b W64 v i) (B.gep_index b tab (B.i64c 3))));
+  probe "global tab[i]" (fun b ->
+      let tab = B.global b ~name:"tab" (Arr (Int W64, 8)) Prog.Gzero in
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun i ->
+          let j = B.binop b And W64 i (B.i64c 7) in
+          let v = B.load b (Int W64) (B.gep_index b tab j) in
+          B.store b (Int W64) (B.add b W64 v i) (B.gep_index b tab j)));
+  probe "heap buf[3]" (fun b ->
+      let buf = B.malloc b ~count:(B.i64c 8) (Int W64) in
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun i ->
+          let v = B.load b (Int W64) (B.gep_index b buf (B.i64c 3)) in
+          B.store b (Int W64) (B.add b W64 v i) (B.gep_index b buf (B.i64c 3))));
+  probe "const fld store" (fun b ->
+      let s = B.malloc b (Struct "Pair") in
+      B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun _ ->
+          B.store b (Int W64) (B.i64c 5) (B.gep_field b s 1)))
+
+(* Fresh-page probe: mapping a garbage-filled page allocates the page
+   and nothing per garbage word. *)
+let () =
+  let pages = 1024 in
+  let fresh = Mem.create () in
+  (* size the page table first, so only the pages count *)
+  Mem.map_range fresh (Int64.add Mem.heap_base (Int64.of_int ((2 * pages - 1) * Mem.page_size))) 1
+    Mem.Fill_garbage;
+  let a0 = Gc.allocated_bytes () in
+  Mem.map_range fresh Mem.heap_base (pages * Mem.page_size) Mem.Fill_garbage;
+  let a1 = Gc.allocated_bytes () in
+  let per_page = (a1 -. a0) /. float_of_int pages in
+  let bound = 4608 in
+  Printf.printf "fresh garbage page %8.1f KB  (page %d KB, bound %.1f KB)\n%!" (per_page /. 1024.)
+    (Mem.page_size / 1024) (float_of_int bound /. 1024.);
+  if per_page > float_of_int bound then failwith "fresh garbage page: allocates per word"
 
 (* Copy-on-write fork probe: thawing a fork from a frozen image and
    dirtying [k] pages must allocate O(k) page copies (plus a page-table

@@ -144,18 +144,43 @@ let[@inline] get_page_w t addr =
   else if idx >= s_idx0 then tbl_get_w t.s_tbl t.s_shr (idx - s_idx0) addr
   else tbl_get_w t.g_tbl t.g_shr idx addr
 
+(* Unchecked little-endian scalar accessors.  The stdlib's checked
+   [Bytes.get_int64_le] is an ordinary function, so every call boxes its
+   [int64]; these compile to single load/store instructions and keep the
+   value unboxed end-to-end in the interpreter's load/store path.  Bounds
+   hold by construction: callers only use them under the
+   [off + len <= page_size] guard, and every page is [page_size] bytes. *)
+external unsafe_get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external unsafe_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external unsafe_set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external unsafe_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] get16_le b i = if Sys.big_endian then bswap16 (unsafe_get16 b i) else unsafe_get16 b i
+let[@inline] get32_le b i = if Sys.big_endian then bswap32 (unsafe_get32 b i) else unsafe_get32 b i
+let[@inline] get64_le b i = if Sys.big_endian then bswap64 (unsafe_get64 b i) else unsafe_get64 b i
+let[@inline] set16_le b i v = unsafe_set16 b i (if Sys.big_endian then bswap16 v else v)
+let[@inline] set32_le b i v = unsafe_set32 b i (if Sys.big_endian then bswap32 v else v)
+let[@inline] set64_le b i v = unsafe_set64 b i (if Sys.big_endian then bswap64 v else v)
+
 (* ------------------------------------------------------------------ *)
 (* Mapping                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The only allocation is the page itself: [Rng.hash2] and [set64_le]
+   inline, so no garbage word is boxed. *)
 let new_page t idx fill =
   let page = Bytes.create page_size in
   (match fill with
   | Fill_zero -> Bytes.fill page 0 page_size '\000'
   | Fill_garbage ->
+      let seed = Int64.to_int t.seed in
       for i = 0 to (page_size / 8) - 1 do
-        let v = Rng.hash2 idx (i + Int64.to_int t.seed) in
-        Bytes.set_int64_le page (i * 8) v
+        set64_le page (i * 8) (Rng.hash2 idx (i + seed))
       done);
   page
 
@@ -199,8 +224,9 @@ let map_page t idx fill =
     t.mapped_pages <- t.mapped_pages + 1
   end
 
-(** Map every page overlapping [addr, addr+len). *)
-let map_range t addr len fill =
+(** Map every page overlapping [addr, addr+len).  Inlined, so a caller's
+    unboxed address stays unboxed. *)
+let[@inline] map_range t addr len fill =
   if len > 0 then
     let first = page_index addr
     and last = page_index (Int64.add addr (Int64.of_int (len - 1))) in
@@ -245,29 +271,6 @@ let rec write_bytes t addr b pos len =
     write_bytes t (Int64.add addr (Int64.of_int first)) b (pos + first) (len - first)
   end
 
-(* Unchecked little-endian scalar accessors.  The stdlib's checked
-   [Bytes.get_int64_le] is an ordinary function, so every call boxes its
-   [int64]; these compile to single load/store instructions and keep the
-   value unboxed end-to-end in the interpreter's load/store path.  Bounds
-   hold by construction: callers only use them under the
-   [off + len <= page_size] guard, and every page is [page_size] bytes. *)
-external unsafe_get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
-external unsafe_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external unsafe_set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
-external unsafe_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-external bswap16 : int -> int = "%bswap16"
-external bswap32 : int32 -> int32 = "%bswap_int32"
-external bswap64 : int64 -> int64 = "%bswap_int64"
-
-let[@inline] get16_le b i = if Sys.big_endian then bswap16 (unsafe_get16 b i) else unsafe_get16 b i
-let[@inline] get32_le b i = if Sys.big_endian then bswap32 (unsafe_get32 b i) else unsafe_get32 b i
-let[@inline] get64_le b i = if Sys.big_endian then bswap64 (unsafe_get64 b i) else unsafe_get64 b i
-let[@inline] set16_le b i v = unsafe_set16 b i (if Sys.big_endian then bswap16 v else v)
-let[@inline] set32_le b i v = unsafe_set32 b i (if Sys.big_endian then bswap32 v else v)
-let[@inline] set64_le b i v = unsafe_set64 b i (if Sys.big_endian then bswap64 v else v)
-
 (* Straddling access: byte-at-a-time.  Top-level (not a local function of
    [read_int]) because a local closure makes the enclosing function
    non-inlinable without flambda, and [read_int] must inline for its
@@ -293,16 +296,26 @@ let[@inline] read_int t addr len =
     | _ -> raise (Invalid_argument "Mem.read_int: bad length")
   else Int64.add (read_int_straddle t addr len 0 0L) 0L
 
+(* [read_int t addr len] for a caller that bound [mask], the mask of the
+   low [len] bytes: one 8-byte load and a mask wherever the page holds 8
+   bytes from [addr], so the access width costs no branch.  The wider
+   load touches only the page [read_int] would, so it faults alike. *)
+let[@inline] read_masked t addr len mask =
+  let off = offset addr in
+  if off <= page_size - 8 then Int64.logand (get64_le (get_page t addr) off) mask
+  else read_int t addr len
+
 let[@inline] write_int t addr len v =
   let off = offset addr in
   if off + len <= page_size then
     let page = get_page_w t addr in
-    match len with
-    | 1 -> Bytes.unsafe_set page off (Char.unsafe_chr (Int64.to_int (Int64.logand v 0xFFL)))
-    | 2 -> set16_le page off (Int64.to_int (Int64.logand v 0xFFFFL))
-    | 4 -> set32_le page off (Int64.to_int32 v)
-    | 8 -> set64_le page off v
-    | _ -> invalid_arg "Mem.write_int: bad length"
+    (* tests, not a [match]: inlined with a literal [len], they fold *)
+    if len = 8 then set64_le page off v
+    else if len = 4 then set32_le page off (Int64.to_int32 v)
+    else if len = 1 then
+      Bytes.unsafe_set page off (Char.unsafe_chr (Int64.to_int (Int64.logand v 0xFFL)))
+    else if len = 2 then set16_le page off (Int64.to_int (Int64.logand v 0xFFFFL))
+    else invalid_arg "Mem.write_int: bad length"
   else
     for i = 0 to len - 1 do
       write_u8 t

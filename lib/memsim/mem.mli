@@ -70,6 +70,12 @@ val write_u8 : t -> int64 -> int -> unit
 val read_bytes : t -> int64 -> int -> Bytes.t
 val write_bytes : t -> int64 -> Bytes.t -> int -> int -> unit
 val read_int : t -> int64 -> int -> int64
+
+(** [read_masked t addr len mask] is [read_int t addr len] when [mask]
+    is the mask of the low [len] bytes, for a caller that binds the
+    width once. *)
+val read_masked : t -> int64 -> int -> int64 -> int64
+
 val write_int : t -> int64 -> int -> int64 -> unit
 val read_f64 : t -> int64 -> float
 val write_f64 : t -> int64 -> float -> unit

@@ -12,12 +12,15 @@ let create seed = { state = seed }
 
 let golden = 0x9E3779B97F4A7C15L
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+(* splitmix64's output function *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let next t =
+  t.state <- Int64.add t.state golden;
+  mix t.state
 
 (** [int t bound] is uniform in [0, bound). *)
 let int t bound =
@@ -31,10 +34,11 @@ let range t lo hi = lo + int t (hi - lo + 1)
 let float t =
   Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
 
-(** Stateless hash of two ints — used for deterministic page garbage. *)
-let hash2 a b =
-  let t = create (Int64.logxor (Int64.of_int a) (Int64.mul (Int64.of_int b) golden)) in
-  next t
+(** Stateless hash of two ints — used for deterministic page garbage.
+    The first draw of a stream seeded with [a lxor (b * golden)], built
+    without the stream: inlined, it allocates nothing. *)
+let[@inline] hash2 a b =
+  mix (Int64.add (Int64.logxor (Int64.of_int a) (Int64.mul (Int64.of_int b) golden)) golden)
 
 (** Raw stream position, for checkpointing: [set_state t (state t')]
     makes [t] produce exactly the draws [t'] would have. *)

@@ -45,7 +45,7 @@ let poll_hook () = Domain.DLS.get poll_key
 external reg_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external reg_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-type lframe = { bits : Bytes.t; tags : Bytes.t; lentry_sp : int64 }
+type lframe = { bits : Bytes.t; tags : Bytes.t; lentry_sp : int }
 
 (* same poison as the boxed register file had: an uninitialized register
    reads back as the int 0xDEADBEEF *)
@@ -91,6 +91,17 @@ let finish_call fr r name (res : Lower.value option) =
    and the compiled tier (division by zero, shift masking, signedness
    handling must agree bit-for-bit). *)
 
+(* [Int64.unsigned_div] and [unsigned_rem], inlined: the stdlib's are
+   calls, which box their result *)
+let[@inline] unsigned_div n d =
+  if d < 0L then if Int64.sub n Int64.min_int < Int64.sub d Int64.min_int then 0L else 1L
+  else
+    let q = Int64.shift_left (Int64.div (Int64.shift_right_logical n 1) d) 1 in
+    let r = Int64.sub n (Int64.mul q d) in
+    if Int64.sub r Int64.min_int >= Int64.sub d Int64.min_int then Int64.succ q else q
+
+let[@inline] unsigned_rem n d = Int64.sub n (Int64.mul (unsigned_div n d) d)
+
 let[@inline] exec_binop op w a b =
   let sa = Lower.sign_extend w a and sb = Lower.sign_extend w b in
   let r =
@@ -106,10 +117,10 @@ let[@inline] exec_binop op w a b =
         else Int64.rem sa sb
     | Udiv ->
         if Int64.equal b 0L then raise (Vm_error "division by zero")
-        else Int64.unsigned_div a b
+        else unsigned_div a b
     | Urem ->
         if Int64.equal b 0L then raise (Vm_error "division by zero")
-        else Int64.unsigned_rem a b
+        else unsigned_rem a b
     | And -> Int64.logand a b
     | Or -> Int64.logor a b
     | Xor -> Int64.logxor a b
@@ -136,7 +147,9 @@ let[@inline] exec_icmp c w a b =
   in
   if r then 1L else 0L
 
-let[@inline] exec_fcmp c a b =
+(* float-typed, so the comparisons compile to float compares, not
+   boxed polymorphic ones *)
+let[@inline] exec_fcmp c (a : float) (b : float) =
   let r =
     match c with
     | Foeq -> a = b

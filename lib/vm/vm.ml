@@ -126,7 +126,7 @@ type t = {
   lprog : Lower.prog;
   mutable mem : Mem.t;  (** mutable only for {!resume}: forks swap in a thawed space *)
   mutable alloc : Allocator.t;
-  mutable sp : int64;
+  mutable sp : int;
   fun_addr : (string, int64) Hashtbl.t;
   addr_fun : (int64, string) Hashtbl.t;
   mutable next_fun_addr : int64;
@@ -254,7 +254,7 @@ let create ?(seed = 42L) ?(budget = 2_000_000_000L) ?lowered prog =
       lprog;
       mem;
       alloc = Allocator.create mem;
-      sp = Mem.stack_base;
+      sp = Int64.to_int Mem.stack_base;
       fun_addr = Hashtbl.create 32;
       addr_fun = Hashtbl.create 32;
       next_fun_addr = 0x2000_0000L;
@@ -290,7 +290,7 @@ let register_extern t name fn =
 (* Shared execution helpers                                            *)
 (* ------------------------------------------------------------------ *)
 
-type frame = { regs : value array; entry_sp : int64 }
+type frame = { regs : value array; entry_sp : int }
 
 let max_call_depth = 10_000
 
@@ -362,7 +362,7 @@ let capture t w =
           sf_inst = wf.wf_inst;
           sf_bits = Bytes.copy wf.wf_frame.bits;
           sf_tags = Bytes.copy wf.wf_frame.tags;
-          sf_entry_sp = wf.wf_frame.lentry_sp;
+          sf_entry_sp = Int64.of_int wf.wf_frame.lentry_sp;
         })
       w.w_stack
   in
@@ -380,7 +380,7 @@ let capture t w =
   let str s = String.iter (fun c -> word (Int64.of_int (Char.code c))) s in
   word (Allocator.frozen_hash alloc_f);
   word (Rng.state t.rng);
-  word t.sp;
+  word (Int64.of_int t.sp);
   word (Int64.of_int !(t.cost));
   word t.next_fun_addr;
   str out;
@@ -402,7 +402,7 @@ let capture t w =
     sn_mem = mem_f;
     sn_alloc = alloc_f;
     sn_rng = Rng.state t.rng;
-    sn_sp = t.sp;
+    sn_sp = Int64.of_int t.sp;
     sn_cost = !(t.cost);
     sn_out = out;
     sn_funaddr = funaddr;
@@ -601,10 +601,10 @@ and exec_inst t f frame inst =
       let bytes = max 1 (count * Layout.size_of t.prog.tenv ty) in
       add_cost t (Cost.alloca_cost bytes);
       let algn = Layout.align_of t.prog.tenv ty in
-      let addr = Int64.of_int (Layout.round_up (Int64.to_int t.sp) (max 8 algn)) in
-      Mem.map_range t.mem addr bytes Mem.Fill_garbage;
-      t.sp <- Int64.add addr (Int64.of_int bytes);
-      set r (I addr)
+      let addr = Layout.round_up t.sp (max 8 algn) in
+      Mem.map_range t.mem (Int64.of_int addr) bytes Mem.Fill_garbage;
+      t.sp <- addr + bytes;
+      set r (I (Int64.of_int addr))
   | Free p ->
       add_cost t Cost.free_cost;
       let addr = as_int (ev p) in
@@ -931,7 +931,7 @@ let run_watched ?(entry = "main") ?(args = [ "prog" ]) t limitss =
    capture point, so [make_lframe]'s poison is exactly their from-zero
    contents. *)
 let remake_lframe nregs (sf : snap_frame) =
-  let frame = make_lframe nregs sf.sf_entry_sp in
+  let frame = make_lframe nregs (Int64.to_int sf.sf_entry_sp) in
   let nb = min (Bytes.length sf.sf_bits) (Bytes.length frame.bits) in
   Bytes.blit sf.sf_bits 0 frame.bits 0 nb;
   let nt = min (Bytes.length sf.sf_tags) (Bytes.length frame.tags) in
@@ -988,7 +988,7 @@ let resume t snapshot =
   t.mem <- Mem.thaw snapshot.sn_mem;
   t.alloc <- Allocator.thaw t.mem snapshot.sn_alloc;
   Rng.set_state t.rng snapshot.sn_rng;
-  t.sp <- snapshot.sn_sp;
+  t.sp <- Int64.to_int snapshot.sn_sp;
   t.cost := snapshot.sn_cost;
   Buffer.clear t.out;
   Buffer.add_string t.out snapshot.sn_out;

@@ -37,7 +37,7 @@ type t = {
   lprog : Lower.prog;  (** pre-resolved form executed by {!run} *)
   mutable mem : Mem.t;  (** mutable only for {!resume}: forks swap in a thawed space *)
   mutable alloc : Allocator.t;
-  mutable sp : int64;
+  mutable sp : int;
   fun_addr : (string, int64) Hashtbl.t;
   addr_fun : (int64, string) Hashtbl.t;
   mutable next_fun_addr : int64;

@@ -296,6 +296,287 @@ let test_no_symbolic_globals () =
     Workloads.all;
   Alcotest.(check bool) "some operands are global addresses" true (!addresses > 0)
 
+(* ---- 5. arm coverage ------------------------------------------------ *)
+
+(* The compiled tier binds each hot step's operator, condition, width and
+   operand shape when it builds the step, and decodes the rest at run
+   time; these tables run every combination on the three legs, which
+   must agree on outcome, output, cost, peak heap and mapped pages.
+   Each case is [main]'s body, printing every result it computes. *)
+let check_case name body =
+  let p = Prog.create () in
+  Dpmr_vm.Extern.declare_signatures p;
+  Tenv.define_struct p.Prog.tenv "Tri" [ i8; i16; i32; i64; Float ];
+  let b = B.create p ~name:"main" ~params:[] ~ret:i32 () in
+  (* 8 KiB of globals at [Mem.globals_base]: two mapped pages *)
+  ignore (B.global b ~name:"big" (arr i8 8192) Prog.Gzero);
+  body b;
+  B.ret b (Some (B.i32c 0));
+  Test_lowered.check_equal name (Test_lowered.run_legs ~mode:None p)
+
+let out b v =
+  B.call0 b (Direct "print_int") [ v ];
+  B.call0 b (Direct "putchar") [ B.i32c 32 ]
+
+(* a float's bits, printed through memory *)
+let out_bits b f =
+  let slot = B.alloca b Float in
+  B.store b Float f slot;
+  out b (B.load b i64 (B.bitcast b (Ptr i64) slot))
+
+(* [v] in a register: a stack slot's load, so no step sees a constant *)
+let reg b ty v = B.get b ty (B.local b ty v)
+
+(* the operand shapes of a binary step: register or constant, each side *)
+let shapes b ty x y = [ (reg b ty x, reg b ty y); (reg b ty x, y); (x, reg b ty y); (x, y) ]
+
+let widths = [ W8; W16; W32; W64 ]
+let wname w = Printf.sprintf "i%d" (bits_of_width w)
+
+(* signs, a shift count past the width, and min_int / -1 *)
+let int_pairs w =
+  [ (-13L, 5L); (100L, -7L); (127L, 3L); (-1L, Int64.of_int (bits_of_width w + 1));
+    (0x5555_5555_5555_5555L, 2L); (Int64.min_int, -1L); (-128L, -1L) ]
+
+let test_binop_arms () =
+  List.iter
+    (fun (op, oname) ->
+      List.iter
+        (fun w ->
+          check_case (oname ^ " " ^ wname w) (fun b ->
+              List.iter
+                (fun (x, y) ->
+                  List.iter
+                    (fun (a, c) -> out b (B.binop b op w a c))
+                    (shapes b (Int w) (Cint (w, x)) (Cint (w, y))))
+                (int_pairs w)))
+        widths)
+    [ (Add, "add"); (Sub, "sub"); (Mul, "mul"); (Sdiv, "sdiv"); (Srem, "srem");
+      (Udiv, "udiv"); (Urem, "urem"); (And, "and"); (Or, "or"); (Xor, "xor");
+      (Shl, "shl"); (Lshr, "lshr"); (Ashr, "ashr") ]
+
+(* every condition at every width, alone and fused into a branch *)
+let test_icmp_arms () =
+  List.iter
+    (fun (c, cname) ->
+      List.iter
+        (fun w ->
+          check_case (Printf.sprintf "icmp %s %s" cname (wname w)) (fun b ->
+              List.iter
+                (fun (x, y) ->
+                  List.iter
+                    (fun (a, d) ->
+                      out b (B.icmp b c w a d);
+                      B.if_else b (B.icmp b c w a d)
+                        (fun () -> out b (B.i64c 1))
+                        (fun () -> out b (B.i64c 0)))
+                    (shapes b (Int w) (Cint (w, x)) (Cint (w, y))))
+                [ (-13L, 5L); (5L, -13L); (7L, 7L); (0L, -1L); (Int64.max_int, Int64.min_int) ]))
+        widths)
+    [ (Ieq, "eq"); (Ine, "ne"); (Islt, "slt"); (Isle, "sle"); (Isgt, "sgt"); (Isge, "sge");
+      (Iult, "ult"); (Iule, "ule"); (Iugt, "ugt"); (Iuge, "uge") ]
+
+let float_pairs =
+  [ (1.5, 2.5); (2.5, 1.5); (2.5, 2.5); (Float.nan, 1.0); (1.0, Float.nan);
+    (Float.nan, Float.nan); (-0.0, 0.0); (1.0, 0.0); (1e308, 10.0) ]
+
+let test_float_arms () =
+  List.iter
+    (fun (c, cname) ->
+      check_case ("fcmp " ^ cname) (fun b ->
+          List.iter
+            (fun (x, y) ->
+              List.iter
+                (fun (a, d) -> out b (B.fcmp b c a d))
+                (shapes b Float (B.fc x) (B.fc y)))
+            float_pairs))
+    [ (Foeq, "oeq"); (Fone, "one"); (Folt, "olt"); (Fole, "ole"); (Fogt, "ogt"); (Foge, "oge") ];
+  List.iter
+    (fun (op, oname) ->
+      check_case ("fbinop " ^ oname) (fun b ->
+          List.iter
+            (fun (x, y) ->
+              List.iter
+                (fun (a, d) -> out_bits b (B.fbinop b op a d))
+                (shapes b Float (B.fc x) (B.fc y)))
+            float_pairs))
+    [ (Fadd, "add"); (Fsub, "sub"); (Fmul, "mul"); (Fdiv, "div") ];
+  check_case "float casts" (fun b ->
+      List.iter
+        (fun x ->
+          out b (B.f_to_i b W32 (reg b Float (B.fc x)));
+          out b (B.f_to_i b W8 (B.fc x)))
+        [ 1.5; -2.5; 300.7; Float.nan ];
+      List.iter
+        (fun w ->
+          out_bits b (B.i_to_f b w (reg b (Int w) (Cint (w, -3L))));
+          out_bits b (B.i_to_f b w (Cint (w, -3L))))
+        widths)
+
+let test_int_casts () =
+  check_case "int casts" (fun b ->
+      List.iter
+        (fun src ->
+          List.iter
+            (fun dst ->
+              List.iter
+                (fun signed ->
+                  List.iter
+                    (fun v ->
+                      out b (B.int_cast b ~signed dst (reg b (Int src) (Cint (src, v))));
+                      out b (B.int_cast b ~signed dst (Cint (src, v))))
+                    [ -3L; 0x1234_5678_9ABC_DEF0L; 127L ])
+                [ false; true ])
+            widths)
+        widths)
+
+(* 1-, 2-, 4- and 8-byte and float accesses through a register and at a
+   constant address, at an aligned, an odd and a page-straddling
+   address, and fused with an index or a field offset *)
+let test_access_arms () =
+  let kinds = [ (Int W8, W8); (Int W16, W16); (Int W32, W32); (Int W64, W64); (Float, W64) ] in
+  let value ty w k =
+    match ty with Float -> B.fc (Int64.to_float k +. 0.25) | _ -> Cint (w, k)
+  in
+  let show b ty v = match ty with Float -> out_bits b v | _ -> out b v in
+  (* a store of [ty]'s width over 8 set bytes, read back at that width
+     and as the 8 bytes from its address, so a wider access shows *)
+  let store b ty v p =
+    B.store b i64 (B.i64c (-1)) p;
+    B.store b ty v p;
+    show b ty (B.load b ty p);
+    out b (B.load b i64 p)
+  in
+  List.iter
+    (fun (ty, w) ->
+      check_case ("access " ^ Types.to_string ty) (fun b ->
+          let buf = B.malloc b ~count:(B.i64c (3 * 4096)) i8 in
+          let page =
+            B.binop b And W64 (B.add b W64 (B.ptr_to_int b buf) (B.i64c 4096)) (B.i64c (-4096))
+          in
+          let at off = B.int_to_ptr b (Ptr ty) (B.add b W64 page (B.i64c off)) in
+          List.iteri
+            (fun k off ->
+              let p = at off in
+              let k = Int64.mul (Int64.of_int (k + 1)) 0x0101_0101_0101_0101L in
+              store b ty (value ty w k) p;
+              store b ty (reg b ty (value ty w (Int64.neg k))) p)
+            [ 16; 5; -1; -3; -7 ];
+          (* constant addresses in [big]: aligned, odd, straddling *)
+          List.iter
+            (fun a ->
+              let p = Cint (W64, a) in
+              store b ty (value ty w a) p;
+              store b ty (reg b ty (value ty w (Int64.neg a))) p)
+            [ 0x10010L; 0x10105L; 0x10FFFL; 0x10FFDL; 0x10FF9L ];
+          (* fused: a register base with a register or constant index, a
+             constant base with either, and a field offset *)
+          let base = B.bitcast b (Ptr ty) buf in
+          let gbase = B.bitcast b (Ptr ty) (Global "big") in
+          List.iter
+            (fun (p, i) ->
+              B.store b ty (value ty w 77L) (B.gep_index b p i);
+              show b ty (B.load b ty (B.gep_index b p i));
+              B.store b ty (reg b ty (value ty w 78L)) (B.gep_index b p i);
+              show b ty (B.load b ty (B.gep_index b p i));
+              out b (B.load b i64 (B.gep_index b p i)))
+            [ (base, reg b i64 (B.i64c 3)); (base, B.i64c 5); (gbase, reg b i64 (B.i64c 3));
+              (gbase, B.i64c 5) ]))
+    kinds;
+  check_case "access fields" (fun b ->
+      let s = B.malloc b (Struct "Tri") in
+      List.iteri
+        (fun f (ty, w) ->
+          B.store b ty (value ty w 9L) (B.gep_field b s f);
+          show b ty (B.load b ty (B.gep_field b s f));
+          B.store b ty (reg b ty (value ty w 10L)) (B.gep_field b s f);
+          show b ty (B.load b ty (B.gep_field b s f));
+          out b (B.load b i64 s);
+          out b (B.load b i64 (B.gep_index b (B.bitcast b (Ptr i64) s) (B.i64c 1))))
+        kinds)
+
+(* One run per fault: each must crash alike, after the same output and
+   cost. *)
+let test_error_arms () =
+  let fr b = reg b Float (B.fc 1.5) in
+  let i b = reg b i64 (B.i64c 6) in
+  let cases =
+    List.concat_map
+      (fun (op, oname) ->
+        List.concat_map
+          (fun w ->
+            let z = Cint (w, 0L) and x = Cint (w, 9L) in
+            [ (oname ^ " by constant zero", fun b -> out b (B.binop b op w (reg b (Int w) x) z));
+              (oname ^ " by register zero", fun b -> out b (B.binop b op w (reg b (Int w) x) (reg b (Int w) z)));
+              (oname ^ " constant by register zero", fun b -> out b (B.binop b op w x (reg b (Int w) z)));
+              (oname ^ " constants by zero", fun b -> out b (B.binop b op w x z));
+              (oname ^ " float by constant zero", fun b -> out b (B.binop b op w (fr b) z)) ])
+          [ W32; W64 ])
+      [ (Sdiv, "sdiv"); (Srem, "srem"); (Udiv, "udiv"); (Urem, "urem") ]
+    @ List.concat_map
+        (fun (op, oname) ->
+          [ (oname ^ " float left", fun b -> out b (B.binop b op W64 (fr b) (i b)));
+            (oname ^ " float right", fun b -> out b (B.binop b op W64 (i b) (fr b)));
+            (oname ^ " float left, constant right", fun b -> out b (B.binop b op W64 (fr b) (B.i64c 3)));
+            (oname ^ " constant left, float right", fun b -> out b (B.binop b op W64 (B.i64c 3) (fr b))) ])
+        [ (Add, "add"); (Sub, "sub"); (Shl, "shl"); (Lshr, "lshr"); (Srem, "srem"); (Urem, "urem");
+          (And, "and"); (Mul, "mul"); (Xor, "xor") ]
+    @ List.concat_map
+        (fun c ->
+          [ ("icmp float left", fun b -> out b (B.icmp b c W64 (fr b) (B.i64c 3)));
+            ("icmp float right", fun b -> out b (B.icmp b c W64 (i b) (fr b)));
+            ("cmpbr float left", fun b -> B.if_ b (B.icmp b c W64 (fr b) (i b)) (fun () -> ()));
+            ("cmpbr float right", fun b -> B.if_ b (B.icmp b c W64 (i b) (fr b)) (fun () -> ()));
+            ("cmpbr constant, float", fun b -> B.if_ b (B.icmp b c W64 (B.i64c 2) (fr b)) (fun () -> ())) ])
+        [ Ieq; Islt; Isgt ]
+    @ [ ("fcmp int operand", fun b -> out b (B.fcmp b Foeq (fr b) (i b)));
+        ("fbinop int operand", fun b -> out_bits b (B.fbinop b Fmul (i b) (B.fc 2.0)));
+        ("load from a float", fun b -> out b (B.load b i64 (fr b)));
+        ("store to a float", fun b -> B.store b i64 (B.i64c 1) (fr b));
+        ("store a float into an int slot",
+          fun b -> B.store b i64 (fr b) (B.malloc b i64));
+        ("store a float constant into an int slot",
+          fun b -> B.store b i32 (B.fc 2.0) (Cint (W64, 0x10010L)));
+        ("store a float to a constant int slot",
+          fun b -> B.store b i32 (fr b) (Cint (W64, 0x10010L)));
+        ("field store of a float into an int slot",
+          fun b -> B.store b i64 (fr b) (B.gep_field b (B.malloc b (Struct "Tri")) 3));
+        ("indexed store of a float into an int slot",
+          fun b -> B.store b i64 (fr b) (B.gep_index b (B.malloc b ~count:(B.i64c 4) i64) (i b)));
+        ("float index", fun b -> out b (B.load b i64 (B.gep_index b (B.malloc b i64) (fr b))));
+        ("float base", fun b -> out b (B.load b i64 (B.gep_index b (B.bitcast b (Ptr i64) (fr b)) (B.i64c 1))));
+        ("float base, register index",
+          fun b -> out b (B.load b i64 (B.gep_index b (B.bitcast b (Ptr i64) (fr b)) (i b))));
+        ("float field base",
+          fun b -> out b (B.load b i32 (B.gep_field b (B.bitcast b (Ptr (Struct "Tri")) (fr b)) 2)));
+        ("cast a float", fun b -> out b (B.int_cast b W32 (fr b)));
+        ("select on a float", fun b -> out b (B.select b i64 (fr b) (i b) (i b)));
+        ("load unmapped", fun b -> out b (B.load b i64 (B.int_to_ptr b (Ptr i64) (B.i64c 0x6000_0000))));
+        ("store unmapped", fun b -> B.store b i32 (i b) (B.int_to_ptr b (Ptr i32) (B.i64c 0x6000_0000)));
+        ("load unmapped constant", fun b -> out b (B.load b i8 (Cint (W64, 0x6000_0000L))));
+        ("store unmapped constant", fun b -> B.store b i16 (i b) (Cint (W64, 8L)));
+        ("load straddling into unmapped", fun b -> out b (B.load b i32 (Cint (W64, 0x11FFEL))));
+        ("store straddling into unmapped",
+          fun b -> B.store b i64 (i b) (B.int_to_ptr b (Ptr i64) (B.i64c 0x11FFC))) ]
+  in
+  List.iter
+    (fun (name, body) ->
+      check_case name (fun b ->
+          out b (B.i64c 1);
+          body b;
+          out b (B.i64c 2)))
+    cases
+
+(* constant moves: null, an integer, a global's address, a float *)
+let test_const_moves () =
+  check_case "constant moves" (fun b ->
+      out b (B.ptr_to_int b (B.bitcast b (Ptr i64) (B.null i64)));
+      out b (B.ptr_to_int b (B.int_to_ptr b (Ptr i8) (B.i64c 16)));
+      out b (B.ptr_to_int b (Global "big"));
+      out_bits b (B.bitcast b Float (B.fc 2.5));
+      out b (B.select b i64 (B.i64c 1) (B.i64c 4) (reg b i64 (B.i64c 5)));
+      out_bits b (B.select b Float (reg b i64 (B.i64c 0)) (B.fc 4.5) (B.fc (-0.0))))
+
 let suites =
   [
     ( "tier",
@@ -310,5 +591,12 @@ let suites =
           test_global_operands;
         Alcotest.test_case "undeclared global fails alike" `Quick test_undeclared_global;
         Alcotest.test_case "no symbolic declared global" `Quick test_no_symbolic_globals;
+        Alcotest.test_case "binop arms agree with the spec" `Quick test_binop_arms;
+        Alcotest.test_case "compare arms agree with the spec" `Quick test_icmp_arms;
+        Alcotest.test_case "float arms agree with the spec" `Quick test_float_arms;
+        Alcotest.test_case "cast arms agree with the spec" `Quick test_int_casts;
+        Alcotest.test_case "access arms agree with the spec" `Quick test_access_arms;
+        Alcotest.test_case "constant moves agree with the spec" `Quick test_const_moves;
+        Alcotest.test_case "error paths agree with the spec" `Quick test_error_arms;
       ] );
   ]
