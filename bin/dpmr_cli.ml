@@ -51,44 +51,46 @@ let scale_t =
 let seed_t =
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic seed.")
 
-let mode_t =
-  let mode_conv = Arg.enum [ ("sds", Config.Sds); ("mds", Config.Mds) ] in
-  Arg.(value & opt mode_conv Config.Sds & info [ "mode" ] ~doc:"Replication design: sds or mds.")
-
-let diversity_t =
+(* a variant atom, parsed by the module that owns its type (the same
+   parser the wire protocol calls) and printed so that it parses back *)
+let atom what parse print =
   let parse s =
-    match Config.diversity_of_string s with
-    | Some d -> Ok d
-    | None -> Error (`Msg (Printf.sprintf "bad diversity %S (pad sizes are non-negative)" s))
+    match parse s with
+    | Some v -> Ok v
+    | None -> Error (`Msg (Printf.sprintf "bad %s %S" what s))
   in
-  let print ppf d = Fmt.string ppf (Config.diversity_name d) in
+  Arg.conv (parse, fun ppf v -> Fmt.string ppf (print v))
+
+let mode_t =
   Arg.(
     value
-    & opt (conv (parse, print)) Config.No_diversity
+    & opt (atom "mode" Config.mode_of_string Config.mode_name) Config.Sds
+    & info [ "mode" ] ~doc:"Replication design: sds or mds.")
+
+let diversity_t =
+  Arg.(
+    value
+    & opt (atom "diversity" Config.diversity_of_string Config.diversity_name) Config.No_diversity
     & info [ "diversity" ]
         ~doc:"none | zero-before-free | rearrange-heap | layout-perm | pad-jitter | \
               pad-<bytes> | pad-stack-<bytes> (also spelled pad-malloc-<bytes> and \
               pad-alloca-<bytes>; sizes are non-negative).")
 
 let policy_t =
-  let parse s =
-    match s with
-    | "all-loads" -> Ok Config.All_loads
-    | "temporal-1/8" -> Ok (Config.Temporal Config.temporal_mask_1_8)
-    | "temporal-1/2" -> Ok (Config.Temporal Config.temporal_mask_1_2)
-    | "temporal-7/8" -> Ok (Config.Temporal Config.temporal_mask_7_8)
-    | _ when String.length s > 7 && String.sub s 0 7 = "static-" -> (
-        match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
-        | Some n -> Ok (Config.Static (float_of_int n /. 100.))
-        | None -> Error (`Msg "bad static percentage"))
-    | _ -> Error (`Msg ("unknown policy " ^ s))
-  in
-  let print ppf p = Fmt.string ppf (Config.policy_name p) in
   Arg.(
     value
-    & opt (conv (parse, print)) Config.All_loads
+    & opt (atom "policy" Config.policy_of_string Config.policy_repr) Config.All_loads
     & info [ "policy" ]
-        ~doc:"all-loads | temporal-1/8 | temporal-1/2 | temporal-7/8 | static-<pct>.")
+        ~doc:"all-loads | temporal-1/8 | temporal-1/2 | temporal-7/8 | static-<pct> \
+              (a non-negative decimal), or the exact hex atom of a cache key.")
+
+let kind_t =
+  Arg.(
+    value
+    & opt (atom "fault kind" Inject.kind_of_string Inject.kind_repr) (Inject.Heap_array_resize 50)
+    & info [ "kind" ]
+        ~doc:"resize (= resize-50) | resize-<pct kept, 1-99> | free | off-by-one | \
+              wild-store-<bytes>.")
 
 let plain_t =
   Arg.(value & flag & info [ "plain" ] ~doc:"Run without the DPMR transformation.")
@@ -132,7 +134,7 @@ let transform_cmd =
   let go name scale seed mode diversity policy =
     let prog = build_workload name scale in
     let tp = Dpmr.transform (cfg_of mode diversity policy seed) prog in
-    print_string (Dpmr_ir.Printer.prog_to_string tp)
+    print_string (Dpmr_ir.Text.emit tp)
   in
   Cmd.v (Cmd.info "transform" ~doc:"Print the DPMR-transformed IR of a workload.")
     Term.(const go $ workload_t $ scale_t $ seed_t $ mode_t $ diversity_t $ policy_t)
@@ -153,12 +155,6 @@ let sites_cmd =
 
 let inject_cmd =
   let site_t = Arg.(value & opt int 0 & info [ "site" ] ~docv:"N" ~doc:"Site index.") in
-  let kind_t =
-    let kind_conv =
-      Arg.enum [ ("resize", Inject.Heap_array_resize 50); ("free", Inject.Immediate_free) ]
-    in
-    Arg.(value & opt kind_conv (Inject.Heap_array_resize 50) & info [ "kind" ] ~doc:"resize | free.")
-  in
   let go name scale seed mode diversity policy plain kind site_idx =
     let wk = Experiment.workload name (fun () -> build_workload name scale) in
     let e = Experiment.make ~seed wk in
@@ -247,12 +243,6 @@ let dsa_cmd =
     Term.(const go $ workload_t $ scale_t $ dump_t)
 
 let recover_cmd =
-  let kind_t =
-    let kind_conv =
-      Arg.enum [ ("resize", Inject.Heap_array_resize 50); ("free", Inject.Immediate_free) ]
-    in
-    Arg.(value & opt kind_conv (Inject.Heap_array_resize 50) & info [ "kind" ] ~doc:"resize | free.")
-  in
   let site_t = Arg.(value & opt int 0 & info [ "site" ] ~docv:"N" ~doc:"Site index.") in
   let go name scale seed mode diversity policy kind site_idx =
     let wk = Experiment.workload name (fun () -> build_workload name scale) in
@@ -300,8 +290,8 @@ let no_snapshot_t =
     & info [ "no-snapshot" ]
         ~doc:
           "Run every grid job from zero instead of forking fault-injection \
-           cells from a shared copy-on-write baseline snapshot (also: \
-           DPMR_NO_SNAPSHOT=1).  Output is byte-identical either way.")
+           cells from a shared copy-on-write baseline snapshot.  Output is \
+           byte-identical either way.")
 
 let report_cmd =
   let id_t =
@@ -456,7 +446,7 @@ let report_cmd =
     in
     let engine =
       Engine.create ~jobs ~use_cache:(not no_cache)
-        ~snapshots:(Sys.getenv_opt "DPMR_NO_SNAPSHOT" = None && not no_snapshot)
+        ~snapshots:(not no_snapshot)
         ~policy ?dispatcher ()
     in
     let write_telemetry () =
@@ -605,12 +595,6 @@ let trace_cmd =
           ~doc:
             "Inject a $(b,--kind) fault at site $(docv) before running, and \
              run the forensics pass on the recorded trace.")
-  in
-  let kind_t =
-    let kind_conv =
-      Arg.enum [ ("resize", Inject.Heap_array_resize 50); ("free", Inject.Immediate_free) ]
-    in
-    Arg.(value & opt kind_conv (Inject.Heap_array_resize 50) & info [ "kind" ] ~doc:"resize | free.")
   in
   let print_summary_and_profile records summary top =
     Printf.printf "events  : %d recorded (%d dropped), %d comparison(s), %d detection(s)\n"

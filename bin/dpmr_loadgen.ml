@@ -27,22 +27,15 @@ module Server = Dpmr_server.Server
 module Config = Dpmr_core.Config
 module Inject = Dpmr_fi.Inject
 module Experiment = Dpmr_fi.Experiment
+module Rng = Dpmr_memsim.Rng
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("dpmr_loadgen: " ^ m); exit 2) fmt
 
 (* ---------------- deterministic stream ---------------- *)
 
 (* splitmix64: one independent stream per connection *)
-let sm_mix z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let sm_next st =
-  st := Int64.add !st 0x9e3779b97f4a7c15L;
-  sm_mix !st
-
-let rand_below st n = Int64.to_int (Int64.rem (Int64.logand (sm_next st) Int64.max_int) (Int64.of_int n))
+let rand_below st n =
+  Int64.to_int (Int64.rem (Int64.logand (Rng.next st) Int64.max_int) (Int64.of_int n))
 
 let workloads = [| "art"; "bzip2"; "equake"; "mcf" |]
 
@@ -102,7 +95,7 @@ let connect_retry ~socket ~tcp =
   go 50
 
 let run_conn ~socket ~tcp ~seed ~conn_id ~requests ~scale ~hot_pct =
-  let st = ref (Int64.add seed (Int64.mul 0x5851f42d4c957f2dL (Int64.of_int (conn_id + 1)))) in
+  let st = Rng.create (Int64.add seed (Int64.mul 0x5851f42d4c957f2dL (Int64.of_int (conn_id + 1)))) in
   let t =
     {
       lat_us = Array.make (max requests 1) 0;

@@ -101,7 +101,7 @@ let chaos_wire_t =
     & info [ "chaos-wire" ] ~docv:"P[,SEED]"
         ~doc:"Deterministically sabotage this daemon's replies with probability \
               $(docv): stalls, torn frames, connection resets, and whole-process \
-              kills (0 disables; overrides DPMR_CHAOS_WIRE).  A dispatching \
+              kills (0 disables).  A dispatching \
               client must still converge to byte-identical output.")
 
 let cache_dir_t =

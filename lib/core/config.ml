@@ -53,6 +53,7 @@ let temporal_mask_1_2 = 0xAAAAAAAAAAAAAAAAL
 let temporal_mask_7_8 = 0xFEFEFEFEFEFEFEFEL
 
 let mode_name = function Sds -> "sds" | Mds -> "mds"
+let mode_of_string = function "sds" -> Some Sds | "mds" -> Some Mds | _ -> None
 
 let diversity_name = function
   | No_diversity -> "no-diversity"
@@ -65,8 +66,8 @@ let diversity_name = function
 
 (* A pad size is a non-negative decimal: a negative pad would shrink the
    replica request below the application's, so a fault-free run would
-   detect. *)
-let pad_size s =
+   detect.  A static percentage is one too. *)
+let decimal s =
   if s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s then int_of_string_opt s
   else None
 
@@ -90,7 +91,7 @@ let diversity_of_string s =
       match List.find_opt (fun (prefix, _) -> String.starts_with ~prefix s) sized with
       | Some (prefix, mk) ->
           let k = String.length prefix in
-          Option.map mk (pad_size (String.sub s k (String.length s - k)))
+          Option.map mk (decimal (String.sub s k (String.length s - k)))
       | None -> None)
 
 let policy_name = function
@@ -102,6 +103,36 @@ let policy_name = function
       done;
       Printf.sprintf "temporal-%d/64" !bits
   | Static f -> Printf.sprintf "static-%d%%" (int_of_float (f *. 100.))
+
+(* [policy_name] is for display (it rounds [Static] fractions); the cache
+   identity and the wire need full fidelity, so floats render as hex and
+   temporal masks as the exact 64-bit pattern. *)
+let policy_repr = function
+  | All_loads -> "all-loads"
+  | Temporal m -> Printf.sprintf "temporal-%Lx" m
+  | Static f -> Printf.sprintf "static-%h" f
+
+let policy_of_string s =
+  (* besides the spellings below, a policy parses only from its exact
+     [policy_repr], so no string has two meanings *)
+  let exact p = if policy_repr p = s then Some p else None in
+  let after prefix =
+    let k = String.length prefix in
+    String.sub s k (String.length s - k)
+  in
+  match s with
+  | "all-loads" -> Some All_loads
+  | "temporal-1/8" -> Some (Temporal temporal_mask_1_8)
+  | "temporal-1/2" -> Some (Temporal temporal_mask_1_2)
+  | "temporal-7/8" -> Some (Temporal temporal_mask_7_8)
+  | _ when String.starts_with ~prefix:"temporal-" s ->
+      Option.bind (Int64.of_string_opt ("0x" ^ after "temporal-")) (fun m -> exact (Temporal m))
+  | _ when String.starts_with ~prefix:"static-" s -> (
+      let rest = after "static-" in
+      match decimal rest with
+      | Some pct -> Some (Static (float_of_int pct /. 100.))
+      | None -> Option.bind (float_of_string_opt rest) (fun f -> exact (Static f)))
+  | _ -> None
 
 let name c =
   Printf.sprintf "%s/%s/%s" (mode_name c.mode) (diversity_name c.diversity)

@@ -53,6 +53,10 @@ val temporal_mask_1_2 : int64
 val temporal_mask_7_8 : int64
 
 val mode_name : mode -> string
+
+(** Parses each {!mode_name}; [None] for anything else. *)
+val mode_of_string : string -> mode option
+
 val diversity_name : diversity -> string
 
 (** The one diversity parser, under [--diversity] and the wire protocol:
@@ -61,6 +65,18 @@ val diversity_name : diversity -> string
     non-negative decimal; [None] for anything else. *)
 val diversity_of_string : string -> diversity option
 
+(** Display name; it rounds [Static] fractions and counts mask bits. *)
 val policy_name : policy -> string
+
+(** Full-fidelity policy atom of the cache identity and the wire:
+    temporal masks and static fractions in hex. *)
+val policy_repr : policy -> string
+
+(** The one policy parser, under [--policy] and the wire protocol: every
+    {!policy_repr} parses back exactly, and so do the CLI spellings
+    ["temporal-1/8"], ["temporal-1/2"], ["temporal-7/8"] and
+    ["static-N"], N percent as a non-negative decimal; [None] for
+    anything else (["static-0.1"] included). *)
+val policy_of_string : string -> policy option
 
 val name : t -> string

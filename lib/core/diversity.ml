@@ -11,6 +11,7 @@
 open Dpmr_ir
 open Types
 open Inst
+module Rng = Dpmr_memsim.Rng
 
 (** Per-program state: rearrange-heap needs its scratch pointer buffer
     [B] (a global holding up to 20 pointers); layout-perm and pad-jitter
@@ -34,30 +35,16 @@ let prepare (d : Config.diversity) ~seed (dst : Prog.t) =
 
 (* ---------------- deterministic per-site randomness ---------------- *)
 
-(** splitmix64 finalizer: a pure 64-bit mix, so a site's choice depends
-    only on the derivation inputs and never on emission order. *)
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let fnv1a64 str =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    str;
-  !h
-
 (** [derive ~seed ~tag ~site] — the random word for one site decision.
     The tags and the constant golden-ratio term are part of the
     derivation: through them every layout-perm and pad-jitter build's IR
-    is pinned by test/golden/transform-digests.txt. *)
+    is pinned by test/golden/transform-digests.txt.  The word is a pure
+    splitmix64 mix, so a site's choice depends only on the derivation
+    inputs and never on emission order. *)
 let derive ~seed ~tag ~site =
-  mix64
+  Rng.mix
     (Int64.logxor
-       (Int64.add seed (fnv1a64 tag))
+       (Int64.add seed (Rng.fnv1a64 tag))
        (Int64.add 0x9e3779b97f4a7c15L
           (Int64.mul (Int64.of_int (site + 1)) 0xd1b54a32d192ed03L)))
 

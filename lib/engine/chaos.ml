@@ -68,20 +68,11 @@ let with_chaos c f =
 
 (* ---------------- deterministic decision streams ---------------- *)
 
-let fnv1a64 seed str =
-  let h = ref (Int64.logxor 0xcbf29ce484222325L seed) in
-  String.iter
-    (fun ch ->
-      h := Int64.logxor !h (Int64.of_int (Char.code ch));
-      h := Int64.mul !h 0x100000001b3L)
-    str;
-  !h
-
 (* top 53 bits to a float in [0, 1) *)
 let u01 h = Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.
 
 let decision c ~stream ~key ~attempt =
-  u01 (fnv1a64 c.seed (Printf.sprintf "%s\x00%s\x00%d" stream key attempt))
+  u01 (Dpmr_memsim.Rng.fnv1a64 ~seed:c.seed (Printf.sprintf "%s\x00%s\x00%d" stream key attempt))
 
 type action = Fail | Delay of float
 
@@ -115,7 +106,7 @@ let attempt_fault ~key ~attempt =
 (* Wire chaos attacks the serving path the way worker chaos attacks the
    job path: response frames get torn mid-write, connections reset,
    replies stall, and (rarely) the whole worker process dies mid-job.
-   It is configured separately (DPMR_CHAOS_WIRE) because its blast
+   It is configured separately ([set_wire]) because its blast
    radius is a *connection*, not an attempt — the recovery layer under
    test is the dispatcher/client reconnect machinery, not the job
    supervisor.  Decisions are pure in [(seed, key, attempt)] with the
@@ -128,22 +119,9 @@ type wire_action =
   | Wire_reset  (** drop the connection before replying *)
   | Wire_kill  (** the worker process dies mid-job ([_exit]) *)
 
-let wire_state : t option option ref = ref None
-
-let set_wire c = wire_state := Some c
-
-let wire_of_env () =
-  match Sys.getenv_opt "DPMR_CHAOS_WIRE" with
-  | None | Some "" | Some "0" -> None
-  | Some s -> parse s
-
-let wire_active () =
-  match !wire_state with
-  | Some c -> c
-  | None ->
-      let c = wire_of_env () in
-      wire_state := Some c;
-      c
+let wire_state : t option ref = ref None
+let set_wire c = wire_state := c
+let wire_active () = !wire_state
 
 let wire_plan c ~key ~attempt =
   if attempt >= c.burst then None

@@ -54,7 +54,7 @@ val truncation : key:string -> len:int -> int option
 (** {2 Wire chaos}
 
     Deterministic failure injection for the {e serving} path
-    ([--chaos-wire] / [DPMR_CHAOS_WIRE]), configured separately from
+    ([dpmr_serve --chaos-wire]), configured separately from
     worker chaos because its blast radius is a connection: response
     frames are torn mid-write, connections reset, replies stall, and
     (rarely) the worker process dies mid-job.  The recovery layer under
@@ -73,8 +73,7 @@ val set_wire : t option -> unit
     [--chaos-wire] flag). *)
 
 val wire_active : unit -> t option
-(** Current wire-chaos config; consults [DPMR_CHAOS_WIRE] on first use
-    if {!set_wire} was never called. *)
+(** Current wire-chaos config: the last {!set_wire}, [None] before any. *)
 
 val wire_plan : t -> key:string -> attempt:int -> wire_action option
 (** The (pure) decision for one served response, keyed by request

@@ -45,7 +45,7 @@ let default_jobs () = Pool.default_size ()
 
 let create ?jobs ?(use_cache = true) ?(cache_dir = Cache.default_dir)
     ?(salt = Job.default_salt) ?policy ?(progress = true)
-    ?(snapshots = Sys.getenv_opt "DPMR_NO_SNAPSHOT" = None) ?dispatcher () =
+    ?(snapshots = true) ?dispatcher () =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let cache = if use_cache then Some (Cache.load ~dir:cache_dir ~salt ()) else None in
   {

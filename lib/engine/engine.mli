@@ -24,8 +24,7 @@ val create :
   ?dispatcher:Dispatch.t ->
   unit ->
   t
-(** [snapshots] (default [true] unless the [DPMR_NO_SNAPSHOT]
-    environment variable is set) enables snapshot/fork campaign
+(** [snapshots] (default [true]) enables snapshot/fork campaign
     execution: each fault-injection cell's warmup runs once as a watched
     baseline and members fork from its copy-on-write capture, with
     byte-identical results.  [jobs] defaults to [default_jobs ()]; [use_cache] defaults to [true]

@@ -12,6 +12,7 @@ module Config = Dpmr_core.Config
 module Experiment = Dpmr_fi.Experiment
 module Inject = Dpmr_fi.Inject
 module Outcome = Dpmr_vm.Outcome
+module Rng = Dpmr_memsim.Rng
 
 type spec = {
   workload : string;  (** name in the [Workloads] registry *)
@@ -39,35 +40,21 @@ let make (e : Experiment.t) ~workload ~scale ~run_seed variant =
 
 (* ---------------- canonical rendering ---------------- *)
 
-let kind_repr = function
-  | Inject.Heap_array_resize pct -> Printf.sprintf "resize-%d" pct
-  | Inject.Immediate_free -> "free"
-  | Inject.Off_by_one -> "off-by-one"
-  | Inject.Wild_store off -> Printf.sprintf "wild-store-%d" off
-
 let site_repr (s : Inject.site) =
   Printf.sprintf "%s:%s:%d" s.Inject.func s.Inject.block s.Inject.index
-
-(* [Config.name] is for display (it rounds [Static] fractions); the cache
-   identity needs full fidelity, so floats render as hex and temporal
-   masks as the exact 64-bit pattern. *)
-let policy_repr = function
-  | Config.All_loads -> "all-loads"
-  | Config.Temporal m -> Printf.sprintf "temporal-%Lx" m
-  | Config.Static f -> Printf.sprintf "static-%h" f
 
 let config_repr (c : Config.t) =
   Printf.sprintf "%s,%s,%s,%Ld" (Config.mode_name c.Config.mode)
     (Config.diversity_name c.Config.diversity)
-    (policy_repr c.Config.policy) c.Config.seed
+    (Config.policy_repr c.Config.policy) c.Config.seed
 
 let variant_repr = function
   | Experiment.Golden -> "golden"
   | Experiment.Fi_stdapp (kind, site) ->
-      Printf.sprintf "fi-stdapp(%s@%s)" (kind_repr kind) (site_repr site)
+      Printf.sprintf "fi-stdapp(%s@%s)" (Inject.kind_repr kind) (site_repr site)
   | Experiment.Nofi_dpmr cfg -> Printf.sprintf "nofi-dpmr(%s)" (config_repr cfg)
   | Experiment.Fi_dpmr (cfg, kind, site) ->
-      Printf.sprintf "fi-dpmr(%s;%s@%s)" (config_repr cfg) (kind_repr kind)
+      Printf.sprintf "fi-dpmr(%s;%s@%s)" (config_repr cfg) (Inject.kind_repr kind)
         (site_repr site)
 
 let repr s =
@@ -76,17 +63,8 @@ let repr s =
 
 (* ---------------- content hash (FNV-1a 64) ---------------- *)
 
-let fnv1a64 str =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    str;
-  !h
-
 let hash ?(salt = default_salt) s =
-  Printf.sprintf "%016Lx" (fnv1a64 (salt ^ "\x00" ^ repr s))
+  Printf.sprintf "%016Lx" (Rng.fnv1a64 (salt ^ "\x00" ^ repr s))
 
 (* Cache key of a run that resumed from a copy-on-write snapshot: the
    snapshot's content hash rides in front of the spec rendering, so the
@@ -96,7 +74,7 @@ let hash ?(salt = default_salt) s =
    through one cache directory even under different grid shapes. *)
 let fork_hash ?(salt = default_salt) ~snap s =
   Printf.sprintf "%016Lx"
-    (fnv1a64 (Printf.sprintf "%s\x00snap=%s;%s" salt snap (repr s)))
+    (Rng.fnv1a64 (Printf.sprintf "%s\x00snap=%s;%s" salt snap (repr s)))
 
 (* ---------------- cache-line (de)serialization ---------------- *)
 

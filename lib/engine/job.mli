@@ -40,14 +40,6 @@ val hash : ?salt:string -> spec -> string
 val config_repr : Dpmr_core.Config.t -> string
 (** Full-fidelity rendering of a configuration (a [repr] component). *)
 
-val kind_repr : Dpmr_fi.Inject.kind -> string
-(** Fault-kind atom of [repr], e.g. ["resize-50"]; the serving protocol
-    encodes its fields with these same atoms. *)
-
-val policy_repr : Dpmr_core.Config.policy -> string
-(** Full-fidelity policy atom of [repr]: temporal masks and static
-    fractions in hex ({!Dpmr_core.Config.policy_name} rounds them). *)
-
 val fork_hash : ?salt:string -> snap:string -> spec -> string
 (** Cache key of a run resumed from a copy-on-write snapshot: the
     snapshot's content hash is folded in front of [repr], identifying

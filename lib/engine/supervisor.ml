@@ -119,17 +119,8 @@ let with_deadline deadline f =
    (key, attempt) into [0.5, 1.0] — concurrent retries of different
    jobs desynchronize, yet a rerun of the same campaign sleeps the
    same amounts. *)
-let fnv1a64 str =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    str;
-  !h
-
 let jitter ~key ~attempt =
-  let h = fnv1a64 (Printf.sprintf "backoff\x00%s\x00%d" key attempt) in
+  let h = Dpmr_memsim.Rng.fnv1a64 (Printf.sprintf "backoff\x00%s\x00%d" key attempt) in
   0.5 +. (Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992. /. 2.)
 
 let backoff_delay policy ~key ~attempt =

@@ -33,6 +33,33 @@ let kind_name = function
   | Off_by_one -> "off-by-one"
   | Wild_store off -> Printf.sprintf "wild-store+%d" off
 
+(* the atom of the cache identity, the wire and [--kind] *)
+let kind_repr = function
+  | Heap_array_resize pct -> Printf.sprintf "resize-%d" pct
+  | Immediate_free -> "free"
+  | Off_by_one -> "off-by-one"
+  | Wild_store off -> Printf.sprintf "wild-store-%d" off
+
+let kind_of_string s =
+  (* a sized kind parses only from its exact [kind_repr] *)
+  let exact k = if kind_repr k = s then Some k else None in
+  let sized prefix =
+    let k = String.length prefix in
+    if String.starts_with ~prefix s then int_of_string_opt (String.sub s k (String.length s - k))
+    else None
+  in
+  match s with
+  | "free" -> Some Immediate_free
+  | "off-by-one" -> Some Off_by_one
+  | "resize" -> Some (Heap_array_resize 50)
+  | _ -> (
+      match (sized "resize-", sized "wild-store-") with
+      (* the share of the request kept: below 1 the count wraps to a huge
+         unsigned allocation, from 100 up the array does not shrink *)
+      | Some pct, _ when pct >= 1 && pct <= 99 -> exact (Heap_array_resize pct)
+      | None, Some off -> exact (Wild_store off)
+      | _ -> None)
+
 type site = { func : string; block : string; index : int }
 (** [index] = position of the malloc instruction within its block. *)
 

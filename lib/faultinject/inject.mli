@@ -18,7 +18,17 @@ type kind =
   | Off_by_one  (** request one element fewer (extension) *)
   | Wild_store of int  (** displace a store by a byte offset (extension) *)
 
+(** Display name, as reports print it. *)
 val kind_name : kind -> string
+
+(** Atom of the cache identity and the wire, e.g. ["resize-50"]. *)
+val kind_repr : kind -> string
+
+(** The one fault-kind parser, under [--kind] and the wire protocol:
+    every {!kind_repr} with a resize share 1 ≤ N ≤ 99 parses back
+    exactly, and ["resize"] means ["resize-50"]; [None] for anything
+    else. *)
+val kind_of_string : string -> kind option
 
 type site = { func : string; block : string; index : int }
 (** [index] is the instruction's position within its block. *)

@@ -1,9 +1,12 @@
-(** Textual IR: a parseable serialization of whole programs.
+(** Textual IR: the one textual form of whole programs.
 
     [emit] and [parse] round-trip: for any well-formed program [p],
     [parse (emit p)] is a program with identical behaviour (the test
-    suite checks output- and cost-equality over every workload and over
-    randomly generated programs).
+    suite checks output- and cost-equality over every workload, every
+    build the transform digests pin and randomly generated programs).
+    [parse] numbers registers in textual order, so [emit] is a fixpoint
+    from the second round on.  [emit] depends only on the program: type
+    and extern names are sorted, floats print as exact hex.
 
     Grammar (informal):
     {v
@@ -31,17 +34,17 @@ let fail line fmt = Fmt.kstr (fun m -> raise (Parse_error (line, m))) fmt
 (* Emission                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec emit_ty tenv buf t =
+let rec emit_ty buf t =
   match t with
   | Int w -> Buffer.add_string buf (Printf.sprintf "i%d" (bits_of_width w))
   | Float -> Buffer.add_string buf "f64"
   | Void -> Buffer.add_string buf "void"
   | Ptr e ->
-      emit_ty tenv buf e;
+      emit_ty buf e;
       Buffer.add_char buf '*'
   | Arr (e, n) ->
       Buffer.add_string buf (Printf.sprintf "[%d x " n);
-      emit_ty tenv buf e;
+      emit_ty buf e;
       Buffer.add_char buf ']'
   | Struct n | Union n ->
       Buffer.add_char buf '%';
@@ -52,28 +55,27 @@ let rec emit_ty tenv buf t =
       List.iteri
         (fun i p ->
           if i > 0 then Buffer.add_string buf ", ";
-          emit_ty tenv buf p)
+          emit_ty buf p)
         ft.params;
       if ft.vararg then
         Buffer.add_string buf (if ft.params = [] then "..." else ", ...");
       Buffer.add_string buf " -> ";
-      emit_ty tenv buf ft.ret;
+      emit_ty buf ft.ret;
       Buffer.add_char buf ')'
 
-let ty_str tenv t =
+let ty_str t =
   let b = Buffer.create 16 in
-  emit_ty tenv b t;
+  emit_ty b t;
   Buffer.contents b
 
-let emit_operand tenv f buf o =
-  ignore f;
+let emit_operand buf o =
   match o with
   | Reg r -> Buffer.add_string buf (Printf.sprintf "%%r%d" r)
   | Cint (w, v) -> Buffer.add_string buf (Printf.sprintf "%Ld:i%d" v (bits_of_width w))
   | Cfloat x ->
       let s = Printf.sprintf "%h" x in
       Buffer.add_string buf s
-  | Null t -> Buffer.add_string buf (Printf.sprintf "null %s" (ty_str tenv t))
+  | Null t -> Buffer.add_string buf (Printf.sprintf "null %s" (ty_str t))
   | Global g -> Buffer.add_string buf ("@" ^ g)
   | Fun_addr fn -> Buffer.add_string buf ("&" ^ fn)
 
@@ -92,31 +94,31 @@ let fcond_name = function
   | Foeq -> "oeq" | Fone -> "one" | Folt -> "olt" | Fole -> "ole" | Fogt -> "ogt"
   | Foge -> "oge"
 
-let emit_inst tenv (f : Func.t) buf inst =
-  let op o = emit_operand tenv f buf o in
+let emit_inst (f : Func.t) buf inst =
+  let op o = emit_operand buf o in
   let def r =
     Buffer.add_string buf
-      (Printf.sprintf "%%r%d : %s = " r (ty_str tenv (Func.reg_ty f r)))
+      (Printf.sprintf "%%r%d : %s = " r (ty_str (Func.reg_ty f r)))
   in
   let str s = Buffer.add_string buf s in
   (match inst with
   | Malloc (r, t, n) ->
       def r;
-      str (Printf.sprintf "malloc %s, " (ty_str tenv t));
+      str (Printf.sprintf "malloc %s, " (ty_str t));
       op n
   | Alloca (r, t, n) ->
       def r;
-      str (Printf.sprintf "alloca %s, " (ty_str tenv t));
+      str (Printf.sprintf "alloca %s, " (ty_str t));
       op n
   | Free p ->
       str "free ";
       op p
   | Load (r, t, p) ->
       def r;
-      str (Printf.sprintf "load %s, " (ty_str tenv t));
+      str (Printf.sprintf "load %s, " (ty_str t));
       op p
   | Store (t, v, p) ->
-      str (Printf.sprintf "store %s " (ty_str tenv t));
+      str (Printf.sprintf "store %s " (ty_str t));
       op v;
       str ", ";
       op p
@@ -127,7 +129,7 @@ let emit_inst tenv (f : Func.t) buf inst =
       str (Printf.sprintf ", %d" i)
   | Gep_index (r, e, p, i) ->
       def r;
-      str (Printf.sprintf "gepi %s, " (ty_str tenv e));
+      str (Printf.sprintf "gepi %s, " (ty_str e));
       op p;
       str ", ";
       op i
@@ -181,7 +183,7 @@ let emit_inst tenv (f : Func.t) buf inst =
       op v
   | Select (r, t, c, a, b) ->
       def r;
-      str (Printf.sprintf "select %s " (ty_str tenv t));
+      str (Printf.sprintf "select %s " (ty_str t));
       op c;
       str ", ";
       op a;
@@ -203,8 +205,8 @@ let emit_inst tenv (f : Func.t) buf inst =
       str ")");
   Buffer.add_char buf '\n'
 
-let emit_term tenv f buf term =
-  let op o = emit_operand tenv f buf o in
+let emit_term buf term =
+  let op o = emit_operand buf o in
   (match term with
   | Br l -> Buffer.add_string buf (Printf.sprintf "br %s" l)
   | Cbr (c, l1, l2) ->
@@ -217,6 +219,11 @@ let emit_term tenv f buf term =
       op o
   | Unreachable -> Buffer.add_string buf "unreachable");
   Buffer.add_char buf '\n'
+
+let inst_to_string f inst =
+  let buf = Buffer.create 64 in
+  emit_inst f buf inst;
+  Buffer.sub buf 0 (Buffer.length buf - 1)
 
 let rec emit_ginit buf (g : Prog.ginit) =
   match g with
@@ -253,13 +260,13 @@ let emit (p : Prog.t) =
       List.iteri
         (fun i fty ->
           if i > 0 then Buffer.add_string buf ", ";
-          emit_ty tenv buf fty)
+          emit_ty buf fty)
         body.fields;
       Buffer.add_string buf " }\n")
     typedefs;
   Prog.iter_globals p (fun g ->
       Buffer.add_string buf
-        (Printf.sprintf "global %s : %s = " g.Prog.gname (ty_str tenv g.Prog.gty));
+        (Printf.sprintf "global %s : %s = " g.Prog.gname (ty_str g.Prog.gty));
       emit_ginit buf g.Prog.ginit;
       Buffer.add_char buf '\n');
   let externs =
@@ -268,11 +275,11 @@ let emit (p : Prog.t) =
   in
   List.iter
     (fun (name, (ft : fun_ty)) ->
-      Buffer.add_string buf (Printf.sprintf "extern %s : %s (" name (ty_str tenv ft.ret));
+      Buffer.add_string buf (Printf.sprintf "extern %s : %s (" name (ty_str ft.ret));
       List.iteri
         (fun i pt ->
           if i > 0 then Buffer.add_string buf ", ";
-          emit_ty tenv buf pt)
+          emit_ty buf pt)
         ft.params;
       if ft.vararg then
         Buffer.add_string buf (if ft.params = [] then "..." else ", ...");
@@ -286,19 +293,19 @@ let emit (p : Prog.t) =
       List.iteri
         (fun i (r, ty) ->
           if i > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf (Printf.sprintf "%%r%d : %s" r (ty_str tenv ty)))
+          Buffer.add_string buf (Printf.sprintf "%%r%d : %s" r (ty_str ty)))
         f.Func.params;
-      Buffer.add_string buf (Printf.sprintf ") : %s {\n" (ty_str tenv f.Func.ret));
+      Buffer.add_string buf (Printf.sprintf ") : %s {\n" (ty_str f.Func.ret));
       List.iter
         (fun (b : Func.block) ->
           Buffer.add_string buf (b.Func.label ^ ":\n");
           List.iter
             (fun inst ->
               Buffer.add_string buf "  ";
-              emit_inst tenv f buf inst)
+              emit_inst f buf inst)
             b.Func.insts;
           Buffer.add_string buf "  ";
-          emit_term tenv f buf b.Func.term)
+          emit_term buf b.Func.term)
         f.Func.blocks;
       Buffer.add_string buf "}\n");
   Buffer.contents buf
@@ -553,7 +560,19 @@ let rec parse_ginit c =
 type fn_parse_state = {
   func : Func.t;
   regmap : (string, reg) Hashtbl.t;  (* textual name -> register *)
+  labels : (string, unit) Hashtbl.t;
+  mutable blocks : Func.block list;  (* reversed *)
+  mutable cur : Func.block option;
+  mutable insts : inst list;  (* the current block's, reversed *)
 }
+
+let close_block st =
+  Option.iter (fun (b : Func.block) -> b.insts <- List.rev st.insts) st.cur;
+  st.insts <- []
+
+let close_func st =
+  close_block st;
+  st.func.Func.blocks <- List.rev st.blocks
 
 let parse_operand st c kind_of =
   match next c with
@@ -707,17 +726,49 @@ let parse_rhs st c kind_of dst dst_ty =
           Fbinop (dst, o, a, opnd ())
       | None, None -> fail c.line "unknown instruction %S" name)
 
+(* First non-blank character of a line; ' ' when there is none. *)
+let lead s =
+  let n = String.length s in
+  let rec go i =
+    if i >= n then ' '
+    else match s.[i] with ' ' | '\t' | '\r' -> go (i + 1) | c -> c
+  in
+  go 0
+
+(* Allocate, in textual order, every register the body starting at line
+   index [start] defines, so that a use may precede its definition in
+   the text: a transformed build places the continuation blocks of its
+   checks after the blocks that branch into them.  A name defined twice
+   is one register (registers are mutable slots). *)
+let declare_body_regs lines start func regmap kind_of =
+  let rec go i =
+    if i < Array.length lines then
+      match lead lines.(i) with
+      | '}' -> ()
+      | '%' ->
+          (match tokenize_line (i + 1) lines.(i) with
+          | Treg name :: Tpunct ':' :: toks -> (
+              let ty = parse_ty { toks; line = i + 1 } kind_of in
+              match Hashtbl.find_opt regmap name with
+              | None -> Hashtbl.replace regmap name (Func.fresh_reg func ~name ty)
+              | Some r when Func.reg_ty func r = ty -> ()
+              | Some _ -> fail (i + 1) "register %%%s redefined with another type" name)
+          | _ -> ());
+          go (i + 1)
+      | _ -> go (i + 1)
+  in
+  go start
+
 (** Parse a whole program from its textual form. *)
 let parse (text : string) : Prog.t =
-  let lines = String.split_on_char '\n' text in
+  let lines = Array.of_list (String.split_on_char '\n' text) in
   let prog = Prog.create () in
   let tenv = prog.Prog.tenv in
   (* pass 1: register struct/union names so types resolve *)
   let union_names = Hashtbl.create 8 in
-  List.iteri
+  Array.iteri
     (fun i line ->
-      let lineno = i + 1 in
-      match tokenize_line lineno line with
+      match tokenize_line (i + 1) line with
       | Tid "struct" :: Tid name :: _ -> Tenv.declare_struct tenv name
       | Tid "union" :: Tid name :: _ ->
           Tenv.declare_struct tenv name;
@@ -727,8 +778,7 @@ let parse (text : string) : Prog.t =
   let kind_of name = Hashtbl.mem union_names name in
   (* pass 2 *)
   let cur_fn : fn_parse_state option ref = ref None in
-  let cur_block : Func.block option ref = ref None in
-  List.iteri
+  Array.iteri
     (fun i line ->
       let lineno = i + 1 in
       let toks = tokenize_line lineno line in
@@ -831,37 +881,43 @@ let parse (text : string) : Prog.t =
             let func = Func.create ~name ~params ~ret ~vararg () in
             Prog.add_func prog func;
             let regmap = Hashtbl.create 32 in
-            List.iteri
-              (fun idx (pname, _) -> Hashtbl.replace regmap pname (fst (List.nth func.Func.params idx)))
-              params;
-            cur_fn := Some { func; regmap };
-            cur_block := None
-        | Some (Tpunct '}'), Some _ ->
-            cur_fn := None;
-            cur_block := None
+            List.iter2
+              (fun (pname, _) (r, _) -> Hashtbl.replace regmap pname r)
+              params func.Func.params;
+            declare_body_regs lines (i + 1) func regmap kind_of;
+            cur_fn :=
+              Some
+                { func; regmap; labels = Hashtbl.create 16; blocks = []; cur = None; insts = [] }
+        | Some (Tpunct '}'), Some st ->
+            close_func st;
+            cur_fn := None
         | Some _, Some st -> (
             (* inside a function: label, instruction, or terminator *)
             let append_inst inst =
-              match !cur_block with
-              | Some b -> b.Func.insts <- b.Func.insts @ [ inst ]
-              | None -> fail lineno "instruction outside any block"
+              if Option.is_none st.cur then fail lineno "instruction outside any block";
+              st.insts <- inst :: st.insts
             in
             let set_term t =
-              match !cur_block with
+              match st.cur with
               | Some b -> b.Func.term <- t
               | None -> fail lineno "terminator outside any block"
             in
             match c.toks with
             | [ Tid label; Tpunct ':' ] ->
-                cur_block := Some (Func.add_block st.func label)
+                if Hashtbl.mem st.labels label then fail lineno "duplicate label %S" label;
+                Hashtbl.replace st.labels label ();
+                close_block st;
+                let b = { Func.label; insts = []; term = Unreachable } in
+                st.blocks <- b :: st.blocks;
+                st.cur <- Some b
             | Treg _ :: _ -> (
                 match next c with
                 | Treg dname ->
                     expect_punct c ':';
                     let dty = parse_ty c kind_of in
                     expect_punct c '=';
-                    let dst = Func.fresh_reg st.func ~name:dname dty in
-                    Hashtbl.replace st.regmap dname dst;
+                    (* [declare_body_regs] allocated it *)
+                    let dst = Hashtbl.find st.regmap dname in
                     append_inst (parse_rhs st c kind_of dst dty)
                 | _ -> assert false)
             | Tid "store" :: _ ->
@@ -913,4 +969,5 @@ let parse (text : string) : Prog.t =
         | Some _, None -> fail lineno "cannot parse top-level line"
         | None, _ -> ())
     lines;
+  Option.iter close_func !cur_fn;
   prog

@@ -45,3 +45,15 @@ let[@inline] hash2 a b =
 let state t = t.state
 
 let set_state t s = t.state <- s
+
+(** FNV-1a 64 over the bytes of [str], its offset basis xor-ed with
+    [seed]: the system's one string hash (cache keys, [@ir/] names,
+    per-site diversity words, chaos and backoff decisions). *)
+let fnv1a64 ?(seed = 0L) str =
+  let h = ref (Int64.logxor 0xcbf29ce484222325L seed) in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    str;
+  !h

@@ -27,3 +27,12 @@ val hash2 : int -> int -> int64
 val state : t -> int64
 
 val set_state : t -> int64 -> unit
+
+(** splitmix64's output function: a pure 64-bit mix ([next] is [mix] of
+    the advanced state). *)
+val mix : int64 -> int64
+
+(** FNV-1a 64 over the bytes of a string, its offset basis xor-ed with
+    [seed] (default [0L]): the one string hash of cache keys, [@ir/]
+    names, per-site diversity words and chaos and backoff decisions. *)
+val fnv1a64 : ?seed:int64 -> string -> int64

@@ -11,9 +11,10 @@
     Requests reference programs by name: a built-in workload, or a
     content-addressed ["@ir/<hash>"] name minted by a [register]
     request carrying textual IR.  Variants are flat scalar fields using
-    the exact canonical atoms of the cache identity ([Job.repr]), so a
-    request, its cache key and its batch-CLI equivalent can never
-    disagree on what was asked. *)
+    the exact canonical atoms of the cache identity ([Job.repr]), parsed
+    by the modules that own their types ([Config], [Inject]) — the same
+    parsers the CLI calls — so a request, its cache key and its
+    batch-CLI equivalent can never disagree on what was asked. *)
 
 module Config = Dpmr_core.Config
 module Inject = Dpmr_fi.Inject
@@ -25,43 +26,6 @@ let version = 1
 let max_frame = 16 * 1024 * 1024
 (** Upper bound on one frame's payload: large enough for any IR program
     we ship, small enough to refuse a garbage length prefix. *)
-
-(* ------ variant atom parsers (the encoder renders with Job.repr's) ------ *)
-
-let kind_of_string s =
-  match s with
-  | "free" -> Some Inject.Immediate_free
-  | "off-by-one" -> Some Inject.Off_by_one
-  | "resize" -> Some (Inject.Heap_array_resize 50)
-  | _ when String.starts_with ~prefix:"resize-" s -> (
-      (* the share of the request kept: below 1 the count wraps to a huge
-         unsigned allocation, from 100 up the array does not shrink *)
-      match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
-      | Some pct when pct >= 1 && pct <= 99 -> Some (Inject.Heap_array_resize pct)
-      | Some _ | None -> None)
-  | _ when String.starts_with ~prefix:"wild-store-" s -> (
-      match int_of_string_opt (String.sub s 11 (String.length s - 11)) with
-      | Some off -> Some (Inject.Wild_store off)
-      | None -> None)
-  | _ -> None
-
-let policy_of_string s =
-  match s with
-  | "all-loads" -> Some Config.All_loads
-  | _ when String.starts_with ~prefix:"temporal-" s -> (
-      match Int64.of_string_opt ("0x" ^ String.sub s 9 (String.length s - 9)) with
-      | Some m -> Some (Config.Temporal m)
-      | None -> None)
-  | _ when String.starts_with ~prefix:"static-" s -> (
-      match float_of_string_opt (String.sub s 7 (String.length s - 7)) with
-      | Some f -> Some (Config.Static f)
-      | None -> None)
-  | _ -> None
-
-let mode_of_string = function
-  | "sds" -> Some Config.Sds
-  | "mds" -> Some Config.Mds
-  | _ -> None
 
 (* ---------------- request / response model ---------------- *)
 
@@ -197,7 +161,7 @@ let encode_request { rid; body } =
       add ",\"eseed\":%Ld,\"rseed\":%Ld,\"budget\":%Ld" p.exp_seed p.run_seed p.budget;
       add ",\"golden\":%b,\"plain\":%b" p.golden p.plain;
       add ",\"kind\":%s"
-        (match p.kind with Some k -> Printf.sprintf "\"%s\"" (Job.kind_repr k) | None -> "null");
+        (match p.kind with Some k -> Printf.sprintf "\"%s\"" (Inject.kind_repr k) | None -> "null");
       add ",\"site\":%d" p.site;
       (match p.site_ref with
       | None -> ()
@@ -207,7 +171,7 @@ let encode_request { rid; body } =
       add ",\"mode\":\"%s\",\"diversity\":\"%s\",\"policy\":\"%s\",\"cseed\":%Ld"
         (Config.mode_name p.mode)
         (Config.diversity_name p.diversity)
-        (Job.policy_repr p.policy) p.cfg_seed;
+        (Config.policy_repr p.policy) p.cfg_seed;
       add ",\"forensics\":%b" p.forensics);
   Buffer.add_char b '}';
   Buffer.contents b
@@ -317,7 +281,7 @@ let decode_run fields =
     match kind_s with
     | None | Some "none" -> Ok None
     | Some s ->
-        let* k = atom "fault kind" kind_of_string s in
+        let* k = atom "fault kind" Inject.kind_of_string s in
         Ok (Some k)
   in
   let* site = int_field fields "site" ~default:0 in
@@ -331,11 +295,11 @@ let decode_run fields =
         Ok (Some { Inject.func; block; index })
   in
   let* mode_s = str_field fields "mode" ~default:"sds" in
-  let* mode = atom "mode" mode_of_string mode_s in
+  let* mode = atom "mode" Config.mode_of_string mode_s in
   let* div_s = str_field fields "diversity" ~default:"no-diversity" in
   let* diversity = atom "diversity" Config.diversity_of_string div_s in
   let* pol_s = str_field fields "policy" ~default:"all-loads" in
-  let* policy = atom "policy" policy_of_string pol_s in
+  let* policy = atom "policy" Config.policy_of_string pol_s in
   let* cfg_seed = int64_field fields "cseed" ~default:exp_seed in
   (* one replica is the only build: a frame asking for another replica
      count is refused, never served as a one-replica verdict *)

@@ -129,7 +129,7 @@ let probe_spec (p : Protocol.run_params) =
     admitted to the run path. *)
 let resolve_meta t (p : Protocol.run_params) kind =
   let bkey = exp_key p in
-  let skey = Option.map (fun k -> bkey ^ "\x00" ^ Job.kind_repr k) kind in
+  let skey = Option.map (fun k -> bkey ^ "\x00" ^ Inject.kind_repr k) kind in
   let cached =
     Mutex.protect t.meta_mu (fun () ->
         match (Hashtbl.find_opt t.budgets bkey, skey) with
@@ -184,7 +184,7 @@ let spec_of_params t (p : Protocol.run_params) =
                   (Reject
                      ( Protocol.Bad_request,
                        Printf.sprintf "no such site %d for kind %s (have %d)" p.site
-                         (Job.kind_repr k) (Array.length sites) ))
+                         (Inject.kind_repr k) (Array.length sites) ))
               else if p.plain then Experiment.Fi_stdapp (k, sites.(p.site))
               else Experiment.Fi_dpmr (Protocol.config_of p, k, sites.(p.site)))
   in

@@ -81,16 +81,7 @@ let admit t =
 
 (* ---------------- program registration ---------------- *)
 
-let fnv1a64 str =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    str;
-  !h
-
-let name_of_ir src = Printf.sprintf "@ir/%016Lx" (fnv1a64 src)
+let name_of_ir src = Printf.sprintf "@ir/%016Lx" (Dpmr_memsim.Rng.fnv1a64 src)
 
 (** Parse, verify and publish textual IR; returns the content-addressed
     workload name (stable across sessions and hosts: the same source

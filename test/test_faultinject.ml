@@ -33,10 +33,10 @@ let test_sites_counts () =
 
 let test_injection_does_not_mutate_original () =
   let p = Progs.overflow ~limit:8 () in
-  let before = Printer.prog_to_string p in
+  let before = Text.emit p in
   let site = List.hd (Inject.sites Inject.Immediate_free p) in
   let _injected = Inject.apply p Inject.Immediate_free site in
-  Alcotest.(check string) "original untouched" before (Printer.prog_to_string p)
+  Alcotest.(check string) "original untouched" before (Text.emit p)
 
 let test_injected_program_verifies () =
   let p = Progs.overflow ~limit:8 () in

@@ -150,17 +150,6 @@ let test_verifier_catches_unknown_callee () =
        false
      with Verifier.Ill_formed _ -> true)
 
-let test_printer_roundtrip_smoke () =
-  let p = build_sum_prog () in
-  let s = Printer.prog_to_string p in
-  Alcotest.(check bool) "prints something" true (String.length s > 50);
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "mentions main" true (contains s "@main")
-
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_size_positive; prop_size_multiple_of_align; prop_flatten_size ]
 
@@ -183,6 +172,5 @@ let suites =
         Alcotest.test_case "builder output verifies" `Quick test_builder_verifies;
         Alcotest.test_case "verifier: bad label" `Quick test_verifier_catches_bad_label;
         Alcotest.test_case "verifier: unknown callee" `Quick test_verifier_catches_unknown_callee;
-        Alcotest.test_case "printer smoke" `Quick test_printer_roundtrip_smoke;
       ] );
   ]

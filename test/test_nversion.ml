@@ -1,5 +1,6 @@
 (* Tests of the layout-perm and pad-jitter diversities beyond the
-   transform suites: the one diversity parser under the CLI and the wire,
+   transform suites: the one parser per variant atom (diversity, policy,
+   fault kind) under the CLI and the wire,
    output preservation for each in both designs (differential qcheck),
    replica-global structure, and cache / wire-protocol compatibility. *)
 
@@ -15,6 +16,7 @@ module Job = Dpmr_engine.Job
 module Cache = Dpmr_engine.Cache
 module Chaos = Dpmr_engine.Chaos
 module Protocol = Dpmr_server.Protocol
+module Inject = Dpmr_fi.Inject
 module Workloads = Dpmr_workloads.Workloads
 
 let contains s sub =
@@ -58,6 +60,114 @@ let test_diversity_parser () =
        (Protocol.decode_request (frame ",\"diversity\":\"pad-malloc--16\"")));
   Alcotest.(check bool) "CLI spelling decodes on the wire" true
     (Result.is_ok (Protocol.decode_request (frame ",\"diversity\":\"pad-stack-16\"")))
+
+(* ---- one parser per policy and fault-kind atom ---- *)
+
+(* the status and stdout of the CLI binary on [args] *)
+let cli args =
+  let exe =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      "bin/dpmr_cli.exe"
+  in
+  let out, inp, err =
+    Unix.open_process_args_full exe (Array.of_list (exe :: args)) (Unix.environment ())
+  in
+  close_out inp;
+  let stdout = In_channel.input_all out in
+  ignore (In_channel.input_all err);
+  (Unix.close_process_full (out, inp, err), stdout)
+
+let test_atom_parsers () =
+  let wire field s =
+    match
+      Protocol.decode_request
+        (Printf.sprintf "{\"v\":1,\"id\":9,\"t\":\"run\",\"%s\":\"%s\"}" field s)
+    with
+    | Ok { Protocol.body = Protocol.Run p; _ } -> Some p
+    | _ -> None
+  in
+  let policy = Alcotest.testable (Fmt.of_to_string Config.policy_repr) ( = ) in
+  List.iter
+    (fun (s, expect) ->
+      Alcotest.(check (option policy)) (s ^ " parses") expect (Config.policy_of_string s);
+      Alcotest.(check (option policy)) (s ^ " on the wire") expect
+        (Option.map (fun p -> p.Protocol.policy) (wire "policy" s)))
+    Config.
+      [
+        ("all-loads", Some All_loads);
+        ("temporal-1/8", Some (Temporal temporal_mask_1_8));
+        ("temporal-1/2", Some (Temporal temporal_mask_1_2));
+        ("temporal-7/8", Some (Temporal temporal_mask_7_8));
+        ("temporal-aaaaaaaaaaaaaaaa", Some (Temporal temporal_mask_1_2));
+        ("static-10", Some (Static 0.10));
+        ("static-0", Some (Static 0.));
+        ("static-0x1.999999999999ap-4", Some (Static 0.10));
+        (* one meaning per spelling: no other decimal, hex or signed form *)
+        ("static-0.1", None);
+        ("static-0x10", None);
+        ("static--5", None);
+        ("temporal-AAAAAAAAAAAAAAAA", None);
+        ("temporal-1/3", None);
+        ("bogus", None);
+      ];
+  let kind = Alcotest.testable (Fmt.of_to_string Inject.kind_repr) ( = ) in
+  List.iter
+    (fun (s, expect) ->
+      Alcotest.(check (option kind)) (s ^ " parses") expect (Inject.kind_of_string s);
+      Alcotest.(check (option kind)) (s ^ " on the wire") expect
+        (Option.bind (wire "kind" s) (fun p -> p.Protocol.kind)))
+    Inject.
+      [
+        ("resize", Some (Heap_array_resize 50));
+        ("resize-1", Some (Heap_array_resize 1));
+        ("resize-99", Some (Heap_array_resize 99));
+        ("free", Some Immediate_free);
+        ("off-by-one", Some Off_by_one);
+        ("wild-store-4096", Some (Wild_store 4096));
+        (* the share range is test_server's "resize share range" *)
+        ("resize-0x10", None);
+        ("wild-store-+8", None);
+        ("bogus", None);
+      ];
+  (* the CLI calls the same parsers *)
+  let mcf_ir policy =
+    Text.emit
+      (Dpmr.transform { Config.default with Config.policy }
+         ((Workloads.find "mcf").Workloads.build ~scale:1 ()))
+  in
+  let ok = Alcotest.(pair bool string) in
+  let transform policy =
+    let status, out = cli [ "transform"; "mcf"; "--policy"; policy ] in
+    (status = Unix.WEXITED 0, out)
+  in
+  Alcotest.check ok "CLI static-10 is the 10% build" (true, mcf_ir (Config.Static 0.10))
+    (transform "static-10");
+  Alcotest.check ok "CLI temporal-1/8" (true, mcf_ir (Config.Temporal Config.temporal_mask_1_8))
+    (transform "temporal-1/8");
+  Alcotest.check ok "CLI refuses static-0.1" (false, "") (transform "static-0.1");
+  Alcotest.(check bool) "CLI inject --kind off-by-one runs" true
+    (fst (cli [ "inject"; "art"; "--kind"; "off-by-one" ]) = Unix.WEXITED 0)
+
+(* every repr parses back to its atom: random masks, random float bit
+   patterns and fractions, every resize share and wild-store offset *)
+let prop_atom_reprs_parse_back =
+  QCheck.Test.make ~name:"policy and fault-kind reprs parse back" ~count:500
+    QCheck.(triple int64 int64 int)
+    (fun (mask, bits, n) ->
+      let fraction = Int64.to_float (Int64.shift_right_logical bits 11) /. 9007199254740992. in
+      List.for_all
+        (fun p -> compare (Config.policy_of_string (Config.policy_repr p)) (Some p) = 0)
+        Config.[ All_loads; Temporal mask; Static (Int64.float_of_bits bits); Static fraction ]
+      && List.for_all
+           (fun k -> Inject.kind_of_string (Inject.kind_repr k) = Some k)
+           Inject.
+             [
+               Heap_array_resize (1 + ((n land max_int) mod 99));
+               Immediate_free;
+               Off_by_one;
+               Wild_store n;
+             ])
 
 (* ---- differential property: each extension diversity alone
    preserves error-free output in both designs ---- *)
@@ -224,6 +334,7 @@ let suites =
     ( "nversion",
       [
         Alcotest.test_case "diversity parser" `Quick test_diversity_parser;
+        Alcotest.test_case "policy and fault-kind parsers" `Quick test_atom_parsers;
         Alcotest.test_case "replica globals" `Quick test_replica_globals;
         Alcotest.test_case "salt bump evicts cleanly" `Quick
           (fun () -> Chaos.with_chaos None test_salt_bump_evicts_cleanly);
@@ -232,5 +343,6 @@ let suites =
           test_protocol_defaults_and_roundtrip;
       ] );
     ( "nversion-properties",
-      List.map QCheck_alcotest.to_alcotest [ prop_family_preserves_output ] );
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_family_preserves_output; prop_atom_reprs_parse_back ] );
   ]

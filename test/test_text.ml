@@ -1,6 +1,9 @@
-(* Textual IR round-trip tests: parse (emit p) behaves exactly like p for
-   every workload, micro workload and random program — outputs, exit
-   classification and cost all equal. *)
+(* Textual IR tests.  parse (emit p) behaves exactly like p for every
+   workload, micro workload and random program — outputs, exit
+   classification and cost all equal.  Every build the transform digests
+   pin parses, verifies and re-emits to the same text, and its all-loads
+   workload builds also run the same; registered IR parses and verifies
+   in linear time; malformed text fails with a line number. *)
 
 open Dpmr_ir
 module Dpmr = Dpmr_core.Dpmr
@@ -34,27 +37,68 @@ let test_micro_roundtrip () =
   List.iter (fun (name, build) -> check_roundtrip name (build ()))
     Dpmr_workloads.Micro.all
 
+(* the builds test/golden/transform-digests.txt pins: their transforms
+   append check-continuation blocks after the blocks that branch into
+   them, so a register is often used on a line above its definition *)
 let test_transformed_roundtrip () =
-  (* even DPMR-instrumented programs (with generated shadow structs)
-     survive serialization *)
-  let p = Dpmr_testprogs.Progs.linked_list () in
-  let tp = Dpmr.transform Dpmr_core.Config.default p in
-  let text = Text.emit tp in
-  let tp2 = Text.parse text in
-  Verifier.check_prog tp2;
-  let run q =
-    let vm = Dpmr.vm_dpmr ~mode:Dpmr_core.Config.Sds q in
-    Dpmr_vm.Vm.run vm
-  in
-  let r1 = run tp and r2 = run tp2 in
-  Alcotest.(check string) "output" r1.Outcome.output r2.Outcome.output;
-  Alcotest.(check int64) "cost" r1.Outcome.cost r2.Outcome.cost
+  List.iter
+    (fun (b : Dpmr_testprogs.Pinned.build) ->
+      let cfg = b.Dpmr_testprogs.Pinned.cfg in
+      let name = b.Dpmr_testprogs.Pinned.label ^ " " ^ Dpmr_core.Config.name cfg in
+      let tp = b.Dpmr_testprogs.Pinned.transformed () in
+      let text = Text.emit tp in
+      let tp2 =
+        try Text.parse text
+        with Text.Parse_error (line, msg) ->
+          Alcotest.failf "%s: parse error line %d: %s" name line msg
+      in
+      Verifier.check_prog tp2;
+      (* parsing numbers registers in textual order, so the first round
+         may renumber; from then on emission is a fixpoint *)
+      let text2 = Text.emit tp2 in
+      Alcotest.(check string) (name ^ " re-emits") text2 (Text.emit (Text.parse text2));
+      if (not b.Dpmr_testprogs.Pinned.dsa) && cfg.Dpmr_core.Config.policy = Dpmr_core.Config.All_loads
+      then begin
+        let run q = Dpmr.run_transformed ~mode:cfg.Dpmr_core.Config.mode q in
+        let r1 = run tp and r2 = run tp2 in
+        Alcotest.(check string) (name ^ " outcome") (Outcome.to_string r1.Outcome.outcome)
+          (Outcome.to_string r2.Outcome.outcome);
+        Alcotest.(check string) (name ^ " output") r1.Outcome.output r2.Outcome.output;
+        Alcotest.(check int64) (name ^ " cost") r1.Outcome.cost r2.Outcome.cost
+      end)
+    Dpmr_testprogs.Pinned.all
 
 let test_double_roundtrip_stable () =
   let p = Dpmr_testprogs.Progs.qsort_prog () in
   let t1 = Text.emit p in
   let t2 = Text.emit (Text.parse t1) in
   Alcotest.(check string) "emit is a fixpoint after one round" t1 t2
+
+(* a register frame may carry megabytes of IR: one long block and many
+   short blocks both parse and verify in time linear in their length *)
+let test_linear_time () =
+  let n = 40_000 in
+  let timed what text ~insts ~blocks =
+    let t0 = Unix.gettimeofday () in
+    let p = Text.parse text in
+    Verifier.check_prog p;
+    let dt = Unix.gettimeofday () -. t0 in
+    let f = Prog.func p "main" in
+    Alcotest.(check int) (what ^ ": blocks") blocks (List.length f.Func.blocks);
+    Alcotest.(check int) (what ^ ": instructions") insts
+      (List.fold_left (fun k (b : Func.block) -> k + List.length b.Func.insts) 0 f.Func.blocks);
+    if dt > 2.0 then Alcotest.failf "%s: parse and verify took %.2f s" what dt
+  in
+  let buf = Buffer.create (n * 24) in
+  Buffer.add_string buf "global g : i64 = 0\nfunc @main() : i32 {\nentry:\n";
+  for _ = 1 to n do Buffer.add_string buf "  store i64 1:i64, @g\n" done;
+  Buffer.add_string buf "  ret 0:i32\n}\n";
+  timed "one block of stores" (Buffer.contents buf) ~insts:n ~blocks:1;
+  Buffer.clear buf;
+  Buffer.add_string buf "func @main() : i32 {\n";
+  for i = 0 to n - 2 do Buffer.add_string buf (Printf.sprintf "b%d:\n  br b%d\n" i (i + 1)) done;
+  Buffer.add_string buf (Printf.sprintf "b%d:\n  ret 0:i32\n}\n" (n - 1));
+  timed "one-branch blocks" (Buffer.contents buf) ~insts:0 ~blocks:n
 
 let test_parse_errors () =
   let bad =
@@ -177,6 +221,7 @@ let suites =
         Alcotest.test_case "transformed programs round-trip" `Quick
           test_transformed_roundtrip;
         Alcotest.test_case "emit is stable" `Quick test_double_roundtrip_stable;
+        Alcotest.test_case "linear-time parse and verify" `Quick test_linear_time;
         Alcotest.test_case "parse errors reported" `Quick test_parse_errors;
         Alcotest.test_case "comments and blanks" `Quick test_comments_and_blank_lines;
         Alcotest.test_case "hand-written program" `Quick test_handwritten_program;

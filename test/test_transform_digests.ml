@@ -44,7 +44,7 @@ let test_cli_transform_seed () =
     (Unix.close_process_in ic = Unix.WEXITED 0);
   let ir seed =
     let cfg = { Config.default with Config.diversity = Config.Layout_perm; seed } in
-    Dpmr_ir.Printer.prog_to_string
+    Dpmr_ir.Text.emit
       (Dpmr.transform cfg ((Workloads.find "mcf").Workloads.build ~scale:1 ()))
   in
   Alcotest.(check string) "the seed-7 build" (ir 7L) printed;
